@@ -9,6 +9,7 @@ empirically (including failure detection for non-analytic inputs).
 """
 
 from .poly import (
+    Function,
     ParseError,
     Polynomial,
     PolynomialLimitError,
@@ -53,7 +54,6 @@ from .morse import (
 from .flow import (
     CoordinateSubspace,
     CriticalSet,
-    DifferentiableFunction,
     FlowError,
     LengthBoundReport,
     Trajectory,
@@ -66,7 +66,6 @@ from .flow import (
     verify_length_bound,
 )
 from .estimate import (
-    BlackBoxFunction,
     ConsistencyVerdict,
     EstimateError,
     ExponentEstimate,

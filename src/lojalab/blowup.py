@@ -116,28 +116,6 @@ class ChartTree:
     def leaves(self) -> list[BlowupNode]:
         return [n for n in self.nodes.values() if n.is_leaf]
 
-    def find_total_transform(self, p: Polynomial) -> list[str]:
-        """Chart ids whose total transform equals ``p`` up to renaming."""
-        return [
-            node.chart_id
-            for node in self.nodes.values()
-            if _matches_up_to_renaming(node.total_transform, p)
-        ]
-
-
-def _matches_up_to_renaming(a: Polynomial, b: Polynomial) -> bool:
-    """Equality of bivariate polynomials under some variable bijection."""
-    va = [v for v in a.variables]
-    vb = [v for v in b.variables]
-    if len(va) != len(vb) or len(va) > 2:
-        return a == b
-    import itertools
-
-    for perm in itertools.permutations(vb):
-        if a == b.rename(dict(zip(perm, va))):
-            return True
-    return False
-
 
 @dataclass
 class LeafReport:

@@ -70,7 +70,6 @@ class RunConfig:
     crit: str | None = None
     output_path: str = "."
     format: str = "human"
-    workers: int = 1
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -119,15 +118,15 @@ def _parse_crit(text: str | None, dim: int) -> flow_mod.CriticalSet | None:
     return flow_mod.CriticalSet(subspaces=tuple(subspaces), points=tuple(points))
 
 
-def _emit(report: dict, config: RunConfig, quiet: bool = False) -> None:
+def _emit(report: dict, config: RunConfig) -> None:
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = dict(report)
     report["config"] = config.to_json()
     text = dump_report(report, str(out_dir / "report.json"))
-    if config.format == "json" and not quiet:
+    if config.format == "json":
         print(text)
-    elif not quiet:
+    else:
         for line in _human_lines(report):
             print(line)
 
@@ -152,17 +151,17 @@ def _human_lines(report: dict, prefix: str = "") -> list[str]:
 # ----------------------------------------------------------------------
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    text = _read_polynomial_text(config.polynomial_text or "")
+def _analyze(config: RunConfig, text: str) -> dict:
+    """The analyze report; its ``pass`` decides the exit code."""
     if text in estimate_mod.BUILTIN_FUNCTIONS:
+        fn = estimate_mod.builtin_function(text)
         est = estimate_mod.estimate_theta(
-            estimate_mod.builtin_function(text),
-            (0.0,) * estimate_mod.builtin_function(text).dimension,
+            fn,
+            (0.0,) * fn.dimension,
             (config.r_min, config.r_max, config.radius_count),
             config.estimate_samples,
-            config.seed,
         )
-        report = {
+        return {
             "input": text,
             "snc": False,
             "estimate": est.to_json(),
@@ -170,12 +169,10 @@ def _cmd_analyze(config: RunConfig) -> int:
             "note": "non-polynomial builtin: gradient inequality "
             + ("fails near 0" if est.failure_detected else "holds empirically"),
         }
-        _emit(report, config)
-        return EXIT_OK if not est.failure_detected else EXIT_CHECK_FAILED
     p = parse(text)
     factorization = snc.detect_snc(p)
     if not factorization.snc_at_origin:
-        report = {
+        return {
             "input": text,
             "snc": False,
             "monomial": list(factorization.exponents),
@@ -183,19 +180,20 @@ def _cmd_analyze(config: RunConfig) -> int:
             "pass": False,
             "note": "residual vanishes at the origin; run `resolve` first",
         }
-        _emit(report, config)
-        return EXIT_CHECK_FAILED
     try:
         full = snc.compute_constants(
             factorization, sigma=config.sigma, samples=config.samples, seed=config.seed
         )
     except snc.SncError as exc:
-        _emit({"input": text, "snc": True, "pass": False, "note": str(exc)}, config)
-        return EXIT_CHECK_FAILED
+        return {"input": text, "snc": True, "pass": False, "note": str(exc)}
     check = snc.verify_gradient_inequality(p, full, config.samples, config.seed)
-    report = {"input": text, "snc": True, **snc.analyze_report_json(full, check)}
+    return {"input": text, "snc": True, **snc.analyze_report_json(full, check)}
+
+
+def _cmd_analyze(config: RunConfig) -> int:
+    report = _analyze(config, _read_polynomial_text(config.polynomial_text or ""))
     _emit(report, config)
-    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 def _cmd_resolve(config: RunConfig) -> int:
@@ -289,22 +287,23 @@ def _cmd_flow(config: RunConfig) -> int:
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
-def _cmd_estimate(config: RunConfig) -> int:
-    text = _read_polynomial_text(config.polynomial_text or "")
+def _estimate(config: RunConfig, text: str) -> dict:
+    """The estimate report, after writing ``envelope.csv``.
+
+    An inconsistent ``resolution_consistency`` decides the exit code.
+    """
     radii = (config.r_min, config.r_max, config.radius_count)
     if text in estimate_mod.BUILTIN_FUNCTIONS:
         fn = estimate_mod.builtin_function(text)
         est = estimate_mod.estimate_theta(
-            fn, (0.0,) * fn.dimension, radii, config.estimate_samples, config.seed
+            fn, (0.0,) * fn.dimension, radii, config.estimate_samples
         )
         report = {"input": text, **est.to_json()}
         comparison = None
     else:
         p = parse(text)
         point = config.point or (0.0,) * len(p.variables)
-        est = estimate_mod.estimate_theta(
-            p, point, radii, config.estimate_samples, config.seed
-        )
+        est = estimate_mod.estimate_theta(p, point, radii, config.estimate_samples)
         report = {"input": str(p), **est.to_json()}
         comparison = None
         bound = blowup.exponent_upper_bound(p)
@@ -321,10 +320,18 @@ def _cmd_estimate(config: RunConfig) -> int:
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     est.write_envelope_csv(str(out_dir / "envelope.csv"))
+    return report
+
+
+def _estimate_passed(report: dict) -> bool:
+    comparison = report["resolution_consistency"]
+    return comparison is None or comparison["consistent"]
+
+
+def _cmd_estimate(config: RunConfig) -> int:
+    report = _estimate(config, _read_polynomial_text(config.polynomial_text or ""))
     _emit(report, config)
-    if comparison is not None and not comparison["consistent"]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if _estimate_passed(report) else EXIT_CHECK_FAILED
 
 
 def _cmd_verify(config: RunConfig) -> int:
@@ -333,7 +340,6 @@ def _cmd_verify(config: RunConfig) -> int:
         result = estimate_mod.haraux_counterexample_check(
             (config.r_min, config.r_max, config.radius_count),
             config.estimate_samples,
-            config.seed,
         )
         report = {
             "input": text,
@@ -344,14 +350,16 @@ def _cmd_verify(config: RunConfig) -> int:
         }
         _emit(report, config)
         return EXIT_OK if result["pass"] else EXIT_CHECK_FAILED
-    rc_analyze = _cmd_analyze_quiet(config, text)
-    rc_estimate = _cmd_estimate(config)
-    return EXIT_OK if rc_analyze == EXIT_OK and rc_estimate == EXIT_OK else EXIT_CHECK_FAILED
-
-
-def _cmd_analyze_quiet(config: RunConfig, text: str) -> int:
-    sub = RunConfig(**{**config.to_json(), "command": "analyze", "polynomial_text": text})
-    return _cmd_analyze(sub)
+    analyzed = _analyze(config, text)
+    estimated = _estimate(config, text)
+    report = {
+        "input": text,
+        "analyze": analyzed,
+        "estimate": estimated,
+        "pass": analyzed["pass"] and _estimate_passed(estimated),
+    }
+    _emit(report, config)
+    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 def _cmd_demo_cusp(config: RunConfig) -> int:
@@ -427,12 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="polynomial expression, builtin name (haraux, delellis), or '-' for stdin",
             )
         sp.add_argument("--output-path", default=".", help="directory for report files")
-        sp.add_argument("--format", choices=("json", "csv", "human"), default="human")
+        sp.add_argument("--format", choices=("json", "human"), default="human")
         sp.add_argument("--samples", type=int, default=10_000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--sigma", type=float, default=0.5)
         sp.add_argument("--delta", type=float, default=0.125)
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("analyze", help="normal-crossing exponent and gradient inequality")
     add_common(sp)
@@ -471,7 +478,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config.seed = args.seed
     config.sigma = args.sigma
     config.delta = args.delta
-    config.workers = args.workers
     if hasattr(args, "polynomial"):
         config.polynomial_text = args.polynomial
     if getattr(args, "point", None) is not None:

@@ -11,8 +11,8 @@ inequality (the analytic dividing line is theta < 1): the smooth-but-flat
 counterexamples drift to 1 while polynomial inputs stay at ``1 - 1/N``.
 
 Counterexample built-ins expose exact log-value and log-gradient callables;
-without them, double-precision underflow (values below 1e-300 are discarded)
-would cap the observable ratio strictly below the 0.98 threshold.
+without them, double-precision underflow would cap the observable ratio
+strictly below the 0.98 threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Function, Polynomial
 from .sampling import geometric_radii, sphere_directions
 
 FAILURE_SLOPE = 0.98
@@ -39,36 +39,6 @@ class EstimateError(ValueError):
 
 
 @dataclass
-class BlackBoxFunction:
-    """Numeric function with optional exact log-domain accessors.
-
-    ``gradient`` may be omitted; a central finite difference with step
-    ``1e-7 * r`` is used at radius ``r`` then.  ``log_abs_value`` and
-    ``log_gradient_norm`` (when provided) must equal ``log|value|`` and
-    ``log||gradient||`` exactly, extended continuously to -inf; they let the
-    estimator see past floating-point underflow.
-    """
-
-    dimension: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    log_abs_value: Callable[[np.ndarray], float] | None = None
-    log_gradient_norm: Callable[[np.ndarray], float] | None = None
-    name: str = "black-box"
-
-    def gradient_at(self, x: np.ndarray, scale: float) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        step = 1e-7 * scale
-        out = np.zeros(self.dimension)
-        for i in range(self.dimension):
-            e = np.zeros(self.dimension)
-            e[i] = step
-            out[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * step)
-        return out
-
-
-@dataclass
 class ExponentEstimate:
     theta_hat: float
     band: tuple[float, float]
@@ -78,7 +48,6 @@ class ExponentEstimate:
     failure_detected: bool
     kept_counts: list[int]
     value_monotone_in_radius: bool
-    seed: int
     name: str
 
     def to_json(self) -> dict:
@@ -91,7 +60,6 @@ class ExponentEstimate:
             "failure_detected": self.failure_detected,
             "kept_counts": self.kept_counts,
             "value_monotone_in_radius": self.value_monotone_in_radius,
-            "seed": self.seed,
             "input": self.name,
         }
 
@@ -103,40 +71,11 @@ class ExponentEstimate:
                 writer.writerow([repr(float(r)), "" if ratio is None else repr(float(ratio))])
 
 
-def _log_pairs_polynomial(
-    p: Polynomial, x_star: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    values = np.abs(p.numeric()(points) - p.evaluate(list(x_star)))
-    grads = np.linalg.norm(p.gradient_numeric()(points), axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(values), np.log(np.maximum(grads, VALUE_DISCARD))
-
-
-def _log_pairs_blackbox(
-    fn: BlackBoxFunction, points: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    log_vals = np.empty(len(points))
-    log_grads = np.empty(len(points))
-    for k, x in enumerate(points):
-        if fn.log_abs_value is not None:
-            log_vals[k] = fn.log_abs_value(x)
-        else:
-            v = abs(fn.value(x))
-            log_vals[k] = math.log(v) if v >= VALUE_DISCARD else -math.inf
-        if fn.log_gradient_norm is not None:
-            log_grads[k] = fn.log_gradient_norm(x)
-        else:
-            g = float(np.linalg.norm(fn.gradient_at(x, radius)))
-            log_grads[k] = math.log(max(g, VALUE_DISCARD))
-    return log_vals, log_grads
-
-
 def estimate_theta(
-    E: Polynomial | BlackBoxFunction,
+    E: Polynomial | Function,
     x_star: Sequence[float],
     radii: tuple[float, float, int] = (1e-6, 1e-1, 26),
     samples_per_radius: int = 400,
-    seed: int = 0,
 ) -> ExponentEstimate:
     """Estimate the gradient-inequality exponent of ``E`` at ``x_star``.
 
@@ -148,35 +87,36 @@ def estimate_theta(
     r_min, r_max, count = radii
     radius_grid = geometric_radii(r_min, r_max, count)  # descending
     x_star = np.asarray(x_star, dtype=float)
-
-    if isinstance(E, Polynomial):
-        dim = len(E.variables)
-        grad_norm_at_star = float(
-            np.linalg.norm(E.gradient_numeric()(x_star[None, :])[0])
+    fn = Function.of(E)
+    if x_star.shape != (fn.dimension,):
+        raise EstimateError(
+            f"point has shape {x_star.shape}, expected ({fn.dimension},)"
         )
-        name = str(E)
-    else:
-        dim = E.dimension
-        grad_norm_at_star = float(np.linalg.norm(E.gradient_at(x_star, r_max)))
-        name = E.name
-    if x_star.shape != (dim,):
-        raise EstimateError(f"point has shape {x_star.shape}, expected ({dim},)")
+    grad_norm_at_star = float(np.linalg.norm(fn.gradient(x_star[None, :])[0]))
     if grad_norm_at_star > 1e-12:
         raise EstimateError(
             f"x_star is not critical: ||grad|| = {grad_norm_at_star:.3e}"
         )
+    value_at_star = fn.value(x_star[None, :])[0]
 
-    directions = sphere_directions(dim, samples_per_radius)
+    def log_abs_value(points: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(fn.value(points) - value_at_star))
+
+    def log_gradient_norm(points: np.ndarray) -> np.ndarray:
+        grads = np.linalg.norm(fn.gradient(points), axis=1)
+        return np.log(np.maximum(grads, VALUE_DISCARD))
+
+    log_value = fn.log_abs_value or log_abs_value
+    log_gradient = fn.log_gradient_norm or log_gradient_norm
+    directions = sphere_directions(fn.dimension, samples_per_radius)
     per_radius: list[float | None] = []
     envelope: list[tuple[float, float] | None] = []
     kept_counts: list[int] = []
     mean_log_values: list[float] = []
     for r in radius_grid:
         points = x_star[None, :] + r * directions
-        if isinstance(E, Polynomial):
-            log_vals, log_grads = _log_pairs_polynomial(E, x_star, points)
-        else:
-            log_vals, log_grads = _log_pairs_blackbox(E, points, float(r))
+        log_vals, log_grads = log_value(points), log_gradient(points)
         keep = (
             np.isfinite(log_vals)
             & np.isfinite(log_grads)
@@ -234,8 +174,7 @@ def estimate_theta(
         failure_detected=theta_hat >= FAILURE_SLOPE,
         kept_counts=kept_counts,
         value_monotone_in_radius=monotone,
-        seed=seed,
-        name=name,
+        name=fn.name,
     )
 
 
@@ -372,27 +311,32 @@ def _delellis_log_gradient(x: np.ndarray) -> float:
     return -1.0 / a - 2.0 * math.log(a)
 
 
-BUILTIN_FUNCTIONS: dict[str, Callable[[], BlackBoxFunction]] = {
-    "haraux": lambda: BlackBoxFunction(
+def _by_rows(formula: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch a one-point formula over the rows of an (m, d) array."""
+    return lambda points: np.array([formula(x) for x in points], dtype=float)
+
+
+BUILTIN_FUNCTIONS: dict[str, Callable[[], Function]] = {
+    "haraux": lambda: Function(
         dimension=2,
-        value=_haraux_value,
-        gradient=_haraux_gradient,
-        log_abs_value=_haraux_log_value,
-        log_gradient_norm=_haraux_log_gradient,
+        value=_by_rows(_haraux_value),
+        gradient=_by_rows(_haraux_gradient),
+        log_abs_value=_by_rows(_haraux_log_value),
+        log_gradient_norm=_by_rows(_haraux_log_gradient),
         name="haraux",
     ),
-    "delellis": lambda: BlackBoxFunction(
+    "delellis": lambda: Function(
         dimension=1,
-        value=_delellis_value,
-        gradient=_delellis_gradient,
-        log_abs_value=_delellis_log_value,
-        log_gradient_norm=_delellis_log_gradient,
+        value=_by_rows(_delellis_value),
+        gradient=_by_rows(_delellis_gradient),
+        log_abs_value=_by_rows(_delellis_log_value),
+        log_gradient_norm=_by_rows(_delellis_log_gradient),
         name="delellis",
     ),
 }
 
 
-def builtin_function(name: str) -> BlackBoxFunction:
+def builtin_function(name: str) -> Function:
     try:
         return BUILTIN_FUNCTIONS[name]()
     except KeyError:
@@ -404,20 +348,17 @@ def builtin_function(name: str) -> BlackBoxFunction:
 def haraux_counterexample_check(
     radii: tuple[float, float, int] = (1e-6, 1e-1, 26),
     samples_per_radius: int = 400,
-    seed: int = 0,
 ) -> dict:
     """Run the failure detector on both built-ins and a polynomial control."""
     from .poly import parse
 
     haraux = estimate_theta(
-        builtin_function("haraux"), (0.0, 0.0), radii, samples_per_radius, seed
+        builtin_function("haraux"), (0.0, 0.0), radii, samples_per_radius
     )
     delellis = estimate_theta(
-        builtin_function("delellis"), (0.0,), radii, samples_per_radius, seed
+        builtin_function("delellis"), (0.0,), radii, samples_per_radius
     )
-    control = estimate_theta(
-        parse("x^2"), (0.0,), radii, samples_per_radius, seed
-    )
+    control = estimate_theta(parse("x^2"), (0.0,), radii, samples_per_radius)
     return {
         "haraux": haraux,
         "delellis": delellis,

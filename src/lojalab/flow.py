@@ -23,13 +23,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .blowup import exponent_upper_bound
-from .poly import Polynomial
+from .poly import Function, Polynomial
 from .reports import InequalityCheckReport
 from .sampling import ball_points
 
@@ -111,42 +111,6 @@ class CriticalSet:
 
 
 # ----------------------------------------------------------------------
-# differentiable inputs
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class DifferentiableFunction:
-    """Value/gradient pair for the integrator and samplers.
-
-    Black-box callers must guarantee a Lipschitz gradient on the working
-    ball; polynomials get exact gradients automatically.
-    """
-
-    dimension: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    name: str = "function"
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> DifferentiableFunction:
-        value_fn = p.numeric()
-        grad_fn = p.gradient_numeric()
-        return cls(
-            dimension=len(p.variables),
-            value=lambda x: float(value_fn(np.atleast_2d(x))[0]),
-            gradient=lambda x: grad_fn(np.atleast_2d(x))[0],
-            name=str(p),
-        )
-
-
-def _as_function(E: Polynomial | DifferentiableFunction) -> DifferentiableFunction:
-    if isinstance(E, Polynomial):
-        return DifferentiableFunction.from_polynomial(E)
-    return E
-
-
-# ----------------------------------------------------------------------
 # trajectories
 # ----------------------------------------------------------------------
 
@@ -188,7 +152,7 @@ class Trajectory:
 
 
 def integrate_flow(
-    E: Polynomial | DifferentiableFunction,
+    E: Polynomial | Function,
     x0: Sequence[float],
     tol: float = DEFAULT_GRAD_TOL,
     t_max: float = 1e12,
@@ -206,7 +170,7 @@ def integrate_flow(
     the limit point is snapped to its nearest point and the snap distance
     recorded.
     """
-    fn = _as_function(E)
+    fn = Function.of(E)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (fn.dimension,):
         raise FlowError(f"start point has shape {x0.shape}, expected ({fn.dimension},)")
@@ -217,13 +181,13 @@ def integrate_flow(
     atol = min(atol, 1e-3 * tol)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        g = fn.gradient(y[:-1])
+        g = fn.gradient(y[None, :-1])[0]
         if not np.all(np.isfinite(g)):
             raise FlowError(f"non-finite gradient at {y[:-1]}")
         return np.concatenate([-g, [float(np.linalg.norm(g))]])
 
     def grad_event(t: float, y: np.ndarray) -> float:
-        return float(np.linalg.norm(fn.gradient(y[:-1]))) - tol
+        return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
 
     grad_event.terminal = True  # type: ignore[attr-defined]
     grad_event.direction = -1  # type: ignore[attr-defined]
@@ -240,8 +204,6 @@ def integrate_flow(
     y0 = np.concatenate([x0, [0.0]])
     if grad_event(0.0, y0) <= 0:
         # Already at rest: a single-sample trajectory.
-        energy = fn.value(x0)
-        grad = float(np.linalg.norm(fn.gradient(x0)))
         limit = x0.copy()
         snap = None
         if crit_set is not None:
@@ -251,8 +213,8 @@ def integrate_flow(
         return Trajectory(
             times=np.array([0.0]),
             points=x0[None, :],
-            energies=np.array([energy]),
-            grad_norms=np.array([grad]),
+            energies=fn.value(x0[None, :]),
+            grad_norms=np.linalg.norm(fn.gradient(x0[None, :]), axis=1),
             arc_lengths=np.array([0.0]),
             converged=True,
             stop_reason="gradient-below-tol",
@@ -290,8 +252,8 @@ def integrate_flow(
         states = sol.y
     points = states[:-1, :].T
     arcs = states[-1, :]
-    energies = np.array([fn.value(x) for x in points])
-    grads = np.array([float(np.linalg.norm(fn.gradient(x))) for x in points])
+    energies = fn.value(points)
+    grads = np.linalg.norm(fn.gradient(points), axis=1)
 
     limit = points[-1].copy() if converged else None
     snap = None
@@ -314,19 +276,23 @@ def integrate_flow(
 
 
 def rk4_fixed_step(
-    E: Polynomial | DifferentiableFunction,
+    E: Polynomial | Function,
     x0: Sequence[float],
     step: float,
     steps: int,
 ) -> np.ndarray:
     """Classical fixed-step RK4 endpoint; the independent integration oracle."""
-    fn = _as_function(E)
+    fn = Function.of(E)
+
+    def velocity(x: np.ndarray) -> np.ndarray:
+        return -fn.gradient(x[None, :])[0]
+
     x = np.asarray(x0, dtype=float)
     for _ in range(steps):
-        k1 = -fn.gradient(x)
-        k2 = -fn.gradient(x + 0.5 * step * k1)
-        k3 = -fn.gradient(x + 0.5 * step * k2)
-        k4 = -fn.gradient(x + step * k3)
+        k1 = velocity(x)
+        k2 = velocity(x + 0.5 * step * k1)
+        k3 = velocity(x + 0.5 * step * k2)
+        k4 = velocity(x + step * k3)
         x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
 
@@ -397,7 +363,7 @@ def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarra
 
 def dqds_identity_error(
     traj: Trajectory,
-    E: Polynomial | DifferentiableFunction,
+    E: Polynomial | Function,
     count: int = 20_000,
     grad_floor_factor: float = 1e3,
 ) -> float:
@@ -408,10 +374,10 @@ def dqds_identity_error(
     Non-uniform three-point differences on a geometric resampling keep the
     truncation error well under the 1e-6 target.
     """
-    fn = _as_function(E)
+    fn = Function.of(E)
     _, pts, s = _dense_resample(traj, count)
-    q = np.array([fn.value(x) for x in pts])
-    g = np.array([float(np.linalg.norm(fn.gradient(x))) for x in pts])
+    q = fn.value(pts)
+    g = np.linalg.norm(fn.gradient(pts), axis=1)
     h0 = s[1:-1] - s[:-2]
     h1 = s[2:] - s[1:-1]
     ok = (h0 > 0) & (h1 > 0)

@@ -294,21 +294,15 @@ def check_generalized_morse_bott(
     )
 
 
-def _contracted_gradient(form_gradient: list, points: np.ndarray, order: int) -> np.ndarray:
-    """(m, d) array of D^N(0) v^{N-1} over rows v, given grad of the N-form."""
-    cols = [g(points) for g in form_gradient]
-    return np.stack(cols, axis=1) / order
-
-
 def gmb_constant(
     p: Polynomial, subspace: Sequence[int], order: int, sphere_samples: int = 10_000
 ) -> float:
     """The cylinder constant (N/4) inf_v ((2/N!)||D^N(0) v^{N-1}||)^{1/N}."""
     d = len(p.variables)
     form = nth_derivative_form(p, order)
-    grad_parts = [g.numeric() for g in form.gradient()]
     directions = _normal_directions(d, subspace, sphere_samples)
-    contracted = _contracted_gradient(grad_parts, directions, order)
+    # Row v of the form's gradient over N is D^N(0) v^{N-1}.
+    contracted = form.gradient_numeric()(directions) / order
     norms = np.linalg.norm(contracted, axis=1)
     inf_term = float(((2.0 / math.factorial(order)) * norms).min())
     return (order / 4.0) * inf_term ** (1.0 / order)

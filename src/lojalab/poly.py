@@ -124,10 +124,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: str) -> int:
-        i = self.variables.index(var)
-        return max((e[i] for e in self.terms), default=0)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), Fraction(0))
 
@@ -395,6 +391,38 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+@dataclass(frozen=True)
+class Function:
+    """A function and its gradient, evaluated on batches of points.
+
+    ``value`` maps an (m, d) array to m values and ``gradient`` maps it to an
+    (m, d) array.  ``log_abs_value`` and ``log_gradient_norm`` (when
+    provided) map an (m, d) array to m values equal to ``log|value|`` and
+    ``log||gradient||`` exactly, extended continuously to -inf; they let the
+    estimator see past floating-point underflow.  Non-polynomial callers
+    must guarantee a Lipschitz gradient on the working ball.
+    """
+
+    dimension: int
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    log_abs_value: Callable[[np.ndarray], np.ndarray] | None = None
+    log_gradient_norm: Callable[[np.ndarray], np.ndarray] | None = None
+    name: str = "function"
+
+    @classmethod
+    def of(cls, E: Polynomial | Function) -> Function:
+        """``E`` itself, or a polynomial compiled to its exact evaluators."""
+        if isinstance(E, Function):
+            return E
+        return cls(
+            dimension=len(E.variables),
+            value=E.numeric(),
+            gradient=E.gradient_numeric(),
+            name=str(E),
+        )
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,11 @@ def test_criterion_empirical_exponent_agreement():
     # Budget: under 30 seconds per estimate.
     with criterion("empirical exponent windows", 90.0):
         start = time.perf_counter()
-        est = estimate_theta(parse("x1*x2"), (0.0, 0.0), seed=0)
+        est = estimate_theta(parse("x1*x2"), (0.0, 0.0))
         assert time.perf_counter() - start <= 30.0
         assert 0.45 <= est.theta_hat <= 0.55
         start = time.perf_counter()
-        est_cusp = estimate_theta(parse("x^2 - y^3"), (0.0, 0.0), seed=0)
+        est_cusp = estimate_theta(parse("x^2 - y^3"), (0.0, 0.0))
         assert time.perf_counter() - start <= 30.0
         assert 0.62 <= est_cusp.theta_hat <= 0.72  # exact value 2/3
         verdict = compare_with_resolution_bound(
@@ -168,7 +168,7 @@ def test_criterion_empirical_exponent_agreement():
         )
         assert verdict.consistent
         start = time.perf_counter()
-        est_sq = estimate_theta(parse("x^2*y^2"), (0.0, 0.0), seed=0)
+        est_sq = estimate_theta(parse("x^2*y^2"), (0.0, 0.0))
         assert time.perf_counter() - start <= 30.0
         assert 0.70 <= est_sq.theta_hat <= 0.80
 

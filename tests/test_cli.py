@@ -103,6 +103,22 @@ def test_verify_polynomial(tmp_path):
     assert _run(["verify", "x^2*y^2"], tmp_path) == 0
 
 
+def test_verify_reports_analyze_and_estimate(tmp_path):
+    assert _run(["verify", "x^2*y^2"], tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["analyze"]["theta"] == "3/4"
+    assert report["analyze"]["pass"] is True
+    assert 0.70 <= report["estimate"]["theta_hat"] <= 0.80
+    assert report["estimate"]["resolution_consistency"]["consistent"] is True
+    assert report["pass"] is True
+    assert report["config"]["command"] == "verify"
+
+
+def test_removed_options_are_usage_errors(tmp_path):
+    assert _run(["analyze", "x^2", "--workers", "64"], tmp_path) == 1
+    assert _run(["analyze", "x^2", "--format", "csv"], tmp_path) == 1
+
+
 def test_demo_cusp_golden(tmp_path):
     assert _run(["demo-cusp"], tmp_path) == 0
     report = _report(tmp_path)

@@ -62,8 +62,8 @@ def test_estimate_scale_invariance():
 
 def test_estimate_seed_determinism():
     p = parse("x^2 - y^3")
-    a = estimate_theta(p, (0.0, 0.0), seed=7)
-    b = estimate_theta(p, (0.0, 0.0), seed=7)
+    a = estimate_theta(p, (0.0, 0.0))
+    b = estimate_theta(p, (0.0, 0.0))
     assert a.theta_hat == b.theta_hat
     assert a.per_radius_ratio == b.per_radius_ratio
     assert a.envelope_points == b.envelope_points
@@ -168,37 +168,37 @@ def test_unknown_builtin_rejected():
 def test_haraux_builtin_values():
     fn = builtin_function("haraux")
     # Closed form at y = 0: E = x^2 / e, dE/dx = 2x / e.
-    x = np.array([0.25, 0.0])
-    assert fn.value(x) == pytest.approx(0.0625 / math.e, rel=1e-12)
-    grad = fn.gradient(x)
+    x = np.array([[0.25, 0.0]])
+    assert fn.value(x)[0] == pytest.approx(0.0625 / math.e, rel=1e-12)
+    grad = fn.gradient(x)[0]
     assert grad[0] == pytest.approx(0.5 / math.e, rel=1e-12)
     assert grad[1] == 0.0
-    assert fn.value(np.array([0.0, 0.3])) == 0.0
+    assert fn.value(np.array([[0.0, 0.3]]))[0] == 0.0
     # Finite-difference oracle for the gradient at a generic point.
-    pt = np.array([0.21, 0.13])
+    pt = np.array([[0.21, 0.13]])
     step = 1e-7
     for i in range(2):
-        e = np.zeros(2)
-        e[i] = step
-        fd = (fn.value(pt + e) - fn.value(pt - e)) / (2 * step)
-        assert fn.gradient(pt)[i] == pytest.approx(fd, rel=1e-6)
+        e = np.zeros((1, 2))
+        e[0, i] = step
+        fd = (fn.value(pt + e)[0] - fn.value(pt - e)[0]) / (2 * step)
+        assert fn.gradient(pt)[0, i] == pytest.approx(fd, rel=1e-6)
 
 
 def test_delellis_builtin_values():
     fn = builtin_function("delellis")
-    x = np.array([0.2])
-    assert fn.value(x) == pytest.approx(math.exp(-5.0), rel=1e-12)
-    fd = (fn.value(x + 1e-8) - fn.value(x - 1e-8)) / 2e-8
-    assert fn.gradient(x)[0] == pytest.approx(fd, rel=1e-6)
-    assert fn.log_abs_value(x) == pytest.approx(-5.0, abs=1e-12)
+    x = np.array([[0.2]])
+    assert fn.value(x)[0] == pytest.approx(math.exp(-5.0), rel=1e-12)
+    fd = (fn.value(x + 1e-8)[0] - fn.value(x - 1e-8)[0]) / 2e-8
+    assert fn.gradient(x)[0, 0] == pytest.approx(fd, rel=1e-6)
+    assert fn.log_abs_value(x)[0] == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_log_domain_consistency_with_plain_values():
     fn = builtin_function("haraux")
-    pt = np.array([0.3, 0.2])
-    assert fn.log_abs_value(pt) == pytest.approx(math.log(fn.value(pt)), rel=1e-12)
-    assert fn.log_gradient_norm(pt) == pytest.approx(
-        math.log(float(np.linalg.norm(fn.gradient(pt)))), rel=1e-12
+    pt = np.array([[0.3, 0.2]])
+    assert fn.log_abs_value(pt)[0] == pytest.approx(math.log(fn.value(pt)[0]), rel=1e-12)
+    assert fn.log_gradient_norm(pt)[0] == pytest.approx(
+        math.log(float(np.linalg.norm(fn.gradient(pt)[0]))), rel=1e-12
     )
 
 

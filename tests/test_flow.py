@@ -9,7 +9,6 @@ import pytest
 from lojalab.flow import (
     CoordinateSubspace,
     CriticalSet,
-    DifferentiableFunction,
     FlowError,
     dqds_identity_error,
     energy_monotonicity_violation,
@@ -19,7 +18,7 @@ from lojalab.flow import (
     verify_distance_inequalities,
     verify_length_bound,
 )
-from lojalab.poly import parse
+from lojalab.poly import Function, parse
 
 TIGHT = dict(rtol=1e-12, atol=1e-12)
 
@@ -123,10 +122,10 @@ def test_left_domain_recorded():
 
 
 def test_nonfinite_gradient_raises():
-    bad = DifferentiableFunction(
+    bad = Function(
         dimension=1,
-        value=lambda x: float(x[0]),
-        gradient=lambda x: np.array([math.nan]),
+        value=lambda points: points[:, 0],
+        gradient=lambda points: np.full_like(points, math.nan),
     )
     with pytest.raises(FlowError, match="non-finite"):
         integrate_flow(bad, [0.5], tol=1e-6)
