@@ -33,11 +33,11 @@ from .blowup import (
     BlowupError,
     BlowupNode,
     ChartTree,
-    LeafReport,
     ResolutionResult,
     TranslatedPointReport,
     blowup_once,
     chart_substitution,
+    combine_point_bounds,
     exponent_upper_bound,
     pull_back_and_bound,
     resolve,

@@ -83,6 +83,7 @@ class BlowupNode:
     snc: bool
     parent: str | None = None
     children: tuple[str, str] | None = None
+    depth_capped: bool = False
 
     @property
     def is_leaf(self) -> bool:
@@ -94,14 +95,43 @@ class BlowupNode:
 
     def theta_bound(self) -> Fraction | None:
         """Origin-local exponent bound 1 - 1/N, when the chart origin is snc."""
-        if not self.snc:
-            return None
-        n = self.monomial_total_degree
-        if n < 2:
-            # An exponent bound needs a critical origin; N < 2 means the
-            # pullback is a unit or a simple zero here.
-            return None
-        return Fraction(n - 1, n)
+        return _snc_bound(self.factorization)
+
+    def to_json(self) -> dict:
+        bound = self.theta_bound()
+        return {
+            "chart_path": self.chart_id,
+            "composite_map": [str(self.composite[0]), str(self.composite[1])],
+            "monomial": list(self.factorization.exponents),
+            "residual": str(self.factorization.residual),
+            "N": self.monomial_total_degree,
+            "theta_bound": rational_str(bound) if bound else None,
+            "origin_local": True,
+            "snc": self.snc,
+            "depth_capped": self.depth_capped,
+        }
+
+
+def _snc_bound(factorization: MonomialFactorization) -> Fraction | None:
+    """The exponent bound 1 - 1/N at an snc point, with N the monomial degree."""
+    n = sum(factorization.exponents)
+    if not factorization.snc_at_origin or n < 2:
+        # An exponent bound needs a critical origin; N < 2 means the
+        # pullback is a unit or a simple zero here.
+        return None
+    return Fraction(n - 1, n)
+
+
+def combine_point_bounds(
+    bounds: Iterable[Fraction | None],
+) -> tuple[Fraction, Fraction] | None:
+    """The exponent interval ``[1/2, max]`` over the known per-point bounds.
+
+    The worst point of the exceptional fibre decides the exponent at the
+    origin, so the upper end is the largest bound, never the smallest.
+    """
+    known = [b for b in bounds if b is not None]
+    return (Fraction(1, 2), max(known)) if known else None
 
 
 @dataclass
@@ -118,45 +148,28 @@ class ChartTree:
 
 
 @dataclass
-class LeafReport:
-    chart_id: str
-    variables: tuple[str, str]
-    exponents: tuple[int, int]
-    residual: Polynomial
-    total_degree: int
-    theta_bound: Fraction | None
-    snc: bool
-    depth_capped: bool
-    composite: tuple[Polynomial, Polynomial]
-
-    def to_json(self) -> dict:
-        return {
-            "chart_path": self.chart_id,
-            "composite_map": [str(self.composite[0]), str(self.composite[1])],
-            "monomial": list(self.exponents),
-            "residual": str(self.residual),
-            "N": self.total_degree,
-            "theta_bound": rational_str(self.theta_bound) if self.theta_bound else None,
-            "origin_local": True,
-            "snc": self.snc,
-            "depth_capped": self.depth_capped,
-        }
-
-
-@dataclass
 class ResolutionResult:
+    """The blow-up tree plus the analysis of every snc leaf.
+
+    ``translated_points`` holds the rational exceptional points off the snc
+    leaves' chart origins and ``unanalyzed_points`` counts the irrational
+    ones; ``theta_interval`` combines the bounds of the snc chart origins
+    and of the translated points.
+    """
+
     tree: ChartTree
-    leaf_reports: list[LeafReport]
     theta_interval: tuple[Fraction, Fraction] | None
     depth_capped: bool
+    translated_points: list[TranslatedPointReport]
+    unanalyzed_points: int
 
-    def snc_leaves(self) -> list[LeafReport]:
-        return [r for r in self.leaf_reports if r.snc]
+    def snc_leaves(self) -> list[BlowupNode]:
+        return [n for n in self.tree.leaves() if n.snc]
 
     def to_json(self) -> dict:
         return {
             "root": str(self.tree.root_polynomial),
-            "leaves": [r.to_json() for r in self.leaf_reports],
+            "leaves": [n.to_json() for n in self.tree.leaves()],
             "theta_interval": [
                 rational_str(self.theta_interval[0]),
                 rational_str(self.theta_interval[1]),
@@ -166,6 +179,8 @@ class ResolutionResult:
             "origin_local": True,
             "depth": self.tree.depth,
             "depth_capped": self.depth_capped,
+            "translated_points": [t.to_json() for t in self.translated_points],
+            "unanalyzed_points": self.unanalyzed_points,
         }
 
 
@@ -232,11 +247,8 @@ def _expand(node: BlowupNode, taken: set[str]) -> tuple[BlowupNode, BlowupNode]:
     return children[0], children[1]
 
 
-def blowup_once(p: Polynomial) -> tuple[BlowupNode, BlowupNode]:
-    """Both charts of a single blow-up at the origin of a 2-variable chart."""
-    if len(p.variables) != 2:
-        raise BlowupError(f"blow-up needs exactly 2 variables, got {p.variables}")
-    root = _make_node(
+def _root_node(p: Polynomial) -> BlowupNode:
+    return _make_node(
         chart_id="root",
         depth=0,
         variables=p.variables,  # type: ignore[arg-type]
@@ -249,7 +261,13 @@ def blowup_once(p: Polynomial) -> tuple[BlowupNode, BlowupNode]:
         exceptional_axes=(False, False),
         parent=None,
     )
-    return _expand(root, set(p.variables))
+
+
+def blowup_once(p: Polynomial) -> tuple[BlowupNode, BlowupNode]:
+    """Both charts of a single blow-up at the origin of a 2-variable chart."""
+    if len(p.variables) != 2:
+        raise BlowupError(f"blow-up needs exactly 2 variables, got {p.variables}")
+    return _expand(_root_node(p), set(p.variables))
 
 
 def resolve(
@@ -264,6 +282,8 @@ def resolve(
     branch is expanded to ``max_depth`` regardless (the tree then contains
     every chart of every blow-up step, which is what the two-branch
     worked-example reproduction needs); snc data is still recorded per node.
+    Every snc leaf also gets the translated-chart analysis, and
+    ``theta_interval`` combines all analyzed points' bounds.
     """
     if len(p.variables) != 2:
         raise BlowupError(f"resolve needs exactly 2 variables, got {p.variables}")
@@ -272,19 +292,7 @@ def resolve(
     if p.constant_term() != 0:
         raise BlowupError("polynomial does not vanish at the origin; nothing to resolve")
 
-    root = _make_node(
-        chart_id="root",
-        depth=0,
-        variables=p.variables,  # type: ignore[arg-type]
-        transform=None,
-        total=p,
-        composite=(
-            Polynomial.variable(p.variables[0], p.variables),
-            Polynomial.variable(p.variables[1], p.variables),
-        ),
-        exceptional_axes=(False, False),
-        parent=None,
-    )
+    root = _root_node(p)
     nodes: dict[str, BlowupNode] = {root.chart_id: root}
     taken = set(p.variables)
     frontier = [root]
@@ -302,31 +310,22 @@ def resolve(
         frontier = next_frontier
 
     tree = ChartTree(root_polynomial=p, nodes=nodes, depth=max_seen)
-    leaf_reports: list[LeafReport] = []
-    any_capped = False
-    for node in tree.leaves():
-        capped = not node.snc and node.depth >= max_depth
-        any_capped = any_capped or capped
-        leaf_reports.append(
-            LeafReport(
-                chart_id=node.chart_id,
-                variables=node.variables,
-                exponents=node.factorization.exponents,  # type: ignore[arg-type]
-                residual=node.factorization.residual,
-                total_degree=node.monomial_total_degree,
-                theta_bound=node.theta_bound(),
-                snc=node.snc,
-                depth_capped=capped,
-                composite=node.composite,
-            )
-        )
-    bounds = [r.theta_bound for r in leaf_reports if r.snc and r.theta_bound]
-    interval = (Fraction(1, 2), min(bounds)) if bounds else None
+    leaves = tree.leaves()
+    translated: list[TranslatedPointReport] = []
+    unanalyzed = 0
+    for node in leaves:
+        node.depth_capped = not node.snc and node.depth >= max_depth
+        if node.snc:
+            points, missing = translated_chart_analysis(node)
+            translated.extend(points)
+            unanalyzed += missing
+    bounds = [n.theta_bound() for n in leaves] + [t.theta_bound for t in translated]
     return ResolutionResult(
         tree=tree,
-        leaf_reports=leaf_reports,
-        theta_interval=interval,
-        depth_capped=any_capped,
+        theta_interval=combine_point_bounds(bounds),
+        depth_capped=any(n.depth_capped for n in leaves),
+        translated_points=translated,
+        unanalyzed_points=unanalyzed,
     )
 
 
@@ -398,9 +397,6 @@ def translated_chart_analysis(
             shift_poly = Polynomial.constant(t, (gamma,)) - Polynomial.variable(gamma)
             translated = total.substitute(Substitution({along_var: shift_poly}))
             factorization = detect_snc(translated)
-            snc = factorization.snc_at_origin
-            n_total = sum(factorization.exponents)
-            bound = Fraction(n_total - 1, n_total) if snc and n_total >= 2 else None
             reports.append(
                 TranslatedPointReport(
                     chart_id=chart_id,
@@ -410,9 +406,9 @@ def translated_chart_analysis(
                     translated=translated,
                     exponents=factorization.exponents,  # type: ignore[arg-type]
                     residual=factorization.residual,
-                    total_degree=n_total,
-                    theta_bound=bound,
-                    snc=snc,
+                    total_degree=sum(factorization.exponents),
+                    theta_bound=_snc_bound(factorization),
+                    snc=factorization.snc_at_origin,
                 )
             )
     return reports, unanalyzed
@@ -503,47 +499,37 @@ def exponent_upper_bound(
     if len(p.variables) != 2 or p.constant_term() != 0:
         return None
     try:
-        result = resolve(p, max_depth=max_depth)
+        interval = resolve(p, max_depth=max_depth).theta_interval
     except BlowupError:
         return None
-    bounds: list[Fraction] = []
-    for leaf in result.leaf_reports:
-        if not leaf.snc:
-            continue
-        if leaf.theta_bound is not None:
-            bounds.append(leaf.theta_bound)
-        node = result.tree.node(leaf.chart_id)
-        translated, _ = translated_chart_analysis(node)
-        bounds.extend(t.theta_bound for t in translated if t.theta_bound is not None)
-    if not bounds:
+    if interval is None:
         return None
-    return max(bounds), "resolution-origin-local"
+    return interval[1], "resolution-origin-local"
 
 
 def pull_back_and_bound(p: Polynomial, result: ResolutionResult) -> PullbackBound:
     """Per-leaf exponent intervals and transported-constant factors.
 
     Each chart-origin certificate yields ``theta in [1/2, 1 - 1/N]`` *at that
-    analyzed point*; the summary interval takes the smallest leaf bound and
-    is flagged origin-local (combining per-point bounds into one certified
-    global bound is out of scope).
+    analyzed point*; the summary interval is the resolution's
+    ``theta_interval`` and is flagged origin-local.
     """
     if p != result.tree.root_polynomial:
         raise BlowupError("resolution result was computed for a different polynomial")
     per_leaf: list[LeafBound] = []
-    for leaf in result.leaf_reports:
-        if not leaf.snc or leaf.theta_bound is None:
+    for leaf in result.snc_leaves():
+        bound = leaf.theta_bound()
+        if bound is None:
             continue
         sup = _jacobian_sup(leaf.composite)
         per_leaf.append(
             LeafBound(
                 chart_id=leaf.chart_id,
-                interval=(Fraction(1, 2), leaf.theta_bound),
+                interval=(Fraction(1, 2), bound),
                 jacobian_sup=sup,
                 constant_factor=1.0 / sup if sup > 0 else math.inf,
             )
         )
     if not per_leaf:
         raise BlowupError("all leaves are depth-capped; no bounds available")
-    combined = (Fraction(1, 2), min(b.interval[1] for b in per_leaf))
-    return PullbackBound(per_leaf=per_leaf, interval=combined)
+    return PullbackBound(per_leaf=per_leaf, interval=result.theta_interval)

@@ -201,15 +201,6 @@ def _cmd_resolve(config: RunConfig) -> int:
     result = blowup.resolve(p, max_depth=config.max_depth)
     report = result.to_json()
     report["input"] = str(p)
-    translated_entries = []
-    unanalyzed = 0
-    for leaf in result.snc_leaves():
-        node = result.tree.node(leaf.chart_id)
-        points, missing = blowup.translated_chart_analysis(node)
-        unanalyzed += missing
-        translated_entries.extend(t.to_json() for t in points)
-    report["translated_points"] = translated_entries
-    report["unanalyzed_points"] = unanalyzed
     try:
         bound = blowup.pull_back_and_bound(p, result)
         report["pullback"] = bound.to_json()
@@ -277,7 +268,7 @@ def _cmd_flow(config: RunConfig) -> int:
             seed=config.seed,
         )
         report["distance_checks"] = [r.to_json() for r in distance_reports]
-        checks["distance_checks"] = all(r.passed for r in distance_reports)
+        checks["distance_checks"] = all(r.passed for r in distance_reports if not r.skipped)
     report["checks"] = checks
     report["pass"] = all(bool(v) for v in checks.values())
     out_dir = Path(config.output_path)
@@ -390,16 +381,17 @@ def _cmd_demo_cusp(config: RunConfig) -> int:
         )
         == (True, True),
     }
-    translated, unanalyzed = blowup.translated_chart_analysis(golden)
+    translated = [t for t in result.translated_points if t.chart_id == golden.chart_id]
     translated_checks = {
-        "one_rational_point": len(translated) == 1 and unanalyzed == 0,
+        "one_rational_point": len(translated) == 1 and result.unanalyzed_points == 0,
         "point_beta_1": bool(translated) and translated[0].point_value == 1,
         "total_degree_7": bool(translated) and translated[0].total_degree == 7,
         "theta_bound_6_7": bool(translated)
         and translated[0].theta_bound == Fraction(6, 7),
     }
-    bounds = [golden.theta_bound()] + [t.theta_bound for t in translated]
-    interval = (Fraction(1, 2), min(b for b in bounds if b is not None))
+    interval = blowup.combine_point_bounds(
+        [golden.theta_bound()] + [t.theta_bound for t in translated]
+    )
     all_ok = all(matches.values()) and all(leaf_checks.values()) and all(
         translated_checks.values()
     )
@@ -408,7 +400,7 @@ def _cmd_demo_cusp(config: RunConfig) -> int:
         "transform_matches": matches,
         "golden_leaf": leaf_checks,
         "translated_chart": translated_checks,
-        "theta_interval": [rational_str(interval[0]), rational_str(interval[1])],
+        "theta_interval": [rational_str(b) for b in interval] if interval else None,
         "origin_local": True,
         "pass": all_ok,
     }
@@ -436,18 +428,22 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--output-path", default=".", help="directory for report files")
         sp.add_argument("--format", choices=("json", "human"), default="human")
+
+    def add_sampling(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--samples", type=int, default=10_000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--sigma", type=float, default=0.5)
-        sp.add_argument("--delta", type=float, default=0.125)
 
     sp = sub.add_parser("analyze", help="normal-crossing exponent and gradient inequality")
     add_common(sp)
+    add_sampling(sp)
     sp = sub.add_parser("resolve", help="blow-up tree and exponent interval")
     add_common(sp)
     sp.add_argument("--max-depth", type=int, default=8)
     sp = sub.add_parser("flow", help="gradient-flow trajectory and checks")
     add_common(sp)
+    add_sampling(sp)
+    sp.add_argument("--delta", type=float, default=0.125)
     sp.add_argument("--point", required=True, help="comma-separated start point")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--t-max", type=float, default=1e12)
@@ -461,6 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimate-samples", type=int, default=400)
     sp = sub.add_parser("verify", help="full battery on one input")
     add_common(sp)
+    add_sampling(sp)
     sp.add_argument("--r-min", type=float, default=1e-6)
     sp.add_argument("--r-max", type=float, default=1e-1)
     sp.add_argument("--radius-count", type=int, default=26)
@@ -474,16 +471,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     config.output_path = args.output_path
     config.format = args.format
-    config.samples = args.samples
-    config.seed = args.seed
-    config.sigma = args.sigma
-    config.delta = args.delta
     if hasattr(args, "polynomial"):
         config.polynomial_text = args.polynomial
     if getattr(args, "point", None) is not None:
         config.point = _parse_point(args.point)
-    for name in ("tol", "t_max", "max_depth", "r_min", "r_max", "radius_count",
-                 "estimate_samples", "crit"):
+    for name in ("samples", "seed", "sigma", "delta", "tol", "t_max", "max_depth",
+                 "r_min", "r_max", "radius_count", "estimate_samples", "crit"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
     return config

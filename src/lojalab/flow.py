@@ -470,6 +470,7 @@ def verify_distance_inequalities(
                 sample_count=count,
                 ball_radii=ball,
                 notes="skipped: function changes sign on the ball",
+                skipped=True,
             )
         )
     else:

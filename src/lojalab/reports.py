@@ -58,7 +58,8 @@ class InequalityCheckReport:
     ``measured_constant`` is the largest constant that makes the inequality
     hold over every kept sample.  The check passes when that constant is
     positive and, if a predicted constant is supplied, the measured one is
-    at least the prediction up to 1% slack.
+    at least the prediction up to 1% slack.  A ``skipped`` check was not
+    run: it does not pass, but its status is ``"skipped"``, not ``"fail"``.
     """
 
     inequality_id: str
@@ -68,6 +69,7 @@ class InequalityCheckReport:
     sample_count: int
     ball_radii: tuple[float, float]
     notes: str = ""
+    skipped: bool = False
 
     @property
     def passed(self) -> bool:
@@ -77,6 +79,12 @@ class InequalityCheckReport:
             return True
         return self.measured_constant >= self.predicted_constant * (1.0 - PREDICTED_SLACK)
 
+    @property
+    def status(self) -> str:
+        if self.skipped:
+            return "skipped"
+        return "pass" if self.passed else "fail"
+
     def to_json(self) -> dict:
         return {
             "inequality": self.inequality_id,
@@ -84,6 +92,7 @@ class InequalityCheckReport:
             "measured_constant": self.measured_constant,
             "predicted_constant": self.predicted_constant,
             "pass": self.passed,
+            "status": self.status,
             "sample_count": self.sample_count,
             "ball_radii": list(self.ball_radii),
             "notes": self.notes,

@@ -1,5 +1,6 @@
 """Blow-up engine: chart towers, golden transforms, transported bounds."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -55,9 +56,9 @@ def test_blowup_once_needs_two_variables():
 def test_resolve_already_snc_is_depth_zero():
     result = resolve(parse("x1*x2"), max_depth=3)
     assert result.tree.depth == 0
-    assert len(result.leaf_reports) == 1
-    leaf = result.leaf_reports[0]
-    assert leaf.snc and leaf.theta_bound == Fraction(1, 2)
+    assert len(result.tree.leaves()) == 1
+    leaf = result.tree.leaves()[0]
+    assert leaf.snc and leaf.theta_bound() == Fraction(1, 2)
     assert result.theta_interval == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -65,14 +66,14 @@ def test_resolve_cusp_produces_golden_leaf():
     result = resolve(CUSP, max_depth=3)
     golden = [
         leaf
-        for leaf in result.leaf_reports
-        if leaf.exponents == (6, 2) and leaf.snc
+        for leaf in result.tree.leaves()
+        if leaf.factorization.exponents == (6, 2) and leaf.snc
     ]
     assert len(golden) == 1
     leaf = golden[0]
-    assert leaf.total_degree == 8
-    assert leaf.theta_bound == Fraction(7, 8)
-    assert leaf.residual.rename(RENAMES["root/1/2/2"]) == parse(
+    assert leaf.monomial_total_degree == 8
+    assert leaf.theta_bound() == Fraction(7, 8)
+    assert leaf.factorization.residual.rename(RENAMES["root/1/2/2"]) == parse(
         "1 - beta", variables=["alpha", "beta"]
     )
 
@@ -85,7 +86,7 @@ def test_resolve_requires_vanishing_origin():
 def test_resolve_depth_cap_flags_branch():
     result = resolve(CUSP, max_depth=1)
     assert result.depth_capped
-    capped = [leaf for leaf in result.leaf_reports if leaf.depth_capped]
+    capped = [leaf for leaf in result.tree.leaves() if leaf.depth_capped]
     assert capped and all(not leaf.snc for leaf in capped)
 
 
@@ -146,7 +147,7 @@ def test_roundtrip_composite_reproduces_total_transform():
 def test_composite_injective_off_exceptional_set():
     result = resolve(CUSP, max_depth=3)
     rng = np.random.default_rng(3)
-    for leaf in result.leaf_reports:
+    for leaf in result.tree.leaves():
         fx = leaf.composite[0].numeric()
         fy = leaf.composite[1].numeric()
         pts = rng.uniform(0.05, 1.0, size=(40, 2)) * rng.choice([-1.0, 1.0], size=(40, 2))
@@ -239,6 +240,57 @@ def test_exponent_upper_bound_routes():
     assert Fraction(2, 3) <= theta < 1
     # No route: three variables and not snc at the origin.
     assert exponent_upper_bound(parse("x^2 - y^3 + z^5")) is None
+
+
+# ----------------------------------------------------------------------
+# one rule for combining per-point bounds
+# ----------------------------------------------------------------------
+
+# x^a + c*y^b with a < b has exponent 1 - 1/b at the origin: along the
+# y-axis |grad f| = b|c||y|^(b-1) = b|c|^(1/b) |f|^(1 - 1/b).
+BRIESKORN_PHAM = [
+    (f"x^{a} {sign} {c}*y^{b}", Fraction(b - 1, b))
+    for a in range(2, 10)
+    for b in range(a + 1, 10)
+    for sign in "+-"
+    for c in ("1", "2", "1/2")
+]
+CUSP_TEMPLATES = [
+    template.format(a=a, b=b)
+    for template in (
+        "(y^2 - {a}*x^3)*(y^2 - {b}*x^5)",
+        "(y^2 - {a}*x^3)*(y^2 - {b}*x^7)",
+        "(y^2 - {a}*x^3)^2 - {b}*x^5*y",
+        "(y^2 - {a}*x^3)^2 - {b}*x^7*y",
+        "(y^2 - {a}*x^3)*(x^2 - {b}*y^3)",
+        "(y^3 - {a}*x^4)*(y^2 - {b}*x^3)",
+    )
+    for a in (1, 2)
+    for b in (1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _resolved(text):
+    return resolve(parse(text))
+
+
+def test_interval_upper_end_is_at_least_the_closed_form():
+    assert len(BRIESKORN_PHAM) == 168
+    low = [text for text, theta in BRIESKORN_PHAM if _resolved(text).theta_interval[1] < theta]
+    assert low == []
+
+
+def test_interval_agrees_with_upper_bound_and_pullback():
+    texts = [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES
+    assert len(texts) == 192
+    for text in texts:
+        assert _resolved(text).theta_interval[1] == exponent_upper_bound(parse(text))[0], text
+    # The pullback samples each leaf's Jacobian, so every 12th curve is checked.
+    for text in texts[::12]:
+        result = _resolved(text)
+        bound = pull_back_and_bound(result.tree.root_polynomial, result)
+        assert bound.interval == result.theta_interval, text
 
 
 def test_resolve_report_json_shape():

@@ -75,6 +75,18 @@ def test_flow_writes_trajectory(tmp_path):
     assert header == "t,x_1,E,grad_norm,arc_length"
 
 
+def test_flow_skipped_check_is_not_a_failure(tmp_path):
+    code = _run(
+        ["flow", "x^2 - y^3", "--point", "0.1,0.1", "--crit", "origin"],
+        tmp_path,
+    )
+    assert code == 0
+    report = _report(tmp_path)
+    status = {c["inequality"]: c["status"] for c in report["distance_checks"]}
+    assert status["distance-critical"] == "skipped"
+    assert report["checks"]["distance_checks"] is True
+
+
 def test_flow_requires_matching_point(tmp_path):
     assert _run(["flow", "x^2 + y^2", "--point", "0.5"], tmp_path) == 1
 
@@ -117,6 +129,9 @@ def test_verify_reports_analyze_and_estimate(tmp_path):
 def test_removed_options_are_usage_errors(tmp_path):
     assert _run(["analyze", "x^2", "--workers", "64"], tmp_path) == 1
     assert _run(["analyze", "x^2", "--format", "csv"], tmp_path) == 1
+    assert _run(["resolve", "x^2 - y^3", "--samples", "10"], tmp_path) == 1
+    assert _run(["estimate", "x^2", "--delta", "0.1"], tmp_path) == 1
+    assert _run(["demo-cusp", "--seed", "3"], tmp_path) == 1
 
 
 def test_demo_cusp_golden(tmp_path):
@@ -124,7 +139,7 @@ def test_demo_cusp_golden(tmp_path):
     report = _report(tmp_path)
     assert report["pass"] is True
     assert all(report["transform_matches"].values())
-    assert report["theta_interval"] == ["1/2", "6/7"]
+    assert report["theta_interval"] == ["1/2", "7/8"]
     assert report["golden_leaf"]["theta_bound_7_8"] is True
     assert report["translated_chart"]["total_degree_7"] is True
 
