@@ -163,6 +163,11 @@ class ResolutionResult:
     translated_points: list[TranslatedPointReport]
     unanalyzed_points: int
 
+    @property
+    def complete(self) -> bool:
+        """No exceptional point left unanalyzed and no branch cut at the cap."""
+        return self.unanalyzed_points == 0 and not self.depth_capped
+
     def snc_leaves(self) -> list[BlowupNode]:
         return [n for n in self.tree.leaves() if n.snc]
 
@@ -181,6 +186,7 @@ class ResolutionResult:
             "depth_capped": self.depth_capped,
             "translated_points": [t.to_json() for t in self.translated_points],
             "unanalyzed_points": self.unanalyzed_points,
+            "complete": self.complete,
         }
 
 

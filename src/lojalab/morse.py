@@ -334,62 +334,65 @@ def verify_gmb_gradient_inequality(
     subspace = report.critical_subspace
     constant = gmb_constant(p, subspace, order)
 
-    derivs = _derivatives_by_multi_index(p, order)
-    top = {m: poly for m, poly in derivs.items() if sum(m) == order}
-    top_numeric = {m: poly.numeric() for m, poly in top.items()}
-    factorial = math.factorial
-
-    def tensor_vn(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """D^N p(x) v^N per row (x, v)."""
-        total = np.zeros(points.shape[0])
-        for m, fn in top_numeric.items():
-            weight = factorial(order) / math.prod(factorial(k) for k in m)
-            monomial = np.prod(dirs**np.array(m, dtype=float), axis=1)
-            total += weight * fn(points) * monomial
-        return total
-
-    def tensor_vn_minus_one(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """D^N p(x) v^{N-1} per row, an (m, d) array."""
-        out = np.zeros((points.shape[0], d))
-        for m, fn in top_numeric.items():
-            base = fn(points)
-            for j in range(d):
-                if m[j] == 0:
-                    continue
-                reduced = tuple(k - 1 if i == j else k for i, k in enumerate(m))
-                weight = factorial(order - 1) / math.prod(
-                    factorial(k) for k in m
-                ) * m[j]
-                monomial = np.prod(dirs**np.array(reduced, dtype=float), axis=1)
-                out[:, j] += weight * base * monomial
-        return out
-
     n_dirs = max(16, samples // 40)
     n_radii = 12
     n_kappa = max(1, samples // (n_dirs * n_radii))
     directions = _normal_directions(d, subspace, n_dirs)
-    origin = np.zeros((1, d))
+
+    # Each top-order partial with its weights and direction monomials v^m and
+    # v^(m - e_j); the monomials depend only on the mesh, so they are formed
+    # once and broadcast over every (kappa, radius) block of directions.
+    factorial = math.factorial
+    terms = []
+    for m, poly in _derivatives_by_multi_index(p, order).items():
+        if sum(m) != order:
+            continue
+        denominator = math.prod(factorial(k) for k in m)
+        contractions = []
+        for j in range(d):
+            if m[j] == 0:
+                continue
+            reduced = tuple(k - 1 if i == j else k for i, k in enumerate(m))
+            contractions.append((
+                j,
+                factorial(order - 1) / denominator * m[j],
+                np.prod(directions**np.array(reduced, dtype=float), axis=1),
+            ))
+        terms.append((
+            poly.numeric(),
+            factorial(order) / denominator,
+            np.prod(directions**np.array(m, dtype=float), axis=1),
+            contractions,
+        ))
+
+    def tensors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """D^N p(x) v^N and D^N p(x) v^{N-1} for a (blocks, n_dirs, d) array
+        of points x, each block paired row by row with the directions v."""
+        vn = np.zeros(points.shape[:2])
+        vm = np.zeros(points.shape)
+        rows = points.reshape(-1, d)
+        for fn, weight, monomial, contractions in terms:
+            base = fn(rows).reshape(vn.shape)
+            vn += weight * base * monomial
+            for j, contraction_weight, reduced_monomial in contractions:
+                vm[:, :, j] += contraction_weight * base * reduced_monomial
+        return vn, vm
+
+    at_zero_vn, at_zero_vm = tensors(np.zeros((1, len(directions), d)))
+    zero_vn_bound = np.abs(at_zero_vn) + 1e-12
+    zero_vm_bound = 0.5 * np.linalg.norm(at_zero_vm, axis=-1) + 1e-12
 
     radius, length = float(cylinder_radius), float(cylinder_length)
     for _ in range(max_halvings + 1):
         kappas = subspace_grid(subspace, d, n_kappa, length)
         radii = geometric_radii(radius / 256.0, radius, n_radii)
-        pts = []
-        dirs_rep = []
-        for kappa in kappas:
-            for r in radii:
-                pts.append(kappa[None, :] + r * directions)
-                dirs_rep.append(directions)
-        points = np.concatenate(pts)
-        dirs_all = np.concatenate(dirs_rep)
-        at_zero_vn = tensor_vn(np.repeat(origin, len(points), axis=0), dirs_all)
-        moved_vn = tensor_vn(points, dirs_all)
-        cond1 = np.all(np.abs(moved_vn - at_zero_vn) <= np.abs(at_zero_vn) + 1e-12)
-        at_zero_vm = tensor_vn_minus_one(np.repeat(origin, len(points), axis=0), dirs_all)
-        moved_vm = tensor_vn_minus_one(points, dirs_all)
+        points = (
+            kappas[:, None, None, :] + radii[None, :, None, None] * directions
+        ).reshape(-1, len(directions), d)
+        moved_vn, moved_vm = tensors(points)
+        cond1 = np.all(np.abs(moved_vn - at_zero_vn) <= zero_vn_bound)
         cond2 = np.all(
-            np.linalg.norm(moved_vm - at_zero_vm, axis=1)
-            <= 0.5 * np.linalg.norm(at_zero_vm, axis=1) + 1e-12
+            np.linalg.norm(moved_vm - at_zero_vm, axis=-1) <= zero_vm_bound
         )
         if cond1 and cond2:
             break
@@ -400,9 +403,9 @@ def verify_gmb_gradient_inequality(
             "cylinder radius underflow while enforcing Taylor-remainder bounds"
         )
 
-    check_points = points
+    check_points = points.reshape(-1, d)
     if extra_points is not None:
-        check_points = np.concatenate([points, np.atleast_2d(extra_points)])
+        check_points = np.concatenate([check_points, np.atleast_2d(extra_points)])
     energies = np.abs(p.numeric()(check_points) - float(p.constant_term()))
     grads = np.linalg.norm(p.gradient_numeric()(check_points), axis=1)
     keep = energies > ZERO_SKIP

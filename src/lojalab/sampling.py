@@ -19,24 +19,31 @@ from typing import Iterable
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_MAX_CHUNK_ROWS = 1 << 16
 
 
 def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
     """First ``count`` points of the Halton sequence in [0, 1)^dim."""
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports dimension <= {len(_PRIMES)}")
+    if start < 0 or start + count > np.iinfo(np.int64).max:
+        # A negative index never reaches 0 under floor division, and int64
+        # indices past the top would wrap.
+        raise ValueError("halton indices must lie in [0, 2**63 - 1)")
     out = np.empty((count, dim))
+    index = np.arange(start, start + count, dtype=np.int64)
     for j in range(dim):
+        # Radical inverse of every index at once; rows whose index is
+        # exhausted add exact zeros, so each row equals the digit-by-digit sum.
         base = _PRIMES[j]
-        for i in range(count):
-            n = start + i
-            value = 0.0
-            scale = 1.0 / base
-            while n:
-                n, digit = divmod(n, base)
-                value += digit * scale
-                scale /= base
-            out[i, j] = value
+        n = index
+        value = np.zeros(count)
+        scale = 1.0 / base
+        while n.any():
+            n, digit = np.divmod(n, base)
+            value += digit * scale
+            scale /= base
+        out[:, j] = value
     return out
 
 
@@ -73,6 +80,9 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
 
     Includes the origin and the points ``+/- radius * e_i`` exactly, so
     extrema attained on the axes or at the boundary are sampled exactly.
+    After those ``2*dim + 1`` anchors come exactly ``count`` interior points:
+    the first ``count`` points of the seeded Halton stream that fall in the
+    ball, so a larger ``count`` extends a smaller one's sample.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -82,13 +92,20 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
         e[i] = radius
         anchors.append(e.copy())
         anchors.append(-e)
-    # Rejection from the enclosing cube; oversample by the inverse volume
-    # ratio so roughly `count` interior points survive.
-    ratio = {1: 1.0, 2: 4.0 / math.pi, 3: 6.0 / math.pi}.get(dim, 3.0 ** (dim / 2.0))
-    need = int(count * ratio * 1.3) + 16
-    cube = halton(need, dim, start=1 + seed * 104729) * 2.0 - 1.0
-    keep = np.linalg.norm(cube, axis=1) <= 1.0
-    pts = cube[keep][:count] * radius
+    # Rejection from the enclosing cube, drawn in chunks sized by the
+    # cube-to-ball volume ratio (and capped, so memory stays bounded in high
+    # dimension); each chunk continues the Halton stream.
+    ratio = 2.0**dim * math.gamma(dim / 2.0 + 1.0) / math.pi ** (dim / 2.0)
+    start = 1 + seed * 104729
+    inside = [np.empty((0, dim))]
+    found = 0
+    while found < count:
+        need = min(int((count - found) * ratio * 1.3) + 16, _MAX_CHUNK_ROWS)
+        cube = halton(need, dim, start=start) * 2.0 - 1.0
+        start += need
+        inside.append(cube[np.linalg.norm(cube, axis=1) <= 1.0])
+        found += len(inside[-1])
+    pts = np.concatenate(inside)[:count] * radius
     return np.concatenate([np.array(anchors), pts])
 
 

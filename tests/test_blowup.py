@@ -88,6 +88,19 @@ def test_resolve_depth_cap_flags_branch():
     assert result.depth_capped
     capped = [leaf for leaf in result.tree.leaves() if leaf.depth_capped]
     assert capped and all(not leaf.snc for leaf in capped)
+    assert not result.complete
+
+
+def test_resolve_complete_flag():
+    # The tangent directions y = +/- x/sqrt(2) are irrational exceptional
+    # points, two in each first-level chart.
+    split = resolve(parse("x^2 - 2*y^2"))
+    assert split.unanalyzed_points == 4 and not split.depth_capped
+    assert split.complete is False
+    assert split.to_json()["complete"] is False
+    cusp = resolve(CUSP)
+    assert cusp.unanalyzed_points == 0 and not cusp.depth_capped
+    assert cusp.to_json()["complete"] is True
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,10 @@ def test_usage_error_exits_one(tmp_path):
     assert main(["analyze"]) == 1
 
 
+def test_negative_seed_exits_one(tmp_path):
+    assert _run(["analyze", "x1*x2", "--seed", "-1"], tmp_path) == 1
+
+
 def test_stdin_input(tmp_path, monkeypatch):
     assert _run(["analyze", "-"], tmp_path, monkeypatch, stdin="x^2\n") == 0
     assert _report(tmp_path)["theta"] == "1/2"
@@ -60,6 +64,9 @@ def test_resolve_writes_leaf_table(tmp_path):
     assert (6, 2) in monomials
     assert report["translated_points"]
     assert report["pullback"]["origin_local"] is True
+    assert report["complete"] is True
+    assert _run(["resolve", "x^2 - 2*y^2"], tmp_path) == 0
+    assert _report(tmp_path)["complete"] is False
 
 
 def test_flow_writes_trajectory(tmp_path):

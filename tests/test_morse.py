@@ -138,6 +138,33 @@ def test_gmb_inequality_quartic():
     assert check.passed
 
 
+@pytest.mark.parametrize(
+    "text, variables, subspace, order, options, measured, radii, count",
+    [
+        ("2*x1^6 + 3*x2^6", ["x1", "x2", "x3"], (2,), 6, {},
+         5.540100285859975, (0.5, 0.5), 7200),
+        ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4, {},
+         3.440296897067748, (0.25, 0.25), 7200),
+        # Starts too wide: the Taylor-remainder conditions force three halvings.
+        ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4,
+         {"cylinder_radius": 2.0, "samples": 10_000},
+         3.575368416905518, (0.25, 0.0625), 18144),
+    ],
+)
+def test_gmb_inequality_pinned_values(
+    text, variables, subspace, order, options, measured, radii, count
+):
+    # Exact values of the deterministic cylinder sample; any change in the
+    # sample points or in the arithmetic of the halving loop moves them.
+    p = parse(text, variables=variables)
+    report = check_generalized_morse_bott(p, subspace, order)
+    check = verify_gmb_gradient_inequality(p, report, **options)
+    assert check.measured_constant == measured
+    assert check.ball_radii == radii
+    assert check.sample_count == count
+    assert check.passed
+
+
 def test_gmb_inequality_requires_positive_verdict():
     p = parse("x^3 + x^2*y^5")
     report = check_generalized_morse_bott(p, (1,), 3)
