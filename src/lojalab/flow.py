@@ -180,13 +180,29 @@ def integrate_flow(
     # resolved below that threshold or the event can never be located.
     atol = min(atol, 1e-3 * tol)
 
+    # The last state the right-hand side saw and its gradient norm.  RK45
+    # evaluates its last stage at the accepted state, so the stopping event
+    # at that state reuses the norm instead of evaluating the gradient again.
+    last_y = np.full(fn.dimension + 1, np.nan)
+    last_norm = math.nan
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal last_norm
         g = fn.gradient(y[None, :-1])[0]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FlowError(f"non-finite gradient at {y[:-1]}")
-        return np.concatenate([-g, [float(np.linalg.norm(g))]])
+        # What np.linalg.norm computes for a 1-D vector.
+        norm = math.sqrt(g.dot(g))
+        out = np.empty_like(y)
+        np.negative(g, out=out[:-1])
+        out[-1] = norm
+        last_y[:] = y
+        last_norm = norm
+        return out
 
     def grad_event(t: float, y: np.ndarray) -> float:
+        if np.array_equal(y, last_y):
+            return last_norm - tol
         return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
 
     grad_event.terminal = True  # type: ignore[attr-defined]

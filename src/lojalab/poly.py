@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -305,24 +305,38 @@ class Polynomial:
         d = len(self.variables)
         if not self.terms:
             return lambda points: np.zeros(np.atleast_2d(points).shape[0])
-        exps = np.array(list(self.terms.keys()), dtype=float)
+        table = _exponent_table(self.terms, d)
         coeffs = np.array([float(c) for c in self.terms.values()])
 
         def values(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            if pts.shape[1] != d:
-                raise ValueError(f"points have dimension {pts.shape[1]}, expected {d}")
-            return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+            return _monomials(points, table) @ coeffs
 
         return values
 
     def gradient_numeric(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorised gradient mapping an (m, d) array to an (m, d) array."""
-        parts = [g.numeric() for g in self.gradient()]
+        """Vectorised gradient mapping an (m, d) array to an (m, d) array.
+
+        The exponents of all d partials are stacked into one table, so a call
+        raises every point to every monomial once; partial j then sums its own
+        row slice of that table, exactly as its ``numeric()`` would.
+        """
+        d = len(self.variables)
+        partials = [g.terms for g in self.gradient()]
+        table = _exponent_table([e for terms in partials for e in terms], d)
+        columns = []
+        start = 0
+        for j, terms in enumerate(partials):
+            if terms:
+                coeffs = np.array([float(c) for c in terms.values()])
+                columns.append((j, slice(start, start + len(terms)), coeffs))
+            start += len(terms)
 
         def values(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return np.stack([p(pts) for p in parts], axis=1)
+            monomials = _monomials(points, table)
+            out = np.zeros((monomials.shape[0], d))
+            for j, rows, coeffs in columns:
+                out[:, j] = monomials[:, rows] @ coeffs
+            return out
 
         return values
 
@@ -391,6 +405,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _exponent_table(exponents: Collection[Exponent], d: int) -> np.ndarray:
+    """Exponent vectors as the rows of a (K, d) float array."""
+    return np.array(list(exponents), dtype=float).reshape(len(exponents), d)
+
+
+def _monomials(points: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The (m, K) array of every point raised to every row of ``table``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != table.shape[1]:
+        raise ValueError(
+            f"points have dimension {pts.shape[1]}, expected {table.shape[1]}"
+        )
+    # np.prod without its Python-level wrapper; the same reduction bit for bit.
+    return np.multiply.reduce(pts[:, None, :] ** table, axis=2)
 
 
 @dataclass(frozen=True)

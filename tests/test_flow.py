@@ -1,5 +1,6 @@
 """Gradient-flow integration, trajectory identities, distance inequalities."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -112,6 +113,40 @@ def test_fixed_step_halving_agreement():
     coarse = rk4_fixed_step(p, [0.3, 0.4], step=1e-2, steps=20_000)
     fine = rk4_fixed_step(p, [0.3, 0.4], step=5e-3, steps=40_000)
     assert np.linalg.norm(coarse - fine) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "text, x0, digest, nfev",
+    [
+        ("x^2*y^2", [0.3, 0.2], "273adb992d63345767f3c5daf136be8ba72286ac", 338),
+        ("x^2 + y^4", [0.2, 0.2], "ff664b65aaee9797c19aa7ad1fe49a2710a92c8c", 3176),
+    ],
+)
+def test_trajectory_pinned_digest(text, x0, digest, nfev):
+    # SHA-1 of the sample times, states and arc lengths; any change in the
+    # gradient arithmetic or in the step sequence moves it.
+    traj = integrate_flow(parse(text), x0, tol=1e-5)
+    sha = hashlib.sha1()
+    for array in (traj.times, traj.points, traj.arc_lengths):
+        sha.update(np.ascontiguousarray(array).tobytes())
+    assert sha.hexdigest() == digest
+    assert traj.dense.nfev == nfev
+
+
+def test_stopping_event_reuses_rhs_gradient():
+    fn = Function.of(parse("x^2*y^2"))
+    calls = []
+
+    def gradient(points):
+        calls.append(len(points))
+        return fn.gradient(points)
+
+    counted = Function(dimension=2, value=fn.value, gradient=gradient)
+    traj = integrate_flow(counted, [0.3, 0.4], tol=1e-10)
+    steps = len(traj.dense.t) - 1
+    # One gradient per RHS evaluation, plus the start check, the trajectory
+    # norms and the event's root finding; not one more per accepted step.
+    assert len(calls) < traj.dense.nfev + steps / 2
 
 
 def test_left_domain_recorded():

@@ -8,12 +8,13 @@ import pytest
 
 from lojalab.morse import (
     MorseBottError,
+    _vanishes_on,
     check_generalized_morse_bott,
     check_morse_bott,
     gmb_constant,
     verify_gmb_gradient_inequality,
 )
-from lojalab.poly import parse
+from lojalab.poly import Polynomial, parse
 
 
 def test_round_quadratic_is_morse_bott():
@@ -77,6 +78,28 @@ def test_mixed_term_breaks_order_three_flatness():
     assert not report.verdict
     assert report.gradient_vanishes_on_subspace
     assert not report.condition_b_holds
+
+
+def test_vanishing_on_subspace_read_from_exponents():
+    # The exponent rule against restricting by substitution.
+    rng = np.random.default_rng(3)
+    names = ("x", "y", "z", "w")
+    for _ in range(400):
+        d = int(rng.integers(1, 5))
+        terms = {}
+        for _ in range(int(rng.integers(0, 6))):
+            exponent = tuple(int(v) for v in rng.integers(0, 3, size=d))
+            terms[exponent] = int(rng.integers(1, 4))
+        q = Polynomial(names[:d], terms)
+        subspace = tuple(i for i in range(d) if rng.random() < 0.5)
+        zeroed = {v: 0 for i, v in enumerate(q.variables) if i not in subspace}
+        restricted = q.shift(zeroed) if zeroed else q
+        assert _vanishes_on(q, subspace) == restricted.is_zero, (str(q), subspace)
+    # Condition (b) for x^3 + x^2*y^5 at order 3 on the y-axis: the first
+    # partial 3*x^2 + 2*x*y^5 vanishes there, the second 6*x + 2*y^5 does not.
+    gx = parse("x^3 + x^2*y^5").derivative("x")
+    assert _vanishes_on(gx, (1,))
+    assert not _vanishes_on(gx.derivative("x"), (1,))
 
 
 def test_round_quadratic_coercivity_value():

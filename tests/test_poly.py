@@ -123,6 +123,33 @@ def test_numeric_batch_matches_pointwise():
         assert p.evaluate(list(row)) == pytest.approx(expected, rel=1e-14)
 
 
+def _random_polynomial(rng, d):
+    terms = {}
+    for _ in range(int(rng.integers(1, 9))):
+        exponent = tuple(int(v) for v in rng.integers(0, 5, size=d))
+        terms[exponent] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return Polynomial([f"x{i}" for i in range(d)], terms)
+
+
+def test_gradient_numeric_matches_partials_bit_for_bit():
+    # The fused evaluator against one numeric() per partial derivative.
+    rng = np.random.default_rng(5)
+    cases = [
+        Polynomial.zero(["x", "y"]),
+        parse("5", variables=["x", "y", "z"]),
+        # z appears in no term, so its partial has no terms.
+        parse("x^3*y - 2*y^2 + 1/3", variables=["x", "y", "z"]),
+    ]
+    cases += [_random_polynomial(rng, d) for d in range(1, 6) for _ in range(8)]
+    for p in cases:
+        d = len(p.variables)
+        fused = p.gradient_numeric()
+        for m in (1, 7, 500):
+            pts = rng.uniform(-1.5, 1.5, size=(m, d))
+            reference = np.stack([g.numeric()(pts) for g in p.gradient()], axis=1)
+            assert np.array_equal(fused(pts), reference), (str(p), m)
+
+
 # ----------------------------------------------------------------------
 # calculus
 # ----------------------------------------------------------------------
