@@ -36,7 +36,6 @@ from .blowup import (
     ResolutionResult,
     TranslatedPointReport,
     blowup_once,
-    chart_substitution,
     combine_point_bounds,
     exponent_upper_bound,
     pull_back_and_bound,

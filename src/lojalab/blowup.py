@@ -7,12 +7,15 @@ charts,
     chart 2:  (x, y) = (a, a*b)      exceptional line {a = 0},
 
 applied to the *total* transform (the full pullback, exceptional factors
-included).  A branch of the chart tree terminates once the pullback has
-simple normal crossings at the chart origin; that certificate is local to
-the chart origin, so exponent bounds extracted from a leaf are reported as
-origin-local, and the finitely many other exceptional-divisor points where
-the residual vanishes are handled by exact translation (rational points
-only; irrational residual roots are counted and reported as unanalyzed).
+included).  Both charts are monomial maps, so a pullback only relabels
+exponents: chart 1 sends ``x^i y^j`` to ``u^i v^(i+j)`` and chart 2 sends it
+to ``a^(i+j) b^j``.  A branch of the chart tree terminates once the pullback
+has simple normal crossings at the chart origin; that certificate is local
+to the chart origin, so exponent bounds extracted from a leaf are reported
+as origin-local, and the finitely many other exceptional-divisor points
+where the residual vanishes are handled by exact translation (rational
+points only; irrational residual roots are counted and reported as
+unanalyzed).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .poly import Polynomial, Substitution
+from .poly import Polynomial
 from .reports import rational_str
 from .sampling import ball_points
 from .snc import MonomialFactorization, detect_snc
@@ -46,17 +49,16 @@ def _fresh_names(path_digits: str, chart: int, taken: Iterable[str]) -> tuple[st
     return names
 
 
-def chart_substitution(
-    parent_vars: tuple[str, str], child_vars: tuple[str, str], chart: int
-) -> Substitution:
-    """Substitution sending the parent's coordinates into a blow-up chart."""
-    first = Polynomial.variable(child_vars[0], child_vars)
-    second = Polynomial.variable(child_vars[1], child_vars)
+def _pull_back(p: Polynomial, child_vars: tuple[str, str], chart: int) -> Polynomial:
+    """``p`` in the coordinates of a blow-up chart, by relabelling exponents.
+
+    The exponent map is injective, so the coefficients carry over unchanged.
+    """
     if chart == 1:
-        return Substitution({parent_vars[0]: first * second, parent_vars[1]: second})
-    if chart == 2:
-        return Substitution({parent_vars[0]: first, parent_vars[1]: first * second})
-    raise BlowupError(f"chart must be 1 or 2, got {chart}")
+        terms = {(i, i + j): c for (i, j), c in p.terms.items()}
+    else:
+        terms = {(i + j, j): c for (i, j), c in p.terms.items()}
+    return Polynomial(child_vars, terms)
 
 
 @dataclass
@@ -65,7 +67,8 @@ class BlowupNode:
 
     ``total_transform`` is the exact pullback of the root polynomial through
     the composed chart maps; ``composite`` gives the images of the two root
-    coordinates as polynomials in this chart's variables.
+    coordinates as monomials in this chart's variables.  An axis is
+    exceptional when the composite map sends it to the origin.
     ``exceptional_multiplicities`` records, per chart variable, the vanishing
     order of the pullback along that axis when the axis is exceptional
     (zero for strict-transform axes).
@@ -74,7 +77,6 @@ class BlowupNode:
     chart_id: str
     depth: int
     variables: tuple[str, str]
-    transform: Substitution | None
     total_transform: Polynomial
     composite: tuple[Polynomial, Polynomial]
     exceptional_axes: tuple[bool, bool]
@@ -193,14 +195,14 @@ class ResolutionResult:
 def _make_node(
     chart_id: str,
     depth: int,
-    variables: tuple[str, str],
-    transform: Substitution | None,
     total: Polynomial,
     composite: tuple[Polynomial, Polynomial],
-    exceptional_axes: tuple[bool, bool],
     parent: str | None,
 ) -> BlowupNode:
     factorization = detect_snc(total)
+    exceptional_axes = tuple(
+        all(e[j] > 0 for image in composite for e in image.terms) for j in (0, 1)
+    )
     mults = tuple(
         exp if flag else 0
         for exp, flag in zip(factorization.exponents, exceptional_axes)
@@ -208,11 +210,10 @@ def _make_node(
     return BlowupNode(
         chart_id=chart_id,
         depth=depth,
-        variables=variables,
-        transform=transform,
+        variables=total.variables,  # type: ignore[arg-type]
         total_transform=total,
         composite=composite,
-        exceptional_axes=exceptional_axes,
+        exceptional_axes=exceptional_axes,  # type: ignore[arg-type]
         exceptional_multiplicities=mults,  # type: ignore[arg-type]
         factorization=factorization,
         snc=factorization.snc_at_origin,
@@ -227,25 +228,12 @@ def _expand(node: BlowupNode, taken: set[str]) -> tuple[BlowupNode, BlowupNode]:
         child_digits = digits + str(chart)
         child_vars = _fresh_names(child_digits, chart, taken)
         taken.update(child_vars)
-        sub = chart_substitution(node.variables, child_vars, chart)
-        total = node.total_transform.substitute(sub)
-        composite = (
-            node.composite[0].substitute(sub),
-            node.composite[1].substitute(sub),
-        )
-        if chart == 1:
-            axes = (node.exceptional_axes[0], True)
-        else:
-            axes = (True, node.exceptional_axes[1])
         children.append(
             _make_node(
                 chart_id=f"{node.chart_id}/{chart}",
                 depth=node.depth + 1,
-                variables=child_vars,
-                transform=sub,
-                total=total,
-                composite=composite,
-                exceptional_axes=axes,
+                total=_pull_back(node.total_transform, child_vars, chart),
+                composite=tuple(_pull_back(c, child_vars, chart) for c in node.composite),
                 parent=node.chart_id,
             )
         )
@@ -257,14 +245,11 @@ def _root_node(p: Polynomial) -> BlowupNode:
     return _make_node(
         chart_id="root",
         depth=0,
-        variables=p.variables,  # type: ignore[arg-type]
-        transform=None,
         total=p,
         composite=(
             Polynomial.variable(p.variables[0], p.variables),
             Polynomial.variable(p.variables[1], p.variables),
         ),
-        exceptional_axes=(False, False),
         parent=None,
     )
 
@@ -367,10 +352,21 @@ class TranslatedPointReport:
         }
 
 
-def translated_chart_analysis(
-    node: BlowupNode,
-    translated_variable: str = "gamma",
-) -> tuple[list[TranslatedPointReport], int]:
+def _recenter(p: Polynomial, along: int, t: Fraction, gamma: str) -> Polynomial:
+    """``p`` with coordinate ``along`` replaced by ``t - gamma``, expanded
+    binomially; ``gamma`` takes that coordinate's place."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e, c in p.terms.items():
+        k = e[along]
+        for power in range(k + 1):
+            key = e[:along] + (power,) + e[along + 1 :]
+            term = c * math.comb(k, power) * t ** (k - power) * (-1) ** power
+            terms[key] = terms.get(key, Fraction(0)) + term
+    variables = p.variables[:along] + (gamma,) + p.variables[along + 1 :]
+    return Polynomial(variables, terms)
+
+
+def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointReport], int]:
     """SNC analysis at rational exceptional points off the chart origin.
 
     For each exceptional axis, restrict the residual to the axis, extract
@@ -383,6 +379,9 @@ def translated_chart_analysis(
     residual = node.factorization.residual
     total = node.total_transform
     chart_id = node.chart_id
+    gamma = "gamma"
+    while gamma in variables:
+        gamma = "_" + gamma
 
     reports: list[TranslatedPointReport] = []
     unanalyzed = 0
@@ -391,17 +390,16 @@ def translated_chart_analysis(
             continue
         axis_var = variables[i]
         along_var = variables[1 - i]
-        on_axis = residual.shift({axis_var: 0})
+        # The residual restricted to the axis: the terms free of its variable.
+        on_axis = Polynomial(
+            variables, {e: c for e, c in residual.terms.items() if e[i] == 0}
+        )
         coeffs = univar.coeffs_from_poly(on_axis)
         roots = [(t, m) for t, m in univar.rational_roots(coeffs) if t != 0]
         distinct_real = univar.count_distinct_real_roots(coeffs)
         unanalyzed += max(0, distinct_real - len(roots))
         for t, _mult in roots:
-            gamma = translated_variable
-            while gamma in variables:
-                gamma = "_" + gamma
-            shift_poly = Polynomial.constant(t, (gamma,)) - Polynomial.variable(gamma)
-            translated = total.substitute(Substitution({along_var: shift_poly}))
+            translated = _recenter(total, 1 - i, t, gamma)
             factorization = detect_snc(translated)
             reports.append(
                 TranslatedPointReport(
@@ -461,13 +459,12 @@ class PullbackBound:
         }
 
 
-def _jacobian_sup(composite: tuple[Polynomial, Polynomial], samples: int = 2000) -> float:
-    """Sampled sup of the spectral norm of the chart map's Jacobian."""
+def _jacobian_sup(composite: tuple[Polynomial, Polynomial], points: np.ndarray) -> float:
+    """Sup of the spectral norm of the chart map's Jacobian over ``points``."""
     variables = composite[0].variables
     parts = [
         [composite[k].derivative(v).numeric() for v in variables] for k in range(2)
     ]
-    points = ball_points(len(variables), samples, 1.0)
     j00 = parts[0][0](points)
     j01 = parts[0][1](points)
     j10 = parts[1][0](points)
@@ -480,9 +477,7 @@ def _jacobian_sup(composite: tuple[Polynomial, Polynomial], samples: int = 2000)
     return float(sigma_max.max())
 
 
-def exponent_upper_bound(
-    p: Polynomial, max_depth: int = DEFAULT_MAX_DEPTH
-) -> tuple[Fraction, str] | None:
+def exponent_upper_bound(p: Polynomial) -> tuple[Fraction, str] | None:
     """Best-effort exponent for ``p`` at the origin, with provenance.
 
     Directly from the normal-crossing formula when ``p`` is snc at the
@@ -505,7 +500,7 @@ def exponent_upper_bound(
     if len(p.variables) != 2 or p.constant_term() != 0:
         return None
     try:
-        interval = resolve(p, max_depth=max_depth).theta_interval
+        interval = resolve(p).theta_interval
     except BlowupError:
         return None
     if interval is None:
@@ -523,11 +518,12 @@ def pull_back_and_bound(p: Polynomial, result: ResolutionResult) -> PullbackBoun
     if p != result.tree.root_polynomial:
         raise BlowupError("resolution result was computed for a different polynomial")
     per_leaf: list[LeafBound] = []
+    points = ball_points(2, 2000, 1.0)
     for leaf in result.snc_leaves():
         bound = leaf.theta_bound()
         if bound is None:
             continue
-        sup = _jacobian_sup(leaf.composite)
+        sup = _jacobian_sup(leaf.composite, points)
         per_leaf.append(
             LeafBound(
                 chart_id=leaf.chart_id,

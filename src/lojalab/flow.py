@@ -30,11 +30,15 @@ from scipy.integrate import solve_ivp
 
 from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial
-from .reports import InequalityCheckReport
+from .reports import PREDICTED_SLACK, InequalityCheckReport
 from .sampling import ball_points
 
 DEFAULT_GRAD_TOL = 1e-10
 DEFAULT_STEP_CONTROL = 1e-9
+# Most integrator steps a trajectory keeps, and the gradient floor (a factor
+# over the smallest norm) below which dqds_identity_error skips points.
+_STORED_SAMPLES = 4000
+_GRAD_FLOOR_FACTOR = 1e3
 
 
 class FlowError(ValueError):
@@ -160,7 +164,6 @@ def integrate_flow(
     rtol: float = DEFAULT_STEP_CONTROL,
     atol: float = DEFAULT_STEP_CONTROL,
     crit_set: CriticalSet | None = None,
-    max_samples: int = 4000,
 ) -> Trajectory:
     """Integrate ``dx/dt = -grad E`` until the gradient drops below ``tol``.
 
@@ -260,8 +263,8 @@ def integrate_flow(
         stop_reason, converged = "max-time", False
 
     times = sol.t
-    if len(times) > max_samples:
-        idx = np.unique(np.linspace(0, len(times) - 1, max_samples).astype(int))
+    if len(times) > _STORED_SAMPLES:
+        idx = np.unique(np.linspace(0, len(times) - 1, _STORED_SAMPLES).astype(int))
         times = times[idx]
         states = sol.y[:, idx]
     else:
@@ -335,7 +338,7 @@ class LengthBoundReport:
 
 
 def verify_length_bound(
-    traj: Trajectory, theta: Fraction | float, constant: float, slack: float = 0.01
+    traj: Trajectory, theta: Fraction | float, constant: float
 ) -> LengthBoundReport:
     """Check ``arc_length <= E(x0)^(1-theta) / ((1-theta) * C)`` with 1% slack."""
     if not traj.converged:
@@ -352,7 +355,7 @@ def verify_length_bound(
         bound=bound,
         actual=actual,
         margin=bound - actual,
-        passed=actual <= bound * (1.0 + slack),
+        passed=actual <= bound * (1.0 + PREDICTED_SLACK),
     )
 
 
@@ -381,7 +384,6 @@ def dqds_identity_error(
     traj: Trajectory,
     E: Polynomial | Function,
     count: int = 20_000,
-    grad_floor_factor: float = 1e3,
 ) -> float:
     """Max relative error of finite-difference dE/ds against -||grad E||.
 
@@ -404,7 +406,7 @@ def dqds_identity_error(
         - h1[ok] ** 2 * q[:-2][ok]
     ) / (h0[ok] * h1[ok] * (h0[ok] + h1[ok]))
     target = -g[1:-1][ok]
-    floor = grad_floor_factor * max(1e-300, float(g.min()))
+    floor = _GRAD_FLOOR_FACTOR * max(1e-300, float(g.min()))
     mask = g[1:-1][ok] > floor
     if not np.any(mask):
         return 0.0

@@ -34,6 +34,10 @@ from .snc import ZERO_SKIP
 
 CERTIFIED_ZETA_MARGIN = 0.9
 COERCIVITY_FLOOR = 1e-12
+# Starting cylinder length along the subspace, and how often the cylinder
+# may be halved, in verify_gmb_gradient_inequality.
+_CYLINDER_LENGTH = 0.5
+_MAX_CYLINDER_HALVINGS = 40
 
 
 class MorseBottError(ValueError):
@@ -317,10 +321,8 @@ def verify_gmb_gradient_inequality(
     report: MorseBottReport,
     samples: int = 4000,
     cylinder_radius: float = 0.5,
-    cylinder_length: float = 0.5,
     force: bool = False,
     extra_points: np.ndarray | None = None,
-    max_halvings: int = 40,
 ) -> InequalityCheckReport:
     """Sampled check of ``||grad p|| >= C |p - p(0)|^(1-1/N)`` near the subspace.
 
@@ -386,8 +388,8 @@ def verify_gmb_gradient_inequality(
     zero_vn_bound = np.abs(at_zero_vn) + 1e-12
     zero_vm_bound = 0.5 * np.linalg.norm(at_zero_vm, axis=-1) + 1e-12
 
-    radius, length = float(cylinder_radius), float(cylinder_length)
-    for _ in range(max_halvings + 1):
+    radius, length = float(cylinder_radius), _CYLINDER_LENGTH
+    for _ in range(_MAX_CYLINDER_HALVINGS + 1):
         kappas = subspace_grid(subspace, d, n_kappa, length)
         radii = geometric_radii(radius / 256.0, radius, n_radii)
         points = (

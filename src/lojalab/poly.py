@@ -519,13 +519,6 @@ class Substitution:
             total = total + term
         return total
 
-    def images(self, variables: Sequence[str]) -> tuple[Polynomial, ...]:
-        """Replacement polynomial for each listed variable (identity if absent)."""
-        out = []
-        for v in variables:
-            out.append(self.target.get(v, Polynomial.variable(v)))
-        return tuple(out)
-
 
 # ----------------------------------------------------------------------
 # parsing

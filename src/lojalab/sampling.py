@@ -56,7 +56,10 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
     if dim == 2:
         n = max(4, 4 * math.ceil(count / 4))
         angles = 2.0 * np.pi * np.arange(n) / n
-        return np.column_stack([np.cos(angles), np.sin(angles)])
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        # cos(pi/2) is 6.1e-17, not 0: put the axis directions on the axes.
+        pts[np.abs(pts) < 1e-12] = 0.0
+        return pts
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
     if dim == 3:
         # Fibonacci spiral: near-uniform area coverage.

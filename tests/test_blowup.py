@@ -1,6 +1,8 @@
 """Blow-up engine: chart towers, golden transforms, transported bounds."""
 
 import functools
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from lojalab.blowup import (
     resolve,
     translated_chart_analysis,
 )
-from lojalab.poly import Substitution, parse
+from lojalab.poly import Polynomial, Substitution, parse
 
 CUSP = parse("x^2 - y^3")
 
@@ -27,6 +29,53 @@ RENAMES = {
     "root/1/2/2": {"a122": "alpha", "b122": "beta"},
     "root/2/1/1": {"u211": "g", "v211": "h"},
 }
+
+
+# x^a + c*y^b with a < b has exponent 1 - 1/b at the origin: along the
+# y-axis |grad f| = b|c||y|^(b-1) = b|c|^(1/b) |f|^(1 - 1/b).
+BRIESKORN_PHAM = [
+    (f"x^{a} {sign} {c}*y^{b}", Fraction(b - 1, b))
+    for a in range(2, 10)
+    for b in range(a + 1, 10)
+    for sign in "+-"
+    for c in ("1", "2", "1/2")
+]
+CUSP_TEMPLATES = [
+    template.format(a=a, b=b)
+    for template in (
+        "(y^2 - {a}*x^3)*(y^2 - {b}*x^5)",
+        "(y^2 - {a}*x^3)*(y^2 - {b}*x^7)",
+        "(y^2 - {a}*x^3)^2 - {b}*x^5*y",
+        "(y^2 - {a}*x^3)^2 - {b}*x^7*y",
+        "(y^2 - {a}*x^3)*(x^2 - {b}*y^3)",
+        "(y^3 - {a}*x^4)*(y^2 - {b}*x^3)",
+    )
+    for a in (1, 2)
+    for b in (1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _resolved(text):
+    return resolve(parse(text))
+
+
+# Every resolve(p).to_json() over this corpus is pinned by digest.
+PINNED_CORPUS = (
+    [
+        f"x^{a} {sign} {c}*y^{b}"
+        for a in range(2, 10)
+        for b in range(a + 1, 10)
+        for sign in "+-"
+        for c in ("1", "2", "1/2", "3")
+    ]
+    + CUSP_TEMPLATES
+    + ["x^2 - y^3", "x1*x2", "x^2 - 2*y^2"]
+)
+PINNED_DIGEST = "53b8ecc95f4f56ebc165f01568382c2e10d07815"
+# Rational exceptional points off the snc chart origins over
+# BRIESKORN_PHAM and CUSP_TEMPLATES.
+CHECKED_TRANSLATED = 332
 
 
 def test_blowup_once_cusp_charts():
@@ -143,18 +192,39 @@ def test_exceptional_multiplicities_match_content_on_snc_nodes():
 # ----------------------------------------------------------------------
 
 
+def _trees():
+    yield resolve(CUSP, max_depth=3, expand_snc=True).tree
+    for text in [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES:
+        yield _resolved(text).tree
+
+
 def test_roundtrip_composite_reproduces_total_transform():
-    result = resolve(CUSP, max_depth=3, expand_snc=True)
-    for node in result.tree.nodes.values():
-        if node.depth == 0:
-            continue
-        sub = Substitution(
-            {
-                CUSP.variables[0]: node.composite[0],
-                CUSP.variables[1]: node.composite[1],
-            }
-        )
-        assert CUSP.substitute(sub) == node.total_transform, node.chart_id
+    for tree in _trees():
+        root = tree.root_polynomial
+        for node in tree.nodes.values():
+            if node.depth == 0:
+                continue
+            sub = Substitution(
+                {
+                    root.variables[0]: node.composite[0],
+                    root.variables[1]: node.composite[1],
+                }
+            )
+            assert root.substitute(sub) == node.total_transform, (str(root), node.chart_id)
+
+
+def test_resolve_does_not_multiply_polynomials(monkeypatch):
+    curves = [parse(text) for text in ("x^2 - y^3", "(y^2 - 2*x^3)^2 - x^7*y")]
+
+    def refuse(*args):
+        raise AssertionError("resolve went through polynomial multiplication")
+
+    for owner, name in ((Substitution, "apply"), (Polynomial, "__mul__"), (Polynomial, "__rmul__")):
+        monkeypatch.setattr(owner, name, refuse)
+    for p in curves:
+        result = resolve(p)
+        assert result.translated_points
+        pull_back_and_bound(p, result)
 
 
 def test_composite_injective_off_exceptional_set():
@@ -219,6 +289,23 @@ def test_translated_point_on_golden_leaf():
     assert rep.residual == parse("(1 - gamma)*(1 - gamma)", variables=["a122", "gamma"])
 
 
+def test_translated_polynomials_match_substitution():
+    checked = 0
+    for text in [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES:
+        result = _resolved(text)
+        for point in result.translated_points:
+            node = result.tree.node(point.chart_id)
+            (gamma,) = set(point.translated.variables) - set(node.variables)
+            shift = Polynomial.constant(point.point_value, (gamma,)) - Polynomial.variable(gamma)
+            reference = node.total_transform.substitute(
+                Substitution({point.along_variable: shift})
+            )
+            assert point.translated == reference, (text, point.chart_id)
+            assert point.translated.variables == reference.variables
+            checked += 1
+    assert checked == CHECKED_TRANSLATED
+
+
 def test_translated_analysis_counts_irrational_points():
     # x^2 - 2y^2 pulls back to v^2 (u^2 - 2): the residual meets the
     # exceptional line at u = +/- sqrt(2), both irrational.
@@ -259,34 +346,6 @@ def test_exponent_upper_bound_routes():
 # one rule for combining per-point bounds
 # ----------------------------------------------------------------------
 
-# x^a + c*y^b with a < b has exponent 1 - 1/b at the origin: along the
-# y-axis |grad f| = b|c||y|^(b-1) = b|c|^(1/b) |f|^(1 - 1/b).
-BRIESKORN_PHAM = [
-    (f"x^{a} {sign} {c}*y^{b}", Fraction(b - 1, b))
-    for a in range(2, 10)
-    for b in range(a + 1, 10)
-    for sign in "+-"
-    for c in ("1", "2", "1/2")
-]
-CUSP_TEMPLATES = [
-    template.format(a=a, b=b)
-    for template in (
-        "(y^2 - {a}*x^3)*(y^2 - {b}*x^5)",
-        "(y^2 - {a}*x^3)*(y^2 - {b}*x^7)",
-        "(y^2 - {a}*x^3)^2 - {b}*x^5*y",
-        "(y^2 - {a}*x^3)^2 - {b}*x^7*y",
-        "(y^2 - {a}*x^3)*(x^2 - {b}*y^3)",
-        "(y^3 - {a}*x^4)*(y^2 - {b}*x^3)",
-    )
-    for a in (1, 2)
-    for b in (1, 2)
-]
-
-
-@functools.lru_cache(maxsize=None)
-def _resolved(text):
-    return resolve(parse(text))
-
 
 def test_interval_upper_end_is_at_least_the_closed_form():
     assert len(BRIESKORN_PHAM) == 168
@@ -304,6 +363,14 @@ def test_interval_agrees_with_upper_bound_and_pullback():
         result = _resolved(text)
         bound = pull_back_and_bound(result.tree.root_polynomial, result)
         assert bound.interval == result.theta_interval, text
+
+
+def test_resolve_output_pinned_digest():
+    # SHA-1 captured from the substitution-based chart pullback that the
+    # exponent relabelling replaced.
+    assert len(PINNED_CORPUS) == 251
+    payload = json.dumps([_resolved(text).to_json() for text in PINNED_CORPUS], sort_keys=True)
+    assert hashlib.sha1(payload.encode()).hexdigest() == PINNED_DIGEST
 
 
 def test_resolve_report_json_shape():

@@ -53,6 +53,19 @@ def test_band_brackets_estimate():
     assert est.band[0] <= est.theta_hat <= est.band[1]
 
 
+def test_band_contains_closed_form_on_brieskorn_pham():
+    # x^a +/- y^b with a < b has exponent 1 - 1/b at the origin, attained
+    # along the y-axis, which the plane direction mesh must hit exactly.
+    misses = []
+    for a in range(2, 10):
+        for b in range(a + 1, 10):
+            for sign in "+-":
+                est = estimate_theta(parse(f"x^{a} {sign} y^{b}"), (0.0, 0.0))
+                if not est.band[0] <= 1 - 1 / b <= est.band[1]:
+                    misses.append((f"x^{a} {sign} y^{b}", est.band))
+    assert misses == []
+
+
 def test_estimate_scale_invariance():
     p = parse("x^2*y^2")
     a = estimate_theta(p, (0.0, 0.0))

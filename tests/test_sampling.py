@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lojalab.sampling import ball_points, halton
+from lojalab.sampling import ball_points, halton, sphere_directions
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -119,3 +119,9 @@ def test_ball_points_match_pinned_digests(key):
     points = ball_points(dim, count, 0.37, seed=seed)
     assert points.shape == (2 * dim + 1 + count, dim)
     assert hashlib.sha1(points.tobytes()).hexdigest() == BALL_DIGESTS[key]
+
+
+@pytest.mark.parametrize("count", [4, 7, 400])
+def test_plane_directions_include_the_exact_axes(count):
+    rows = {tuple(row) for row in sphere_directions(2, count)}
+    assert {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)} <= rows
