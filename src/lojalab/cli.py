@@ -15,13 +15,14 @@ File outputs land under ``--output-path`` with fixed names (``report.json``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import blowup, estimate as estimate_mod, flow as flow_mod, morse, snc
-from .poly import ParseError, parse
+from .poly import ParseError, PolynomialLimitError, parse
 from .reports import dump_report, rational_str
 
 EXIT_OK = 0
@@ -413,7 +414,9 @@ def _cmd_demo_cusp(config: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="loja-lab",
         description="Gradient-inequality analysis for polynomial functions",
@@ -503,7 +506,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (snc.SncError, blowup.BlowupError, flow_mod.FlowError,
-            estimate_mod.EstimateError, morse.MorseBottError, ValueError) as exc:
+            estimate_mod.EstimateError, morse.MorseBottError, PolynomialLimitError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

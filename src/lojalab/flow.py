@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial
@@ -184,27 +184,31 @@ def integrate_flow(
     atol = min(atol, 1e-3 * tol)
 
     # The last state the right-hand side saw and its gradient norm.  RK45
-    # evaluates its last stage at the accepted state, so the stopping event
-    # at that state reuses the norm instead of evaluating the gradient again.
-    last_y = np.full(fn.dimension + 1, np.nan)
+    # evaluates its last stage at the accepted state and hands that same
+    # array to the stopping event, which then reuses the norm instead of
+    # evaluating the gradient again.  The solver never writes into a state
+    # array, so the held reference stays valid.
+    last_y: np.ndarray | None = None
     last_norm = math.nan
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_norm
+        nonlocal last_y, last_norm
         g = fn.gradient(y[None, :-1])[0]
-        if not np.isfinite(g).all():
-            raise FlowError(f"non-finite gradient at {y[:-1]}")
-        # What np.linalg.norm computes for a 1-D vector.
+        # What np.linalg.norm computes for a 1-D vector.  A non-finite entry
+        # makes it non-finite, and so does a finite gradient whose square
+        # overflows.
         norm = math.sqrt(g.dot(g))
+        if not math.isfinite(norm):
+            raise FlowError(f"non-finite gradient norm at {y[:-1]}")
         out = np.empty_like(y)
         np.negative(g, out=out[:-1])
         out[-1] = norm
-        last_y[:] = y
+        last_y = y
         last_norm = norm
         return out
 
     def grad_event(t: float, y: np.ndarray) -> float:
-        if np.array_equal(y, last_y):
+        if y is last_y:
             return last_norm - tol
         return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
 
@@ -369,14 +373,48 @@ def energy_monotonicity_violation(traj: Trajectory) -> float:
     return float(diffs.max()) if len(diffs) else 0.0
 
 
+def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
+    """``sol(t)`` for an RK45 dense output and ascending ``t``, bit for bit.
+
+    Points are assigned to steps as ``OdeSolution`` does (left side, clamped
+    to the first and last step) and each step's interpolant is evaluated with
+    scipy's arithmetic: powers of ``x = (t - t_old) / h`` by repeated
+    multiplication, then ``h * Q @ p + y_old``.  The powers are built for all
+    points at once; the product stays one ``np.dot`` per step, because a
+    single contraction over all steps rounds differently.  ``h`` comes from
+    each interpolant: a terminal event shortens the last step in ``sol.ts``
+    but not its interpolant.
+    """
+    steps = sol.interpolants
+    segment = np.searchsorted(sol.ts, t, side="left") - 1
+    np.clip(segment, 0, len(steps) - 1, out=segment)
+    t_old = np.array([step.t_old for step in steps])
+    h = np.array([step.h for step in steps])
+    x = (t - t_old[segment]) / h[segment]
+    powers = np.empty((steps[0].order + 1, len(t)))
+    powers[0] = x
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    # Point-major, as scipy's result is: the evaluators downstream round
+    # according to the memory layout of the points they are given.
+    states = np.empty((len(steps[0].y_old), len(t)), order="F")
+    bounds = np.searchsorted(segment, np.arange(len(steps) + 1))
+    for k in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[k], bounds[k + 1]
+        step = steps[k]
+        y = step.h * np.dot(step.Q, powers[:, lo:hi])
+        y += step.y_old[:, None]
+        states[:, lo:hi] = y
+    return states
+
+
 def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if traj.dense is None:
         raise FlowError("trajectory lacks dense output")
-    sol = traj.dense
     t_end = float(traj.times[-1])
     t_start = max(t_end * 1e-12, float(traj.times[1]) * 1e-3 if len(traj.times) > 1 else 1e-12)
     grid = np.geomspace(t_start, t_end, count)
-    states = sol.sol(grid)
+    states = _dense_states(traj.dense.sol, grid)
     return grid, states[:-1, :].T, states[-1, :]
 
 

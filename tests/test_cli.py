@@ -3,7 +3,7 @@
 import io
 import json
 
-from lojalab.cli import main
+from lojalab.cli import _build_parser, main
 
 
 def _run(argv, tmp_path, monkeypatch=None, stdin=None):
@@ -157,3 +157,34 @@ def test_reports_are_deterministic(tmp_path):
     first = (tmp_path / "report.json").read_bytes()
     assert main(argv) == 0
     assert (tmp_path / "report.json").read_bytes() == first
+
+
+def test_polynomial_over_the_limits_exits_one(tmp_path, capsys):
+    assert _run(["resolve", "x^30 - y^31"], tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reused_parser_gives_the_same_reports(tmp_path):
+    runs = [
+        ["analyze", "x^6*y^2", "--seed", "3"],
+        ["analyze"],
+        ["resolve", "x^2 - y^3", "--max-depth", "4"],
+        ["resolve", "x^2 - y^3"],
+    ]
+
+    def outcomes(fresh_parser):
+        results = []
+        for argv in runs:
+            if fresh_parser:
+                _build_parser.cache_clear()
+            code = _run(argv, tmp_path)
+            path = tmp_path / "report.json"
+            results.append((code, path.read_bytes() if path.exists() else None))
+            path.unlink(missing_ok=True)
+        return results
+
+    fresh = outcomes(fresh_parser=True)
+    assert [code for code, _ in fresh] == [0, 1, 0, 0]
+    assert [json.loads(r)["config"]["max_depth"] for _, r in fresh[2:]] == [4, 8]
+    assert _build_parser() is _build_parser()
+    assert outcomes(fresh_parser=False) == fresh

@@ -11,6 +11,8 @@ from lojalab.flow import (
     CoordinateSubspace,
     CriticalSet,
     FlowError,
+    _dense_resample,
+    _dense_states,
     dqds_identity_error,
     energy_monotonicity_violation,
     integrate_flow,
@@ -133,6 +135,57 @@ def test_trajectory_pinned_digest(text, x0, digest, nfev):
     assert traj.dense.nfev == nfev
 
 
+@pytest.mark.parametrize(
+    "text, x0, digest",
+    [
+        ("x^2*y^2", [0.3, 0.2], "3e01a0f3299ba69dc09a23d607569bf7ee328ded"),
+        ("x^2 + y^4", [0.2, 0.2], "6818dc4e733d99e8550b021bb38171b96474ce17"),
+    ],
+)
+def test_identity_errors_pinned_digest(text, x0, digest):
+    # SHA-1 of the identity errors as scipy's OdeSolution resampling gave
+    # them; the resampler and the evaluators it feeds must not move a bit.
+    p = parse(text)
+    traj = integrate_flow(p, x0, tol=1e-5)
+    errors = [
+        dqds_identity_error(traj, p, count=4000),
+        dqds_identity_error(traj, p, count=20_000),
+        speed_identity_error(traj),
+    ]
+    assert hashlib.sha1(np.array(errors).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text, x0, tol",
+    [
+        ("x^2", [0.5], 1e-10),
+        ("x^2 + y^2", [0.3, -0.2], 1e-10),
+        ("x^2*y^2", [0.3, 0.4], 1e-10),
+        ("x^2 + y^4", [0.2, 0.2], 1e-5),
+        ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], 1e-6),
+    ],
+)
+def test_dense_resample_matches_scipy_bit_for_bit(text, x0, tol):
+    traj = integrate_flow(parse(text), x0, tol=tol)
+    sol = traj.dense.sol
+    # The stopping event cuts the last step short in sol.ts, not in its
+    # interpolant.
+    assert sol.interpolants[-1].t > sol.ts[-1]
+    for count in (4000, 50_000):
+        grid, points, arcs = _dense_resample(traj, count)
+        reference = sol(grid)
+        assert np.array_equal(points, reference[:-1].T)
+        assert np.array_equal(arcs, reference[-1])
+    # Every step time, t_end itself and a point before the start, which
+    # scipy evaluates on the first step.
+    grid = np.concatenate([[sol.ts[0] - 1e-3], sol.ts, np.geomspace(1e-6, sol.ts[-1], 997)])
+    grid.sort()
+    states = _dense_states(sol, grid)
+    reference = sol(grid)
+    assert np.array_equal(states, reference)
+    assert states.strides == reference.strides
+
+
 def test_stopping_event_reuses_rhs_gradient():
     fn = Function.of(parse("x^2*y^2"))
     calls = []
@@ -164,6 +217,16 @@ def test_nonfinite_gradient_raises():
     )
     with pytest.raises(FlowError, match="non-finite"):
         integrate_flow(bad, [0.5], tol=1e-6)
+
+
+def test_overflowing_gradient_norm_raises():
+    huge = Function(
+        dimension=2,
+        value=lambda points: points[:, 0],
+        gradient=lambda points: np.full_like(points, 1e200),
+    )
+    with pytest.raises(FlowError, match="non-finite"), np.errstate(over="ignore"):
+        integrate_flow(huge, [0.5, 0.5], tol=1e-6)
 
 
 def test_already_converged_start():
