@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -305,11 +305,11 @@ class Polynomial:
         d = len(self.variables)
         if not self.terms:
             return lambda points: np.zeros(np.atleast_2d(points).shape[0])
-        table = _exponent_table(self.terms, d)
+        monomials = _MonomialKernel(list(self.terms), d).monomials
         coeffs = np.array([float(c) for c in self.terms.values()])
 
         def values(points: np.ndarray) -> np.ndarray:
-            return _monomials(points, table) @ coeffs
+            return monomials(points) @ coeffs
 
         return values
 
@@ -322,7 +322,7 @@ class Polynomial:
         """
         d = len(self.variables)
         partials = [g.terms for g in self.gradient()]
-        table = _exponent_table([e for terms in partials for e in terms], d)
+        monomials = _MonomialKernel([e for terms in partials for e in terms], d).monomials
         columns = []
         start = 0
         for j, terms in enumerate(partials):
@@ -332,10 +332,10 @@ class Polynomial:
             start += len(terms)
 
         def values(points: np.ndarray) -> np.ndarray:
-            monomials = _monomials(points, table)
-            out = np.zeros((monomials.shape[0], d))
+            raised = monomials(points)
+            out = np.zeros((raised.shape[0], d))
             for j, rows, coeffs in columns:
-                out[:, j] = monomials[:, rows] @ coeffs
+                out[:, j] = raised[:, rows] @ coeffs
             return out
 
         return values
@@ -407,20 +407,100 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _exponent_table(exponents: Collection[Exponent], d: int) -> np.ndarray:
-    """Exponent vectors as the rows of a (K, d) float array."""
-    return np.array(list(exponents), dtype=float).reshape(len(exponents), d)
+# A batch takes the power-table route once it saves this many ``pow`` calls
+# over the broadcast; below that the broadcast's lower fixed cost wins.  The
+# measured crossovers on d = 1..4 evaluators lie between 32 and 164 saved
+# calls, most near 130.
+_PLAN_MIN_SAVED_POWS = 128
 
 
-def _monomials(points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The (m, K) array of every point raised to every row of ``table``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != table.shape[1]:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, expected {table.shape[1]}"
-        )
-    # np.prod without its Python-level wrapper; the same reduction bit for bit.
-    return np.multiply.reduce(pts[:, None, :] ** table, axis=2)
+class _MonomialKernel:
+    """Raises batches of points to every row of a fixed exponent table.
+
+    :meth:`monomials` maps an (m, d) array of points to the (m, K) array
+    whose entry (i, k) is the product over variables j, left to right, of
+    ``x_ij ** e_kj``.  Small batches take numpy's broadcast
+    ``pts[:, None, :] ** table`` reduced by ``np.multiply`` over the
+    variables.  It calls float ``pow`` m*K*d times, and one ``pow`` costs
+    about a hundred multiplies, while most entries raise a coordinate to 0
+    or 1 or repeat a (variable, exponent) pair that another row already
+    raised.
+
+    :meth:`planned` computes the same array bit for bit from a power table
+    compiled here: row 0 holds 1, rows 1..d the coordinates, and one row per
+    distinct (variable, exponent >= 2) pair its power, so a call makes one
+    ``pow`` per point and pair.  Each monomial is then the left-to-right
+    product of one gathered row per variable.  This rests on numpy's
+    arithmetic as follows:
+
+    - ``x**0 == 1`` and ``x**1 == x`` exactly, so those entries need no
+      ``pow``, and a product with the gathered 1 is exact.
+    - ``pow`` is elementwise and gives the same bits whatever the operands'
+      forward strides, with one exception: when the exponent operand has
+      stride 0 and equals 2, numpy squares instead, and ``x*x`` differs from
+      ``pow(x, 2)`` in the last bit for a few percent of x.  The plan always
+      hands ``pow`` a materialised exponent array, never a stride-0 one.
+    - The broadcast's inner loop runs over the variables, and so never
+      squares, when the points are C-ordered rows (unit-stride coordinates,
+      rows at increasing addresses) and the table is not 1x1.  It squares a
+      1x1 table ``x^2`` at every batch size; that table saves no ``pow`` and
+      so never takes the plan.  Points in any other layout always take the
+      broadcast.  For F-ordered points numpy's iterator picks the loop axis
+      by batch size (on numpy 2.4 it loops over the points, squaring, above
+      4096 rows), and the result is F-ordered, which a later ``@ coeffs``
+      rounds differently in BLAS.  For C-ordered rows both routes return a
+      C-ordered array.
+
+    The plan pays a fixed cost per call (a few microseconds) that the
+    broadcast does not, so a batch takes it only when it saves at least
+    ``_PLAN_MIN_SAVED_POWS`` ``pow`` calls.  The choice depends on the row
+    count and the table alone.
+    """
+
+    __slots__ = ("table", "index", "pair_variables", "pair_exponents", "saved")
+
+    def __init__(self, exponents: Sequence[Exponent], d: int) -> None:
+        self.table = np.array(exponents, dtype=float).reshape(len(exponents), d)
+        pairs = sorted({(j, e) for row in exponents for j, e in enumerate(row) if e >= 2})
+        row_of = {pair: 1 + d + p for p, pair in enumerate(pairs)}
+        self.index = np.array(
+            [[0 if e == 0 else 1 + j if e == 1 else row_of[j, e] for j, e in enumerate(row)]
+             for row in exponents],
+            dtype=np.intp,
+        ).reshape(len(exponents), d)
+        self.pair_variables = np.array([1 + j for j, _ in pairs], dtype=np.intp)
+        self.pair_exponents = np.array([float(e) for _, e in pairs])
+        self.saved = self.table.size - len(pairs)
+
+    def monomials(self, points: np.ndarray) -> np.ndarray:
+        """The (m, K) array of every point raised to every table row."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        m, d = pts.shape
+        if d != self.table.shape[1]:
+            raise ValueError(f"points have dimension {d}, expected {self.table.shape[1]}")
+        if m * self.saved >= _PLAN_MIN_SAVED_POWS:
+            row_stride, column_stride = pts.strides
+            if column_stride == pts.itemsize and (m == 1 or row_stride >= d * pts.itemsize):
+                return self.planned(pts)
+        # The broadcast, inline: one-row callers such as the flow's
+        # right-hand side pay for every Python-level call.  np.prod without
+        # its Python-level wrapper; the same reduction bit for bit.
+        return np.multiply.reduce(pts[:, None, :] ** self.table, axis=2)
+
+    def planned(self, pts: np.ndarray) -> np.ndarray:
+        m, d = pts.shape
+        pairs = len(self.pair_exponents)
+        powers = np.empty((1 + d + pairs, m))
+        powers[0] = 1.0
+        powers[1 : 1 + d] = pts.T
+        if pairs:
+            exponents = np.empty((pairs, m))
+            exponents[...] = self.pair_exponents[:, None]
+            np.power(powers[self.pair_variables], exponents, out=powers[1 + d :])
+        monomials = powers[self.index[:, 0]]
+        for j in range(1, d):
+            monomials *= powers[self.index[:, j]]
+        return np.ascontiguousarray(monomials.T)
 
 
 @dataclass(frozen=True)

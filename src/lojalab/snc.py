@@ -139,16 +139,16 @@ def exponent_from_snc(mf: MonomialFactorization) -> ExponentReport:
 
 
 def _shrink_condition_holds(
-    mf: MonomialFactorization, points: np.ndarray
+    points: np.ndarray, residual_abs: np.ndarray, partials: list
 ) -> bool:
-    """Check ``|x_j * F_xj| <= (n_j/2) * |F|`` at every point, active j."""
-    residual_vals = np.abs(mf.residual.numeric()(points))
-    for j, n_j in enumerate(mf.exponents):
-        if n_j < 1:
-            continue
-        partial = mf.residual.derivative(mf.variables[j])
-        lhs = np.abs(points[:, j] * partial.numeric()(points))
-        if np.any(lhs > 0.5 * n_j * residual_vals + 1e-15):
+    """Check ``|x_j * F_xj| <= (n_j/2) * |F|`` at every point, active j.
+
+    ``residual_abs`` is ``|F|`` at the points and ``partials`` holds
+    ``(j, n_j/2, evaluator of F_xj)`` for each active exponent.
+    """
+    for j, half_n, partial in partials:
+        lhs = np.abs(points[:, j] * partial(points))
+        if np.any(lhs > half_n * residual_abs + 1e-15):
             return False
     return True
 
@@ -162,18 +162,26 @@ def compute_constants(
     """Constructive constants for the gradient inequality on a ball.
 
     Halves ``sigma`` (at most 40 times) until the shrinking condition holds
-    at every sample of the closed ball, then estimates ``m = min |f0|`` and
-    ``M = max |f0|`` over the same sample family and assembles the constant
-    for the one-active-exponent or multi-exponent branch accordingly.
+    at every sample of the closed ball, then takes ``m = min |f0|`` and
+    ``M = max |f0|`` over the samples of that last check and assembles the
+    constant for the one-active-exponent or multi-exponent branch
+    accordingly.  The residual and its active partials are compiled once.
     """
     report = exponent_from_snc(mf)
     dim = len(mf.variables)
     radius = float(sigma)
     if radius <= 0:
         raise ValueError("sigma must be positive")
+    residual = mf.residual.numeric()
+    partials = [
+        (j, 0.5 * n_j, mf.residual.derivative(v).numeric())
+        for j, (v, n_j) in enumerate(zip(mf.variables, mf.exponents))
+        if n_j >= 1
+    ]
     for _ in range(MAX_SIGMA_HALVINGS + 1):
         points = ball_points(dim, samples, radius, seed=seed)
-        if _shrink_condition_holds(mf, points):
+        residual_abs = np.abs(residual(points))
+        if _shrink_condition_holds(points, residual_abs, partials):
             break
         radius *= 0.5
     else:
@@ -181,7 +189,6 @@ def compute_constants(
             "ball radius underflow: shrinking condition keeps failing "
             "(degenerate residual near the origin)"
         )
-    residual_abs = np.abs(mf.residual.numeric()(points))
     unit_min = float(residual_abs.min())
     unit_max = float(residual_abs.max())
     if unit_min <= 0.0:

@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, report files, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -92,6 +93,13 @@ def test_flow_skipped_check_is_not_a_failure(tmp_path):
     status = {c["inequality"]: c["status"] for c in report["distance_checks"]}
     assert status["distance-critical"] == "skipped"
     assert report["checks"]["distance_checks"] is True
+
+
+def test_flow_over_rhs_budget_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("lojalab.flow.MAX_RHS_CALLS", 500)
+    argv = ["flow", "x^2 + y^4", "--point", "0.2,0.2", "--tol", "1e-5"]
+    assert _run(argv, tmp_path) == 1
+    assert "budget of 500 calls" in capsys.readouterr().err
 
 
 def test_flow_requires_matching_point(tmp_path):
@@ -188,3 +196,39 @@ def test_reused_parser_gives_the_same_reports(tmp_path):
     assert [json.loads(r)["config"]["max_depth"] for _, r in fresh[2:]] == [4, 8]
     assert _build_parser() is _build_parser()
     assert outcomes(fresh_parser=False) == fresh
+
+
+# Monomial times unit in d = 1..4, each with a mild unit (sigma stays 0.5)
+# and a strong one (sigma halves); their analyze reports carry sampled
+# m, M, C0 and min_ratio, pinned byte for byte below.
+ANALYZE_CORPUS = (
+    "x1^2*(1 + 1/4*x1)",
+    "x1^3*(1 - 3*x1 + 2*x1^2)",
+    "x1*x2^2*(1 + 1/8*x1*x2 - 1/6*x2)",
+    "x1^2*x2*(1 + 4*x1 - 2*x2^2)",
+    "x1*x2*x3^2*(1 - 1/4*x1*x3 + 1/6*x2)",
+    "x1^3*x2*x3*(1 + 5*x2*x3 - 3*x1)",
+    "x1*x2^2*x3*x4*(1 + 1/8*x4 - 1/4*x2*x3)",
+    "x1^2*x2*x3^3*x4^2*(1 - 2*x1*x4 + 4*x3)",
+)
+ESTIMATE_CORPUS = ("x^2 - y^3", "x^2 + y^4", "x^3 - 2*y^5", "x1*x2*(1 + x1)")
+
+
+def _reports_digest(command, corpus, extra, tmp_path):
+    sha = hashlib.sha1()
+    for text in corpus:
+        assert _run([command, text, *extra], tmp_path) == 0, text
+        report = _report(tmp_path)
+        report["config"].pop("output_path")
+        sha.update(json.dumps(report, sort_keys=True).encode())
+    return sha.hexdigest()
+
+
+def test_analyze_reports_pinned_digest(tmp_path):
+    digest = _reports_digest("analyze", ANALYZE_CORPUS, ["--samples", "2000"], tmp_path)
+    assert digest == "bfd21a0859190c5dc3c8ea15e701195541795596"
+
+
+def test_estimate_reports_pinned_digest(tmp_path):
+    digest = _reports_digest("estimate", ESTIMATE_CORPUS, [], tmp_path)
+    assert digest == "a128cd6b695e5393f8a992c89bf77413f80a7488"

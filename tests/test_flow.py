@@ -1,12 +1,14 @@
 """Gradient-flow integration, trajectory identities, distance inequalities."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lojalab import flow
 from lojalab.flow import (
     CoordinateSubspace,
     CriticalSet,
@@ -229,6 +231,17 @@ def test_overflowing_gradient_norm_raises():
         integrate_flow(huge, [0.5, 0.5], tol=1e-6)
 
 
+def test_rhs_budget_exhausted_raises(monkeypatch):
+    # x^2 + y^4 from (0.2, 0.2) at tol 1e-5 takes exactly 3176 RHS calls
+    # (pinned above): a budget of 3176 lets it finish, one call less fails.
+    p = parse("x^2 + y^4")
+    monkeypatch.setattr(flow, "MAX_RHS_CALLS", 3176)
+    assert integrate_flow(p, [0.2, 0.2], tol=1e-5).dense.nfev == 3176
+    monkeypatch.setattr(flow, "MAX_RHS_CALLS", 3175)
+    with pytest.raises(FlowError, match="budget of 3175 calls"):
+        integrate_flow(p, [0.2, 0.2], tol=1e-5)
+
+
 def test_already_converged_start():
     traj = integrate_flow(parse("x^2"), [0.0], tol=1e-6)
     assert traj.converged and traj.arc_length == 0.0
@@ -314,3 +327,35 @@ def test_distance_alpha_skipped_for_sign_changing_function():
     alpha = next(r for r in reports if r.inequality_id == "distance-critical")
     assert "skipped" in alpha.notes
     assert not alpha.passed
+
+
+@pytest.mark.parametrize("text", ["x^2*y - y^3", "x^2 - y^2"])
+def test_distance_zero_skipped_for_sign_changing_function(text):
+    # The zero set of a sign-changing function is larger than its critical
+    # set (here the origin), so dividing by the critical distance measures
+    # nothing: x^2*y - y^3 read 0 (a failure), x^2 - y^2 a meaningless pass.
+    reports = verify_distance_inequalities(parse(text), CriticalSet.origin(2), Fraction(1, 2))
+    status = {r.inequality_id: r.status for r in reports}
+    assert status["distance-critical"] == "skipped"
+    assert status["distance-zero"] == "skipped"
+    zero = next(r for r in reports if r.inequality_id == "distance-zero")
+    assert "changes sign" in zero.notes
+    assert status["gradient-distance"] == "pass"
+
+
+def test_distance_reports_for_nonnegative_functions_pinned_digest():
+    # The reports of nonnegative inputs, as they were before the sign rule.
+    axes = CriticalSet(subspaces=(CoordinateSubspace((0,)), CoordinateSubspace((1,))))
+    cases = [
+        ("x^2", CriticalSet.subspace(()), Fraction(1, 2), 2.0),
+        ("x^2*y^2", axes, Fraction(3, 4), None),
+        ("x^2 + y^4", CriticalSet.origin(2), Fraction(3, 4), None),
+        ("x^2 + y^2", CriticalSet.origin(2), Fraction(1, 2), 2.0),
+    ]
+    sha = hashlib.sha1()
+    for text, crit, theta, constant in cases:
+        reports = verify_distance_inequalities(
+            parse(text), crit, theta, samples=2000, seed=3, gradient_constant=constant
+        )
+        sha.update(json.dumps([r.to_json() for r in reports], sort_keys=True).encode())
+    assert sha.hexdigest() == "ae914156daeb7f4b4c45dd03dfd7ad9864b8cd33"

@@ -12,6 +12,8 @@ from lojalab.poly import (
     Polynomial,
     PolynomialLimitError,
     Substitution,
+    _MonomialKernel,
+    _PLAN_MIN_SAVED_POWS,
     parse,
 )
 
@@ -148,6 +150,111 @@ def test_gradient_numeric_matches_partials_bit_for_bit():
             pts = rng.uniform(-1.5, 1.5, size=(m, d))
             reference = np.stack([g.numeric()(pts) for g in p.gradient()], axis=1)
             assert np.array_equal(fused(pts), reference), (str(p), m)
+
+
+def _broadcast_monomials(points, table):
+    # The evaluation kernel as it stood before the power table.
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.multiply.reduce(pts[:, None, :] ** table, axis=2)
+
+
+# Signed zeros, infinities, nan, subnormals, huge values and exact +-1.
+_SPECIAL_COORDINATES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-310, 1e308, -1e308, 1.0, -1.0]
+)
+
+
+def _same_bits(a, b):
+    # Equal shape, memory layout and bits.  A nan matches any nan: when two
+    # nan operands meet, which one numpy's multiply passes on depends on the
+    # element's position in its SIMD loop, not on the values.
+    a_nan, b_nan = np.isnan(a), np.isnan(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.flags.c_contiguous == b.flags.c_contiguous
+        and a.flags.f_contiguous == b.flags.f_contiguous
+        and np.array_equal(a_nan, b_nan)
+        and np.array_equal(a.view(np.int64)[~a_nan], b.view(np.int64)[~b_nan])
+    )
+
+
+def _kernel_points(rng, m, d, layout):
+    pts = rng.uniform(-1.5, 1.5, size=(m, d + 1))
+    special = rng.random(pts.shape) < 0.15
+    pts[special] = rng.choice(_SPECIAL_COORDINATES, size=int(special.sum()))
+    if layout == "rows":  # C-ordered rows of a wider array
+        return pts[:, :d]
+    if layout == "reversed":
+        return pts[::-1, :d]
+    return np.asarray(pts[:, :d], order=layout)
+
+
+def _kernel_tables(rng):
+    # The 1x1 x^2 table (where numpy squares) and its neighbours first.
+    tables = [[(2,)], [(3,)], [(0,)], [(1,)], [(2,), (3,)], [(2, 2)], [(2, 0), (1, 2)]]
+    tables.append([(e,) for e in range(10)])
+    for d in range(1, 5):
+        for _ in range(12):
+            count = int(rng.integers(1, 25))
+            tables.append([tuple(int(e) for e in rng.integers(0, 10, size=d)) for _ in range(count)])
+    return tables
+
+
+def test_monomial_kernel_matches_broadcast_bit_for_bit():
+    rng = np.random.default_rng(11)
+    routes = set()
+    for n, exponents in enumerate(_kernel_tables(rng)):
+        d = len(exponents[0])
+        kernel = _MonomialKernel(exponents, d)
+        table = np.array(exponents, dtype=float)
+        # Row counts on both sides of the switch between the two routes, and
+        # on both sides of 4096, where numpy starts squaring F-ordered points.
+        switch = -(-_PLAN_MIN_SAVED_POWS // max(kernel.saved, 1))
+        counts = {1, 2, 3, 5, 8, 33, 64, 300, switch - 1, switch} - {0}
+        if n % 8 == 0:
+            counts |= {4096, 4097}
+        for m in sorted(counts):
+            for layout in ("C", "F", "rows", "reversed"):
+                pts = _kernel_points(rng, m, d, layout)
+                reference = _broadcast_monomials(pts, table)
+                assert _same_bits(kernel.monomials(pts), reference), (exponents, m, layout)
+                # A table that saves no pow (such as the 1x1 x^2, which the
+                # broadcast squares) never takes the plan.
+                if layout in ("C", "rows") and kernel.saved:
+                    assert _same_bits(kernel.planned(pts), reference), (exponents, m, layout)
+                    routes.add(m * kernel.saved >= _PLAN_MIN_SAVED_POWS)
+    assert routes == {False, True}
+
+
+def test_evaluators_match_broadcast_kernel_bit_for_bit():
+    # numeric() and gradient_numeric() against the same products and sums
+    # built on the reference kernel.
+    rng = np.random.default_rng(12)
+    for n, exponents in enumerate(_kernel_tables(rng)):
+        d = len(exponents[0])
+        coeffs = [Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5))) for _ in exponents]
+        p = Polynomial([f"x{i}" for i in range(d)], dict(zip(exponents, coeffs)))
+        value_table = np.array(list(p.terms), dtype=float).reshape(len(p.terms), d)
+        value_coeffs = np.array([float(c) for c in p.terms.values()])
+        partials = [g.terms for g in p.gradient()]
+        grad_table = np.array([e for t in partials for e in t], dtype=float).reshape(-1, d)
+        value, gradient = p.numeric(), p.gradient_numeric()
+        for m in (1, 4, 40, 400, 4097) if n % 8 == 0 else (1, 4, 40, 400):
+            for layout in ("C", "F", "rows"):
+                pts = _kernel_points(rng, m, d, layout)
+                expected = _broadcast_monomials(pts, value_table) @ value_coeffs
+                assert _same_bits(value(pts), expected), (str(p), m, layout)
+                monomials = _broadcast_monomials(pts, grad_table)
+                expected = np.zeros((m, d))
+                start = 0
+                for j, terms in enumerate(partials):
+                    if terms:
+                        stop = start + len(terms)
+                        column_coeffs = np.array([float(c) for c in terms.values()])
+                        expected[:, j] = monomials[:, start:stop] @ column_coeffs
+                        start = stop
+                assert _same_bits(gradient(pts), expected), (str(p), m, layout)
 
 
 # ----------------------------------------------------------------------
