@@ -242,6 +242,9 @@ def _cmd_flow(config: RunConfig) -> int:
         "limit_point": None if traj.limit_point is None else [float(v) for v in traj.limit_point],
         "snap_distance": traj.snap_distance,
         "samples": int(len(traj.times)),
+        "rhs_calls": traj.rhs_calls,
+        "steps": traj.steps,
+        "rejected_steps": traj.rejected_steps,
     }
     factorization = snc.detect_snc(p)
     if factorization.snc_at_origin and traj.converged:

@@ -3,6 +3,9 @@
 The flow ``dx/dt = -grad E`` is integrated with an adaptive embedded
 Runge-Kutta 4(5) pair with arc length carried as an extra state variable, so
 the trajectory record has exact (to integrator tolerance) cumulative length.
+The step loop is loja-lab's own Dormand-Prince driver on scipy's RK45
+coefficients and interpolants; its trajectories are bit for bit those of
+``scipy.integrate.solve_ivp(method="RK45")`` with the same events.
 Under a verified gradient inequality with exponent ``theta`` and constant
 ``C``, the whole trajectory length is bounded by ``E(x0)^(1-theta) /
 ((1-theta) * C)``; that bound and the induced distance inequalities
@@ -23,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -44,9 +47,10 @@ _GRAD_FLOOR_FACTOR = 1e3
 # Right-hand-side calls one integration may make before it fails.  RK45 makes
 # about seven per step and keeps about 0.8 KB of dense output per step; the
 # stiff x^2 + y^4 flow from (0.2, 0.2) at the default tol 1e-10, which used to
-# run for minutes, now stops at the budget after 3.5-6 s with about 25 MB of
-# dense output (2-vCPU Xeon VM).  The budget is about 80 times the 3,176 calls
-# that flow needs at tol 1e-5 and four times the 62,270 it needs at tol 1e-7.
+# run for minutes, now stops at the budget after a few seconds (5.8 s on a
+# loaded 2-vCPU Xeon VM) with about 25 MB of dense output.  The budget is
+# about 80 times the 3,176 calls that flow needs at tol 1e-5 and four times
+# the 62,270 it needs at tol 1e-7.
 MAX_RHS_CALLS = 250_000
 
 
@@ -139,7 +143,11 @@ class Trajectory:
     stop_reason: str  # gradient-below-tol | max-time | left-domain
     limit_point: np.ndarray | None
     snap_distance: float | None = None
-    dense: object | None = field(default=None, repr=False)
+    dense: DenseSolution | None = field(default=None, repr=False)
+    # Right-hand-side calls, accepted steps and rejected step attempts.
+    rhs_calls: int = 0
+    steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def arc_length(self) -> float:
@@ -162,6 +170,34 @@ class Trajectory:
                         repr(float(self.arc_lengths[k])),
                     ]
                 )
+
+
+@dataclass
+class DenseSolution:
+    """The step loop's record: step times, states and interpolants.
+
+    ``t`` holds the step times and ``y`` the states there, one column per
+    time; a terminal event replaces the last step's end by the event time.
+    ``sol`` evaluates the trajectory anywhere in between.  ``nfev`` counts
+    right-hand-side calls, ``steps`` accepted steps (a step whose event
+    falls on its start still counts) and ``rejected_steps`` step attempts
+    whose error estimate failed, so ``nfev == 2 + 6 * (steps + rejected_steps)``.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: OdeSolution
+    nfev: int
+    steps: int
+    rejected_steps: int
+    stop_reason: str
+
+
+# Dormand-Prince 5(4) step control, as scipy's RK45 sets it.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EPS = float(np.finfo(float).eps)
 
 
 def integrate_flow(
@@ -187,23 +223,24 @@ def integrate_flow(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (fn.dimension,):
         raise FlowError(f"start point has shape {x0.shape}, expected ({fn.dimension},)")
+    if not np.isfinite(x0).all():
+        raise FlowError(f"start point {x0} is not finite")
     if tol <= 0:
         raise FlowError("tol must be positive")
+    if not t_max > 0:
+        raise FlowError("t_max must be positive")
+    t_max = float(t_max)
     # The stopping event watches the gradient norm; the state must stay
     # resolved below that threshold or the event can never be located.
     atol = min(atol, 1e-3 * tol)
+    if atol < 0:
+        raise FlowError("atol must be non-negative")
 
-    # The last state the right-hand side saw and its gradient norm.  RK45
-    # evaluates its last stage at the accepted state and hands that same
-    # array to the stopping event, which then reuses the norm instead of
-    # evaluating the gradient again.  The solver never writes into a state
-    # array, so the held reference stays valid.
-    last_y: np.ndarray | None = None
-    last_norm = math.nan
     rhs_calls = 0
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_y, last_norm, rhs_calls
+    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> float:
+        """Write ``-grad E`` and ``|grad E|`` at ``y`` into ``out``; return the norm."""
+        nonlocal rhs_calls
         rhs_calls += 1
         if rhs_calls > MAX_RHS_CALLS:
             raise FlowError(
@@ -217,32 +254,16 @@ def integrate_flow(
         norm = math.sqrt(g.dot(g))
         if not math.isfinite(norm):
             raise FlowError(f"non-finite gradient norm at {y[:-1]}")
-        out = np.empty_like(y)
         np.negative(g, out=out[:-1])
         out[-1] = norm
-        last_y = y
-        last_norm = norm
-        return out
-
-    def grad_event(t: float, y: np.ndarray) -> float:
-        if y is last_y:
-            return last_norm - tol
-        return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
-
-    grad_event.terminal = True  # type: ignore[attr-defined]
-    grad_event.direction = -1  # type: ignore[attr-defined]
-    events = [grad_event]
-    if sigma is not None:
-
-        def ball_event(t: float, y: np.ndarray) -> float:
-            return sigma - float(np.linalg.norm(y[:-1]))
-
-        ball_event.terminal = True  # type: ignore[attr-defined]
-        ball_event.direction = -1  # type: ignore[attr-defined]
-        events.append(ball_event)
+        return norm
 
     y0 = np.concatenate([x0, [0.0]])
-    if grad_event(0.0, y0) <= 0:
+    f0 = np.empty_like(y0)
+    # The first right-hand side serves the at-rest test, the first stage and
+    # the stopping event's initial value.
+    norm0 = rhs(0.0, y0, f0)
+    if norm0 - tol <= 0:
         # Already at rest: a single-sample trajectory.
         limit = x0.copy()
         snap = None
@@ -254,46 +275,36 @@ def integrate_flow(
             times=np.array([0.0]),
             points=x0[None, :],
             energies=fn.value(x0[None, :]),
-            grad_norms=np.linalg.norm(fn.gradient(x0[None, :]), axis=1),
+            grad_norms=np.linalg.norm(f0[None, :-1], axis=1),
             arc_lengths=np.array([0.0]),
             converged=True,
             stop_reason="gradient-below-tol",
             limit_point=limit,
             snap_distance=snap,
+            rhs_calls=rhs_calls,
         )
 
-    # Imported on first use: scipy.integrate adds about 50 MB of resident
-    # memory and 0.3 s to start-up, and only the flow needs it.
-    from scipy.integrate import solve_ivp
+    def gradient_gap(y: np.ndarray) -> float:
+        g = fn.gradient(y[None, :-1])[0]
+        return math.sqrt(g.dot(g)) - tol
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
+    def ball_gap(y: np.ndarray) -> float:
+        x = y[:-1]
+        return sigma - math.sqrt(x.dot(x))
+
+    dense = _dormand_prince(
+        rhs, y0, f0, t_max, rtol, atol, tol,
+        gradient_gap, ball_gap if sigma is not None else None,
     )
-    if sol.status == -1:
-        raise FlowError(f"integration failed: {sol.message}")
-    if sol.status == 1:
-        triggered = [k for k, t_ev in enumerate(sol.t_events) if len(t_ev)]
-        if 0 in triggered:
-            stop_reason, converged = "gradient-below-tol", True
-        else:
-            stop_reason, converged = "left-domain", False
-    else:
-        stop_reason, converged = "max-time", False
+    converged = dense.stop_reason == "gradient-below-tol"
 
-    times = sol.t
+    times = dense.t
     if len(times) > _STORED_SAMPLES:
         idx = np.unique(np.linspace(0, len(times) - 1, _STORED_SAMPLES).astype(int))
         times = times[idx]
-        states = sol.y[:, idx]
+        states = dense.y[:, idx]
     else:
-        states = sol.y
+        states = dense.y
     points = states[:-1, :].T
     arcs = states[-1, :]
     energies = fn.value(points)
@@ -312,10 +323,164 @@ def integrate_flow(
         grad_norms=grads,
         arc_lengths=arcs,
         converged=converged,
-        stop_reason=stop_reason,
+        stop_reason=dense.stop_reason,
         limit_point=limit,
         snap_distance=snap,
-        dense=sol,
+        dense=dense,
+        rhs_calls=rhs_calls,
+        steps=dense.steps,
+        rejected_steps=dense.rejected_steps,
+    )
+
+
+def _dormand_prince(
+    rhs: Callable[[float, np.ndarray, np.ndarray], float],
+    y0: np.ndarray,
+    f0: np.ndarray,
+    t_bound: float,
+    rtol: float,
+    atol: float,
+    tol: float,
+    gradient_gap: Callable[[np.ndarray], float],
+    ball_gap: Callable[[np.ndarray], float] | None,
+) -> DenseSolution:
+    """Dormand-Prince 5(4) from ``t = 0`` until an event or ``t_bound``.
+
+    The arithmetic is scipy 1.17's ``solve_ivp(method="RK45",
+    dense_output=True, events=...)`` operation for operation, on the
+    tableau ``scipy.integrate.RK45`` holds: the same ``np.dot`` layouts for
+    the stages, the step, the error estimate and each step's
+    ``RkDenseOutput``; the initial step of Hairer, Norsett and Wanner II.4;
+    the step-size rule; and event roots from ``brentq`` on the step's
+    interpolant.  Trajectories and right-hand-side counts are therefore bit
+    for bit those of ``solve_ivp``.
+
+    ``rhs(t, y, out)`` writes the derivative at ``y`` into ``out`` and
+    returns the gradient norm, so the stopping event at an accepted state,
+    ``norm - tol``, needs no call; ``f0`` is ``rhs(0, y0)``, whose last
+    entry is that norm.  ``gradient_gap`` and ``ball_gap`` give the two
+    events anywhere else.  Both events are terminal and fire on a downward
+    crossing; the earliest root wins and the gradient event wins a tie.  A
+    step size that collapses below ten ulps of ``t`` raises ``FlowError``.
+    """
+    # Imported on first use: scipy.integrate adds about 50 MB of resident
+    # memory and 0.3 s to start-up, and only the flow needs it.
+    from scipy.integrate import RK45, OdeSolution
+    from scipy.integrate._ivp.rk import RkDenseOutput
+    from scipy.optimize import brentq
+
+    A, B, C, E, P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
+    error_exponent = -1 / (RK45.error_estimator_order + 1)
+    K = np.empty((RK45.n_stages + 1, y0.size))
+    K[0] = f0
+    # Stage s combines rows K[:s]; the views are scipy's, made once.
+    stage_plan = [(K[:s].T, A[s, :s], C[s], K[s]) for s in range(1, RK45.n_stages)]
+    KT, KT_step, f_new = K.T, K[:-1].T, K[-1]
+    root_n = y0.size ** 0.5
+    rtol = max(rtol, 100 * _EPS)
+
+    def rms(x: np.ndarray) -> float:
+        return math.sqrt(x.dot(x)) / root_n
+
+    # Initial step: Hairer, Norsett and Wanner, Sec. II.4, with row 1 of K
+    # as scratch for the second evaluation.
+    scale = atol + np.abs(y0) * rtol
+    d0 = rms(y0 / scale)
+    d1 = rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    rhs(h0, y0 + h0 * f0, K[1])
+    d2 = rms((K[1] - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
+    h_abs = min(100 * h0, h1, t_bound)
+
+    t, y = 0.0, y0
+    ts, ys, interpolants = [t], [y], []
+    gap = f0[-1] - tol
+    ball = ball_gap(y) if ball_gap is not None else 0.0
+    steps = rejected = 0
+    stop_reason = "max-time"
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise FlowError(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers."
+                )
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for KT_s, a, c, out in stage_plan:
+                rhs(t + c * h, y + np.dot(KT_s, a) * h, out)
+            y_new = y + h * np.dot(KT_step, B)
+            norm_new = rhs(t + h, y_new, f_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = rms(np.dot(KT, E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**error_exponent)
+            step_rejected = True
+            rejected += 1
+        steps += 1
+        interpolant = RkDenseOutput(t, t_new, y, KT.dot(P))
+        interpolants.append(interpolant)
+        t_old, t, y = t, t_new, y_new
+        K[0] = f_new
+
+        gap_new = norm_new - tol
+        ball_new = ball_gap(y) if ball_gap is not None else 0.0
+        hits = []
+        if gap >= 0 and gap_new <= 0:
+            hits.append(("gradient-below-tol", gradient_gap))
+        if ball_gap is not None and ball >= 0 and ball_new <= 0:
+            hits.append(("left-domain", ball_gap))
+        if hits:
+            t_event = math.inf
+            for reason, event_gap in hits:
+                root = brentq(
+                    lambda s: event_gap(interpolant(s)),
+                    t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
+                )
+                if root < t_event:
+                    t_event, stop_reason = root, reason
+            if len(ts) > 1 and ts[-1] == t_event:
+                # The event sits on the previous step's end, which is kept.
+                interpolants.pop()
+            else:
+                ts.append(t_event)
+                ys.append(interpolant(t_event))
+            break
+        ts.append(t)
+        ys.append(y)
+        if t - t_bound >= 0:
+            break
+        gap, ball = gap_new, ball_new
+
+    times = np.array(ts)
+    return DenseSolution(
+        t=times,
+        y=np.vstack(ys).T,
+        sol=OdeSolution(times, interpolants),
+        nfev=2 + 6 * (steps + rejected),
+        steps=steps,
+        rejected_steps=rejected,
+        stop_reason=stop_reason,
     )
 
 

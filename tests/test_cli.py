@@ -3,7 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import lojalab
 from lojalab.cli import _build_parser, main
 
 
@@ -100,6 +107,34 @@ def test_flow_over_rhs_budget_exits_one(tmp_path, monkeypatch, capsys):
     argv = ["flow", "x^2 + y^4", "--point", "0.2,0.2", "--tol", "1e-5"]
     assert _run(argv, tmp_path) == 1
     assert "budget of 500 calls" in capsys.readouterr().err
+
+
+def test_flow_reports_step_counts(tmp_path):
+    # The stiff flow rejects steps; the counts are deterministic, so the
+    # report stays byte for byte the same.
+    argv = ["flow", "x^2 + y^4", "--point", "0.2,0.2", "--tol", "1e-5"]
+    assert _run(argv, tmp_path) == 0
+    first = (tmp_path / "report.json").read_bytes()
+    report = json.loads(first)
+    assert (report["rhs_calls"], report["steps"], report["rejected_steps"]) == (3176, 464, 65)
+    assert _run(argv, tmp_path) == 0
+    assert (tmp_path / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("module", ["lojalab", "lojalab.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy costs about 50 MB and 0.3 s at start-up; only the flow's step
+    # loop imports it, on first use.
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(lojalab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_flow_requires_matching_point(tmp_path):

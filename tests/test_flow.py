@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,160 @@ def test_trajectory_pinned_digest(text, x0, digest, nfev):
         sha.update(np.ascontiguousarray(array).tobytes())
     assert sha.hexdigest() == digest
     assert traj.dense.nfev == nfev
+
+
+def _exit_path_digest(traj):
+    # SHA-1 of everything a trajectory records, with the memory layout of
+    # each array (the evaluators round by layout), and of the dense output
+    # at every step time.
+    sha = hashlib.sha1()
+    for array in (traj.times, traj.points, traj.energies, traj.grad_norms, traj.arc_lengths):
+        sha.update(np.ascontiguousarray(array).tobytes())
+        sha.update(repr(array.strides).encode())
+    if traj.limit_point is not None:
+        sha.update(traj.limit_point.tobytes())
+    sha.update(repr((traj.stop_reason, traj.converged, traj.snap_distance)).encode())
+    if traj.dense is not None:
+        sol = traj.dense.sol
+        sha.update(sol.ts.tobytes())
+        sha.update(np.ascontiguousarray(sol(sol.ts)).tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "text, x0, options, stop_reason, nfev, digest",
+    [
+        # Both events armed, as the CLI always arms them; the ball wins.
+        ("0 - x^2", [0.1], dict(tol=1e-12, t_max=100.0, sigma=0.5),
+         "left-domain", 212, "68b80c27219c97ba8ce562b12c16adefca1f5ec5"),
+        ("x^2 - y^2", [0.1, 0.01], dict(tol=1e-10, sigma=0.5, crit_set=CriticalSet.origin(2)),
+         "left-domain", 416, "a3f9f161a1d2bfe806a129c74590d8cde0d1a8d8"),
+        # Both events armed; the gradient wins and the limit is snapped.
+        ("x^2 + y^2", [0.3, -0.2], dict(tol=1e-10, sigma=0.5, crit_set=CriticalSet.origin(2)),
+         "gradient-below-tol", 1268, "e1abde10d5ed5cd47ad7e5a53d0eb1924f426ffa"),
+        ("x^2*y^2", [0.3, 0.4], dict(tol=1e-10, t_max=1.0),
+         "max-time", 86, "8812c6bc28d4b85f0a6cfe1b7cb4ff6c60c726f9"),
+        ("x^2", [0.5], dict(tol=1e-10),
+         "gradient-below-tol", 1304, "14cc93b1ab43be96db6d783631eb21ede891d694"),
+        ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], dict(tol=1e-6),
+         "gradient-below-tol", 482, "178f0de13e59c190c9871c09ed3dae66a753930e"),
+        # More than _STORED_SAMPLES steps: the kept samples are thinned.
+        ("x^2 + y^4", [0.2, 0.2], dict(tol=3e-7),
+         "gradient-below-tol", 30122, "1e1c4865876289b6e2cc6f14b4e420094b985113"),
+        # At rest from the start: one sample, no dense output.
+        ("x^2 + y^2", [1e-9, 0.0], dict(tol=1e-6, crit_set=CriticalSet.origin(2)),
+         "gradient-below-tol", None, "3f8a8c7e2ef7076d3dfd5df462c7698e7a08dd03"),
+    ],
+)
+def test_exit_paths_pinned_digest(text, x0, options, stop_reason, nfev, digest):
+    traj = integrate_flow(parse(text), x0, **options)
+    assert traj.stop_reason == stop_reason
+    assert (traj.dense.nfev if traj.dense is not None else None) == nfev
+    assert _exit_path_digest(traj) == digest
+
+
+def _solve_ivp_reference(fn, x0, tol, sigma=None, t_max=1e12, rtol=1e-9, atol=1e-9):
+    # integrate_flow's flow as scipy's solve_ivp integrates it.
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        g = fn.gradient(y[None, :-1])[0]
+        return np.concatenate([-g, [np.linalg.norm(g)]])
+
+    def grad_event(t, y):
+        return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
+
+    def ball_event(t, y):
+        return sigma - float(np.linalg.norm(y[:-1]))
+
+    events = [grad_event] + ([ball_event] if sigma is not None else [])
+    for event in events:
+        event.terminal, event.direction = True, -1
+    return solve_ivp(
+        rhs, (0.0, t_max), np.concatenate([x0, [0.0]]), method="RK45",
+        rtol=rtol, atol=min(atol, 1e-3 * tol), dense_output=True, events=events,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, x0, options",
+    [
+        ("x^2*y^2", [0.3, 0.2], dict(tol=1e-5)),
+        ("x^2 + y^4", [0.2, 0.2], dict(tol=1e-5, sigma=0.5)),
+        ("0 - x^2", [0.1], dict(tol=1e-12, t_max=100.0, sigma=0.5)),
+        ("x^2*y^2", [0.3, 0.4], dict(tol=1e-10, t_max=1.0)),
+        ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], dict(tol=1e-6, sigma=0.5)),
+        # rtol below 100 eps, which both loops raise to 100 eps.
+        ("x^2 + 3*y^2 + x*y", [-0.3, 0.1], dict(tol=1e-8, rtol=1e-15, atol=1e-15)),
+    ],
+)
+def test_step_loop_matches_solve_ivp_bit_for_bit(text, x0, options):
+    fn = Function.of(parse(text))
+    traj = integrate_flow(fn, x0, **options)
+    with warnings.catch_warnings():
+        # scipy warns when it raises rtol to 100 eps.
+        warnings.simplefilter("ignore")
+        reference = _solve_ivp_reference(fn, np.array(x0), **options)
+    dense = traj.dense
+    assert np.array_equal(dense.t, reference.t)
+    assert np.array_equal(dense.y, reference.y)
+    assert dense.y.strides == reference.y.strides
+    assert dense.nfev == reference.nfev
+    assert len(dense.sol.interpolants) == len(reference.sol.interpolants)
+    for ours, theirs in zip(dense.sol.interpolants, reference.sol.interpolants):
+        assert (ours.t_old, ours.t) == (theirs.t_old, theirs.t)
+        assert np.array_equal(ours.Q, theirs.Q)
+        assert np.array_equal(ours.y_old, theirs.y_old)
+
+
+def test_start_gradient_evaluated_once():
+    fn = Function.of(parse("x^2*y^2"))
+    starts = []
+
+    def gradient(points):
+        if len(points) == 1:
+            starts.append(tuple(points[0]))
+        return fn.gradient(points)
+
+    counted = Function(dimension=2, value=fn.value, gradient=gradient)
+    # The at-rest test, the first stage and the stopping event's initial
+    # value share one evaluation; so do the at-rest test and the one
+    # sample's gradient norm.
+    for x0 in [(0.3, 0.4), (0.0, 0.4)]:
+        starts.clear()
+        integrate_flow(counted, list(x0), tol=1e-10, sigma=0.5)
+        assert starts.count(x0) == 1
+
+
+def test_step_counts():
+    traj = integrate_flow(parse("x^2 + y^4"), [0.2, 0.2], tol=1e-5)
+    assert (traj.rhs_calls, traj.steps, traj.rejected_steps) == (3176, 464, 65)
+    assert traj.rhs_calls == traj.dense.nfev == 2 + 6 * (traj.steps + traj.rejected_steps)
+    assert traj.steps == len(traj.dense.t) - 1
+    rest = integrate_flow(parse("x^2"), [0.0], tol=1e-6)
+    assert (rest.rhs_calls, rest.steps, rest.rejected_steps) == (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "x0, options, message",
+    [
+        ([0.5, 0.1], dict(t_max=0.0), "t_max must be positive"),
+        ([0.5, 0.1], dict(t_max=-1.0), "t_max must be positive"),
+        ([0.5, 0.1], dict(atol=-1.0), "atol must be non-negative"),
+        ([math.inf, 0.1], {}, "not finite"),
+    ],
+)
+def test_bad_integration_input_raises(x0, options, message):
+    with pytest.raises(FlowError, match=message):
+        integrate_flow(parse("x^2 + y^2"), x0, tol=1e-6, **options)
+
+
+def test_step_size_collapse_raises():
+    # |x| has a gradient jump at 0 that no step down to ten ulps of t
+    # resolves at atol 1e-17, so the step size collapses.
+    kink = Function(dimension=1, value=lambda points: np.abs(points[:, 0]), gradient=np.sign)
+    with pytest.raises(FlowError, match="integration failed: Required step size is less than"):
+        integrate_flow(kink, [0.5], tol=1e-14, t_max=10.0, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize(
