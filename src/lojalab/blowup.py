@@ -25,12 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .poly import Polynomial
 from .reports import rational_str
-from .sampling import ball_points
-from .snc import MonomialFactorization, detect_snc
+from .snc import MonomialFactorization, SncError, detect_snc, exponent_from_snc
 from . import univar
 
 DEFAULT_MAX_DEPTH = 8
@@ -459,22 +456,25 @@ class PullbackBound:
         }
 
 
-def _jacobian_sup(composite: tuple[Polynomial, Polynomial], points: np.ndarray) -> float:
-    """Sup of the spectral norm of the chart map's Jacobian over ``points``."""
-    variables = composite[0].variables
-    parts = [
-        [composite[k].derivative(v).numeric() for v in variables] for k in range(2)
-    ]
-    j00 = parts[0][0](points)
-    j01 = parts[0][1](points)
-    j10 = parts[1][0](points)
-    j11 = parts[1][1](points)
-    # Spectral norm of a 2x2 matrix from its singular values.
-    a2 = j00**2 + j01**2 + j10**2 + j11**2
-    det = j00 * j11 - j01 * j10
-    disc = np.sqrt(np.maximum(0.0, a2**2 - 4.0 * det**2))
-    sigma_max = np.sqrt(np.maximum(0.0, (a2 + disc) / 2.0))
-    return float(sigma_max.max())
+def _jacobian_sup(composite: tuple[Polynomial, Polynomial]) -> float:
+    """Certified bound on the chart map's Jacobian spectral norm on the unit disk.
+
+    A composite coordinate ``c*u^a*v^b`` has entries ``k*c*u^p*v^q``, ``k`` an
+    exponent, and there ``sup (u^p v^q)^2 = p^p q^q / (p+q)^(p+q)`` (0^0 = 1).
+    Spectral <= Frobenius <= sqrt(sum of the squared entry sups), an exact
+    rational; the result is the least float whose square reaches it.
+    """
+    total = Fraction(0)
+    for image in composite:
+        (((a, b), c),) = image.terms.items()
+        for k, p, q in ((a, a - 1, b), (b, a, b - 1)):
+            if k:
+                total += k * k * c * c * Fraction(p**p * q**q, (p + q) ** (p + q))
+    # The rounded square root is within one ulp of the true one.
+    bound = math.sqrt(total)
+    while Fraction(bound) ** 2 < total:
+        bound = math.nextafter(bound, math.inf)
+    return bound
 
 
 def exponent_upper_bound(p: Polynomial) -> tuple[Fraction, str] | None:
@@ -486,8 +486,6 @@ def exponent_upper_bound(p: Polynomial) -> tuple[Fraction, str] | None:
     origin-stopped blow-up tree, tagged origin-local.  Returns ``None`` when
     no route applies.
     """
-    from .snc import SncError, exponent_from_snc
-
     try:
         mf = detect_snc(p)
     except SncError:
@@ -518,18 +516,18 @@ def pull_back_and_bound(p: Polynomial, result: ResolutionResult) -> PullbackBoun
     if p != result.tree.root_polynomial:
         raise BlowupError("resolution result was computed for a different polynomial")
     per_leaf: list[LeafBound] = []
-    points = ball_points(2, 2000, 1.0)
     for leaf in result.snc_leaves():
         bound = leaf.theta_bound()
         if bound is None:
             continue
-        sup = _jacobian_sup(leaf.composite, points)
+        sup = _jacobian_sup(leaf.composite)
         per_leaf.append(
             LeafBound(
                 chart_id=leaf.chart_id,
                 interval=(Fraction(1, 2), bound),
                 jacobian_sup=sup,
-                constant_factor=1.0 / sup if sup > 0 else math.inf,
+                # The exponent matrix is unimodular, so some entry and sup are > 0.
+                constant_factor=1.0 / sup,
             )
         )
     if not per_leaf:

@@ -110,10 +110,12 @@ def _parse_crit(text: str | None, dim: int) -> flow_mod.CriticalSet | None:
             points.append((0.0,) * dim)
         elif part.startswith("free:"):
             indices = tuple(int(i) for i in part[len("free:") :].split(",") if i != "")
+            if any(not 0 <= i < dim for i in indices):
+                raise ParseError(f"free index out of range [0, {dim}) in {part!r}", 0)
             subspaces.append(flow_mod.CoordinateSubspace(indices))
         elif part.startswith("points:"):
             for chunk in part[len("points:") :].split(";"):
-                points.append(tuple(float(v) for v in chunk.split(",")))
+                points.append(_parse_point(chunk, dim))
         else:
             raise ParseError(f"bad critical-set descriptor {part!r}", 0)
     return flow_mod.CriticalSet(subspaces=tuple(subspaces), points=tuple(points))

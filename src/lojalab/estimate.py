@@ -92,6 +92,8 @@ def estimate_theta(
         raise EstimateError(
             f"point has shape {x_star.shape}, expected ({fn.dimension},)"
         )
+    if not np.isfinite(x_star).all():
+        raise EstimateError(f"x_star {x_star} is not finite")
     grad_norm_at_star = float(np.linalg.norm(fn.gradient(x_star[None, :])[0]))
     if grad_norm_at_star > 1e-12:
         raise EstimateError(

@@ -200,6 +200,14 @@ _MAX_FACTOR = 10
 _EPS = float(np.finfo(float).eps)
 
 
+def _snap(limit: np.ndarray, crit_set: CriticalSet | None) -> tuple[np.ndarray, float | None]:
+    """The limit point snapped to the critical set, and the snap distance."""
+    if crit_set is None:
+        return limit, None
+    nearest = crit_set.nearest(limit)
+    return nearest, float(np.linalg.norm(limit - nearest))
+
+
 def integrate_flow(
     E: Polynomial | Function,
     x0: Sequence[float],
@@ -265,12 +273,7 @@ def integrate_flow(
     norm0 = rhs(0.0, y0, f0)
     if norm0 - tol <= 0:
         # Already at rest: a single-sample trajectory.
-        limit = x0.copy()
-        snap = None
-        if crit_set is not None:
-            nearest = crit_set.nearest(limit)
-            snap = float(np.linalg.norm(limit - nearest))
-            limit = nearest
+        limit, snap = _snap(x0.copy(), crit_set)
         return Trajectory(
             times=np.array([0.0]),
             points=x0[None, :],
@@ -310,12 +313,7 @@ def integrate_flow(
     energies = fn.value(points)
     grads = np.linalg.norm(fn.gradient(points), axis=1)
 
-    limit = points[-1].copy() if converged else None
-    snap = None
-    if converged and crit_set is not None:
-        nearest = crit_set.nearest(limit)
-        snap = float(np.linalg.norm(limit - nearest))
-        limit = nearest
+    limit, snap = _snap(points[-1].copy(), crit_set) if converged else (None, None)
     return Trajectory(
         times=times,
         points=points,

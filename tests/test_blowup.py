@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from lojalab.blowup import (
     translated_chart_analysis,
 )
 from lojalab.poly import Polynomial, Substitution, parse
+from lojalab.sampling import ball_points
 
 CUSP = parse("x^2 - y^3")
 
@@ -332,6 +334,68 @@ def test_pull_back_and_bound_cusp_leaves():
     assert bound.origin_local
 
 
+def _sampled_spectral_sup(composite, points):
+    """Largest spectral norm of the chart map's Jacobian over ``points``."""
+    variables = composite[0].variables
+    j00, j01, j10, j11 = (
+        image.derivative(v).numeric()(points) for image in composite for v in variables
+    )
+    # Spectral norm of a 2x2 matrix from its singular values.
+    a2 = j00**2 + j01**2 + j10**2 + j11**2
+    det = j00 * j11 - j01 * j10
+    disc = np.sqrt(np.maximum(0.0, a2**2 - 4.0 * det**2))
+    return float(np.sqrt(np.maximum(0.0, (a2 + disc) / 2.0)).max())
+
+
+@pytest.mark.parametrize(
+    "text, chart_id, square",
+    [
+        ("x1*x2", "root", Fraction(2)),
+        ("x^2 - y^3", "root/2", Fraction(3)),
+        # 3*alpha^2*beta, alpha^3, 2*alpha*beta, alpha^2: 4/3 + 1 + 1 + 1.
+        ("x^2 - y^3", "root/1/2/2", Fraction(13, 3)),
+    ],
+)
+def test_jacobian_bound_closed_forms(text, chart_id, square):
+    p = parse(text)
+    bound = {b.chart_id: b for b in pull_back_and_bound(p, resolve(p)).per_leaf}[chart_id]
+    # The least float whose square is at least the exact rational.
+    assert Fraction(bound.jacobian_sup) ** 2 >= square
+    assert Fraction(math.nextafter(bound.jacobian_sup, 0.0)) ** 2 < square
+    assert bound.constant_factor == 1.0 / bound.jacobian_sup
+
+
+def test_jacobian_bound_is_above_the_sampled_spectral_norm():
+    points = ball_points(2, 2000, 1.0)
+    leaves = 0
+    for text in [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES:
+        result = _resolved(text)
+        per_leaf = pull_back_and_bound(result.tree.root_polynomial, result).per_leaf
+        bounds = {b.chart_id: b.jacobian_sup for b in per_leaf}
+        for leaf in result.snc_leaves():
+            if leaf.chart_id not in bounds:
+                continue
+            sampled = _sampled_spectral_sup(leaf.composite, points)
+            assert sampled <= bounds[leaf.chart_id], (text, leaf.chart_id)
+            # Frobenius over spectral is at most sqrt(2) for a 2x2 matrix;
+            # the entry sups may sit at different points, hence the slack.
+            assert bounds[leaf.chart_id] <= 2 * sampled, (text, leaf.chart_id)
+            leaves += 1
+    assert leaves == 1064
+
+
+def test_pullback_evaluates_no_polynomial(monkeypatch):
+    results = [(p, resolve(p)) for p in (CUSP, parse("(y^2 - 2*x^3)^2 - x^7*y"))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pull_back_and_bound differentiated or evaluated a polynomial")
+
+    for name in ("numeric", "gradient_numeric", "derivative"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    for p, result in results:
+        assert pull_back_and_bound(p, result).per_leaf
+
+
 def test_exponent_upper_bound_routes():
     theta, how = exponent_upper_bound(parse("x^2*y^2"))
     assert theta == Fraction(3, 4) and how == "snc"
@@ -358,8 +422,7 @@ def test_interval_agrees_with_upper_bound_and_pullback():
     assert len(texts) == 192
     for text in texts:
         assert _resolved(text).theta_interval[1] == exponent_upper_bound(parse(text))[0], text
-    # The pullback samples each leaf's Jacobian, so every 12th curve is checked.
-    for text in texts[::12]:
+    for text in texts:
         result = _resolved(text)
         bound = pull_back_and_bound(result.tree.root_polynomial, result)
         assert bound.interval == result.theta_interval, text

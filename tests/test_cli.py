@@ -141,6 +141,18 @@ def test_flow_requires_matching_point(tmp_path):
     assert _run(["flow", "x^2 + y^2", "--point", "0.5"], tmp_path) == 1
 
 
+def test_flow_rejects_ragged_crit_point(tmp_path, capsys):
+    argv = ["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "points:0,0;1"]
+    assert _run(argv, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: point '1' has 1 coordinates")
+
+
+def test_flow_rejects_free_index_out_of_range(tmp_path, capsys):
+    argv = ["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "free:7"]
+    assert _run(argv, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: free index out of range [0, 2)")
+
+
 def test_estimate_cusp_with_consistency(tmp_path):
     assert _run(["estimate", "x^2 - y^3"], tmp_path) == 0
     report = _report(tmp_path)

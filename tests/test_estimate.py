@@ -87,6 +87,13 @@ def test_estimate_requires_critical_point():
         estimate_theta(parse("x^2"), (0.3,))
 
 
+@pytest.mark.parametrize("x_star", [(math.nan, 0.0), (0.0, math.inf)])
+def test_estimate_rejects_non_finite_point(x_star):
+    # A NaN gradient norm is not above the criticality threshold either.
+    with pytest.raises(EstimateError, match="not finite"):
+        estimate_theta(parse("x^2 + y^2"), x_star)
+
+
 def test_monomial_profile_is_radius_independent():
     radii = np.geomspace(1e-6, 1e-1, 10)
     for text, theta in (("x1*x2", Fraction(1, 2)), ("x^2*y^2", Fraction(3, 4))):

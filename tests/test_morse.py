@@ -8,6 +8,9 @@ import pytest
 
 from lojalab.morse import (
     MorseBottError,
+    _derivatives_by_multi_index,
+    _flat_to_order,
+    _hessian_exact,
     _vanishes_on,
     check_generalized_morse_bott,
     check_morse_bott,
@@ -100,6 +103,33 @@ def test_vanishing_on_subspace_read_from_exponents():
     gx = parse("x^3 + x^2*y^5").derivative("x")
     assert _vanishes_on(gx, (1,))
     assert not _vanishes_on(gx.derivative("x"), (1,))
+
+
+def test_flatness_and_hessian_read_from_exponents():
+    # Condition (b) by normal degrees, and the Hessian by degree-two terms,
+    # against building every partial.
+    rng = np.random.default_rng(5)
+    names = ("x", "y", "z", "w")
+    for _ in range(500):
+        d = int(rng.integers(1, 5))
+        order = int(rng.integers(2, 7))
+        terms = {}
+        for _ in range(int(rng.integers(0, 5))):
+            exponent = tuple(int(v) for v in rng.integers(0, 5, size=d))
+            terms[exponent] = int(rng.integers(1, 4))
+        q = Polynomial(names[:d], terms)
+        subspace = tuple(i for i in range(d) if rng.random() < 0.5)
+        oracle = all(
+            _vanishes_on(partial, subspace)
+            for m, partial in _derivatives_by_multi_index(q, order - 1).items()
+            if sum(m) >= 1
+        )
+        assert _flat_to_order(q, subspace, order) == oracle, (str(q), subspace, order)
+        hessian = [
+            [q.derivative(u).derivative(v).constant_term() for v in q.variables]
+            for u in q.variables
+        ]
+        assert _hessian_exact(q) == hessian, str(q)
 
 
 def test_round_quadratic_coercivity_value():
