@@ -4,8 +4,10 @@ The flow ``dx/dt = -grad E`` is integrated with an adaptive embedded
 Runge-Kutta 4(5) pair with arc length carried as an extra state variable, so
 the trajectory record has exact (to integrator tolerance) cumulative length.
 The step loop is loja-lab's own Dormand-Prince driver on scipy's RK45
-coefficients and interpolants; its trajectories are bit for bit those of
-``scipy.integrate.solve_ivp(method="RK45")`` with the same events.
+coefficients and interpolants; given the same right-hand side, its
+trajectories are bit for bit those of ``scipy.integrate.solve_ivp(method="RK45")``
+with the same events.  The right-hand side is the one-point gradient
+``Function.gradient_at`` and its norm summed left to right.
 Under a verified gradient inequality with exponent ``theta`` and constant
 ``C``, the whole trajectory length is bounded by ``E(x0)^(1-theta) /
 ((1-theta) * C)``; that bound and the induced distance inequalities
@@ -47,8 +49,8 @@ _GRAD_FLOOR_FACTOR = 1e3
 # Right-hand-side calls one integration may make before it fails.  RK45 makes
 # about seven per step and keeps about 0.8 KB of dense output per step; the
 # stiff x^2 + y^4 flow from (0.2, 0.2) at the default tol 1e-10, which used to
-# run for minutes, now stops at the budget after a few seconds (5.8 s on a
-# loaded 2-vCPU Xeon VM) with about 25 MB of dense output.  The budget is
+# run for minutes, now stops at the budget after a few seconds (2.9 s on a
+# 2-vCPU Xeon VM with AVX-512) with about 25 MB of dense output.  The budget is
 # about 80 times the 3,176 calls that flow needs at tol 1e-5 and four times
 # the 62,270 it needs at tol 1e-7.
 MAX_RHS_CALLS = 250_000
@@ -200,6 +202,18 @@ _MAX_FACTOR = 10
 _EPS = float(np.finfo(float).eps)
 
 
+def _norm(vector: Sequence[float]) -> float:
+    """The Euclidean norm, summed left to right as ``s = s + v*v`` from 0.
+
+    A non-finite entry makes it non-finite, and so does a finite vector whose
+    squares overflow.
+    """
+    total = 0.0
+    for v in vector:
+        total = total + v * v
+    return math.sqrt(total)
+
+
 def _snap(limit: np.ndarray, crit_set: CriticalSet | None) -> tuple[np.ndarray, float | None]:
     """The limit point snapped to the critical set, and the snap distance."""
     if crit_set is None:
@@ -245,6 +259,7 @@ def integrate_flow(
         raise FlowError("atol must be non-negative")
 
     rhs_calls = 0
+    gradient_at = fn.gradient_at
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> float:
         """Write ``-grad E`` and ``|grad E|`` at ``y`` into ``out``; return the norm."""
@@ -255,14 +270,12 @@ def integrate_flow(
                 f"right-hand-side budget of {MAX_RHS_CALLS} calls exhausted at "
                 f"t = {t:.6g}: the flow is too stiff for RK45 at tol {tol:g}"
             )
-        g = fn.gradient(y[None, :-1])[0]
-        # What np.linalg.norm computes for a 1-D vector.  A non-finite entry
-        # makes it non-finite, and so does a finite gradient whose square
-        # overflows.
-        norm = math.sqrt(g.dot(g))
+        g = gradient_at(y[:-1].tolist())
+        norm = _norm(g)
         if not math.isfinite(norm):
             raise FlowError(f"non-finite gradient norm at {y[:-1]}")
-        np.negative(g, out=out[:-1])
+        for j, v in enumerate(g):
+            out[j] = -v
         out[-1] = norm
         return norm
 
@@ -288,8 +301,7 @@ def integrate_flow(
         )
 
     def gradient_gap(y: np.ndarray) -> float:
-        g = fn.gradient(y[None, :-1])[0]
-        return math.sqrt(g.dot(g)) - tol
+        return _norm(gradient_at(y[:-1].tolist())) - tol
 
     def ball_gap(y: np.ndarray) -> float:
         x = y[:-1]
@@ -351,7 +363,7 @@ def _dormand_prince(
     ``RkDenseOutput``; the initial step of Hairer, Norsett and Wanner II.4;
     the step-size rule; and event roots from ``brentq`` on the step's
     interpolant.  Trajectories and right-hand-side counts are therefore bit
-    for bit those of ``solve_ivp``.
+    for bit those of ``solve_ivp`` on the same right-hand side.
 
     ``rhs(t, y, out)`` writes the derivative at ``y`` into ``out`` and
     returns the gradient norm, so the stopping event at an accepted state,
@@ -488,20 +500,24 @@ def rk4_fixed_step(
     step: float,
     steps: int,
 ) -> np.ndarray:
-    """Classical fixed-step RK4 endpoint; the independent integration oracle."""
-    fn = Function.of(E)
+    """Classical fixed-step RK4 endpoint; the independent integration oracle.
 
-    def velocity(x: np.ndarray) -> np.ndarray:
-        return -fn.gradient(x[None, :])[0]
-
-    x = np.asarray(x0, dtype=float)
+    The state is a list of Python floats and each stage takes the one-point
+    gradient ``g``, so the velocity ``-g`` enters as ``x - h * g``.
+    """
+    gradient_at = Function.of(E).gradient_at
+    x = [float(v) for v in x0]
+    half = 0.5 * step
     for _ in range(steps):
-        k1 = velocity(x)
-        k2 = velocity(x + 0.5 * step * k1)
-        k3 = velocity(x + 0.5 * step * k2)
-        k4 = velocity(x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+        k1 = gradient_at(x)
+        k2 = gradient_at([xi - half * ki for xi, ki in zip(x, k1)])
+        k3 = gradient_at([xi - half * ki for xi, ki in zip(x, k2)])
+        k4 = gradient_at([xi - step * ki for xi, ki in zip(x, k3)])
+        x = [
+            xi - (step / 6.0) * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
+    return np.array(x)
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +595,7 @@ def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
     powers[0] = x
     for k in range(1, len(powers)):
         np.multiply(powers[k - 1], x, out=powers[k])
-    # Point-major, as scipy's result is: the evaluators downstream round
-    # according to the memory layout of the points they are given.
+    # Point-major, as scipy's result is.
     states = np.empty((len(steps[0].y_old), len(t)), order="F")
     bounds = np.searchsorted(segment, np.arange(len(steps) + 1))
     for k in np.flatnonzero(np.diff(bounds)):

@@ -302,43 +302,26 @@ class Polynomial:
 
     def numeric(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorised evaluator mapping an (m, d) array to m values."""
-        d = len(self.variables)
-        if not self.terms:
-            return lambda points: np.zeros(np.atleast_2d(points).shape[0])
-        monomials = _MonomialKernel(list(self.terms), d).monomials
-        coeffs = np.array([float(c) for c in self.terms.values()])
-
-        def values(points: np.ndarray) -> np.ndarray:
-            return monomials(points) @ coeffs
-
-        return values
+        sums = _MonomialKernel([self.terms], len(self.variables))
+        return lambda points: sums(points)[0]
 
     def gradient_numeric(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorised gradient mapping an (m, d) array to an (m, d) array.
 
-        The exponents of all d partials are stacked into one table, so a call
-        raises every point to every monomial once; partial j then sums its own
-        row slice of that table, exactly as its ``numeric()`` would.
+        One kernel holds the terms of all d partials, so a call raises every
+        point to every monomial once; column j is partial j's sum, exactly
+        as its ``numeric()`` would compute it.
         """
-        d = len(self.variables)
-        partials = [g.terms for g in self.gradient()]
-        monomials = _MonomialKernel([e for terms in partials for e in terms], d).monomials
-        columns = []
-        start = 0
-        for j, terms in enumerate(partials):
-            if terms:
-                coeffs = np.array([float(c) for c in terms.values()])
-                columns.append((j, slice(start, start + len(terms)), coeffs))
-            start += len(terms)
+        sums = _MonomialKernel([g.terms for g in self.gradient()], len(self.variables))
+        return lambda points: sums(points).T.copy()
 
-        def values(points: np.ndarray) -> np.ndarray:
-            raised = monomials(points)
-            out = np.zeros((raised.shape[0], d))
-            for j, rows, coeffs in columns:
-                out[:, j] = raised[:, rows] @ coeffs
-            return out
+    def _gradient_at(self) -> Callable[[Sequence[float]], list[float]]:
+        """The gradient at one point of Python floats, as d Python floats.
 
-        return values
+        The same arithmetic as a one-row ``gradient_numeric()`` call, bit for
+        bit, with no numpy call per evaluation.
+        """
+        return _MonomialKernel([g.terms for g in self.gradient()], len(self.variables)).at_point()
 
     # ------------------------------------------------------------------
     # structure
@@ -407,100 +390,98 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-# A batch takes the power-table route once it saves this many ``pow`` calls
-# over the broadcast; below that the broadcast's lower fixed cost wins.  The
-# measured crossovers on d = 1..4 evaluators lie between 32 and 164 saved
-# calls, most near 130.
-_PLAN_MIN_SAVED_POWS = 128
-
-
 class _MonomialKernel:
-    """Raises batches of points to every row of a fixed exponent table.
+    """Sums of monomial terms, with one arithmetic for batches and points.
 
-    :meth:`monomials` maps an (m, d) array of points to the (m, K) array
-    whose entry (i, k) is the product over variables j, left to right, of
-    ``x_ij ** e_kj``.  Small batches take numpy's broadcast
-    ``pts[:, None, :] ** table`` reduced by ``np.multiply`` over the
-    variables.  It calls float ``pow`` m*K*d times, and one ``pow`` costs
-    about a hundred multiplies, while most entries raise a coordinate to 0
-    or 1 or repeat a (variable, exponent) pair that another row already
-    raised.
+    A kernel is compiled from groups of terms over d variables: a polynomial
+    is one group, its gradient one group per partial.  Every evaluation
+    follows two rules.
 
-    :meth:`planned` computes the same array bit for bit from a power table
-    compiled here: row 0 holds 1, rows 1..d the coordinates, and one row per
-    distinct (variable, exponent >= 2) pair its power, so a call makes one
-    ``pow`` per point and pair.  Each monomial is then the left-to-right
-    product of one gathered row per variable.  This rests on numpy's
-    arithmetic as follows:
+    - Powers: ``x^0 = 1`` and ``x^k = x^(k-1) * x``, one multiplication
+      chain per variable up to its largest exponent.  A monomial is the
+      left-to-right product of its powers, one per variable.
+    - Sums: a group is ``acc = acc + m_k * c_k`` over its terms in order,
+      from ``acc = 0.0``.
 
-    - ``x**0 == 1`` and ``x**1 == x`` exactly, so those entries need no
-      ``pow``, and a product with the gathered 1 is exact.
-    - ``pow`` is elementwise and gives the same bits whatever the operands'
-      forward strides, with one exception: when the exponent operand has
-      stride 0 and equals 2, numpy squares instead, and ``x*x`` differs from
-      ``pow(x, 2)`` in the last bit for a few percent of x.  The plan always
-      hands ``pow`` a materialised exponent array, never a stride-0 one.
-    - The broadcast's inner loop runs over the variables, and so never
-      squares, when the points are C-ordered rows (unit-stride coordinates,
-      rows at increasing addresses) and the table is not 1x1.  It squares a
-      1x1 table ``x^2`` at every batch size; that table saves no ``pow`` and
-      so never takes the plan.  Points in any other layout always take the
-      broadcast.  For F-ordered points numpy's iterator picks the loop axis
-      by batch size (on numpy 2.4 it loops over the points, squaring, above
-      4096 rows), and the result is F-ordered, which a later ``@ coeffs``
-      rounds differently in BLAS.  For C-ordered rows both routes return a
-      C-ordered array.
-
-    The plan pays a fixed cost per call (a few microseconds) that the
-    broadcast does not, so a batch takes it only when it saves at least
-    ``_PLAN_MIN_SAVED_POWS`` ``pow`` calls.  The choice depends on the row
-    count and the table alone.
+    Both rules use IEEE multiplication and addition alone, which are
+    correctly rounded on every host and which numpy never fuses, in an order
+    that does not depend on the batch.  A point therefore gets the same bits
+    in any batch, in any memory layout and on any host, and
+    :meth:`at_point`, which runs the same operations on Python floats, gives
+    the bits of a one-row batch.  A chain of ``e - 1`` multiplications has a
+    relative error of at most about ``(e - 1) * 2^-53``.
     """
 
-    __slots__ = ("table", "index", "pair_variables", "pair_exponents", "saved")
+    __slots__ = ("tops", "first", "rows", "coeffs", "bounds")
 
-    def __init__(self, exponents: Sequence[Exponent], d: int) -> None:
-        self.table = np.array(exponents, dtype=float).reshape(len(exponents), d)
-        pairs = sorted({(j, e) for row in exponents for j, e in enumerate(row) if e >= 2})
-        row_of = {pair: 1 + d + p for p, pair in enumerate(pairs)}
-        self.index = np.array(
-            [[0 if e == 0 else 1 + j if e == 1 else row_of[j, e] for j, e in enumerate(row)]
-             for row in exponents],
-            dtype=np.intp,
-        ).reshape(len(exponents), d)
-        self.pair_variables = np.array([1 + j for j, _ in pairs], dtype=np.intp)
-        self.pair_exponents = np.array([float(e) for _, e in pairs])
-        self.saved = self.table.size - len(pairs)
+    def __init__(self, groups: Sequence[Mapping[Exponent, Fraction]], d: int) -> None:
+        exponents = [e for group in groups for e in group]
+        self.tops = [max((e[j] for e in exponents), default=0) for j in range(d)]
+        # Power-table row 0 holds 1; then each variable its chain x .. x^top.
+        self.first = [1 + sum(self.tops[:j]) for j in range(d)]
+        self.rows = [
+            np.array([start + e[j] - 1 if e[j] else 0 for e in exponents], dtype=np.intp)
+            for j, start in enumerate(self.first)
+        ] or [np.zeros(len(exponents), dtype=np.intp)]
+        self.coeffs = np.array([float(c) for group in groups for c in group.values()])
+        self.bounds = [0]
+        for group in groups:
+            self.bounds.append(self.bounds[-1] + len(group))
 
-    def monomials(self, points: np.ndarray) -> np.ndarray:
-        """The (m, K) array of every point raised to every table row."""
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """The (groups, m) array of every group's sum at every point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m, d = pts.shape
-        if d != self.table.shape[1]:
-            raise ValueError(f"points have dimension {d}, expected {self.table.shape[1]}")
-        if m * self.saved >= _PLAN_MIN_SAVED_POWS:
-            row_stride, column_stride = pts.strides
-            if column_stride == pts.itemsize and (m == 1 or row_stride >= d * pts.itemsize):
-                return self.planned(pts)
-        # The broadcast, inline: one-row callers such as the flow's
-        # right-hand side pay for every Python-level call.  np.prod without
-        # its Python-level wrapper; the same reduction bit for bit.
-        return np.multiply.reduce(pts[:, None, :] ** self.table, axis=2)
-
-    def planned(self, pts: np.ndarray) -> np.ndarray:
-        m, d = pts.shape
-        pairs = len(self.pair_exponents)
-        powers = np.empty((1 + d + pairs, m))
+        if d != len(self.tops):
+            raise ValueError(f"points have dimension {d}, expected {len(self.tops)}")
+        powers = np.empty((1 + sum(self.tops), m))
         powers[0] = 1.0
-        powers[1 : 1 + d] = pts.T
-        if pairs:
-            exponents = np.empty((pairs, m))
-            exponents[...] = self.pair_exponents[:, None]
-            np.power(powers[self.pair_variables], exponents, out=powers[1 + d :])
-        monomials = powers[self.index[:, 0]]
-        for j in range(1, d):
-            monomials *= powers[self.index[:, j]]
-        return np.ascontiguousarray(monomials.T)
+        for x, top, row in zip(pts.T, self.tops, self.first):
+            if top:
+                powers[row] = x
+            for k in range(row + 1, row + top):
+                np.multiply(powers[k - 1], powers[row], out=powers[k])
+        monomials = powers[self.rows[0]]
+        for rows in self.rows[1:]:
+            monomials *= powers[rows]
+        monomials *= self.coeffs[:, None]
+        sums = np.zeros((len(self.bounds) - 1, m))
+        for acc, start, stop in zip(sums, self.bounds, self.bounds[1:]):
+            for term in monomials[start:stop]:
+                acc += term
+        return sums
+
+    def at_point(self) -> Callable[[Sequence[float]], list[float]]:
+        """A closure mapping d Python floats to the group sums at that point.
+
+        It skips the products by an exact 1, which change no bit.
+        """
+        tops = self.tops
+        terms = [
+            (tuple(int(rows[k]) for rows in self.rows if rows[k]), float(c))
+            for k, c in enumerate(self.coeffs)
+        ]
+        groups = [terms[start:stop] for start, stop in zip(self.bounds, self.bounds[1:])]
+
+        def sums(point: Sequence[float]) -> list[float]:
+            powers = [1.0]
+            for x, top in zip(point, tops):
+                power = 1.0
+                for _ in range(top):
+                    power = power * x
+                    powers.append(power)
+            out = []
+            for group in groups:
+                acc = 0.0
+                for factors, c in group:
+                    monomial = 1.0
+                    for row in factors:
+                        monomial = monomial * powers[row]
+                    acc = acc + monomial * c
+                out.append(acc)
+            return out
+
+        return sums
 
 
 @dataclass(frozen=True)
@@ -513,6 +494,11 @@ class Function:
     ``log||gradient||`` exactly, extended continuously to -inf; they let the
     estimator see past floating-point underflow.  Non-polynomial callers
     must guarantee a Lipschitz gradient on the working ball.
+
+    ``gradient_at`` maps one point, d Python floats, to the d entries of the
+    gradient there.  Left out, it is ``gradient`` on a one-row batch; for a
+    polynomial, ``of`` compiles it to plain-float arithmetic that gives the
+    bits of that row without a numpy call.
     """
 
     dimension: int
@@ -521,6 +507,14 @@ class Function:
     log_abs_value: Callable[[np.ndarray], np.ndarray] | None = None
     log_gradient_norm: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "function"
+    gradient_at: Callable[[Sequence[float]], Sequence[float]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.gradient_at is None:
+            gradient = self.gradient
+            object.__setattr__(
+                self, "gradient_at", lambda point: gradient(np.array([point], dtype=float))[0]
+            )
 
     @classmethod
     def of(cls, E: Polynomial | Function) -> Function:
@@ -532,6 +526,7 @@ class Function:
             value=E.numeric(),
             gradient=E.gradient_numeric(),
             name=str(E),
+            gradient_at=E._gradient_at(),
         )
 
 

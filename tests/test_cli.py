@@ -273,7 +273,7 @@ def _reports_digest(command, corpus, extra, tmp_path):
 
 def test_analyze_reports_pinned_digest(tmp_path):
     digest = _reports_digest("analyze", ANALYZE_CORPUS, ["--samples", "2000"], tmp_path)
-    assert digest == "bfd21a0859190c5dc3c8ea15e701195541795596"
+    assert digest == "c270850c2ff4b5d24e9c7c78f246d06919934046"
 
 
 def test_estimate_reports_pinned_digest(tmp_path):

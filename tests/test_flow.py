@@ -3,12 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lojalab
 from lojalab import flow
 from lojalab.flow import (
     CoordinateSubspace,
@@ -120,28 +125,60 @@ def test_fixed_step_halving_agreement():
     assert np.linalg.norm(coarse - fine) < 1e-6
 
 
-@pytest.mark.parametrize(
-    "text, x0, digest, nfev",
-    [
-        ("x^2*y^2", [0.3, 0.2], "273adb992d63345767f3c5daf136be8ba72286ac", 338),
-        ("x^2 + y^4", [0.2, 0.2], "ff664b65aaee9797c19aa7ad1fe49a2710a92c8c", 3176),
-    ],
-)
-def test_trajectory_pinned_digest(text, x0, digest, nfev):
-    # SHA-1 of the sample times, states and arc lengths; any change in the
-    # gradient arithmetic or in the step sequence moves it.
+def _trajectory_digest(text, x0):
+    # SHA-1 of the sample times, states and arc lengths, and the RHS count;
+    # any change in the gradient arithmetic or in the step sequence moves it.
     traj = integrate_flow(parse(text), x0, tol=1e-5)
     sha = hashlib.sha1()
     for array in (traj.times, traj.points, traj.arc_lengths):
         sha.update(np.ascontiguousarray(array).tobytes())
-    assert sha.hexdigest() == digest
-    assert traj.dense.nfev == nfev
+    return [sha.hexdigest(), traj.dense.nfev]
+
+
+TRAJECTORY_PINS = [
+    ("x^2*y^2", [0.3, 0.2], "eef2ab0e1ebe18ea430591fceb440118594f1625", 338),
+    ("x^2 + y^4", [0.2, 0.2], "8bc9019a0d6e3afd7cbd004688c2a55098c7c45a", 3176),
+]
+
+
+@pytest.mark.parametrize("text, x0, digest, nfev", TRAJECTORY_PINS)
+def test_trajectory_pinned_digest(text, x0, digest, nfev):
+    assert _trajectory_digest(text, x0) == [digest, nfev]
+
+
+# numpy's AVX-512 loops; among them a SIMD np.power that differs from libm
+# pow in the last bit.
+_NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def test_trajectory_digests_hold_without_avx512():
+    # One arithmetic on every host: a child process whose numpy dispatches
+    # no AVX-512 loop integrates the pinned flows to the same bits.
+    paths = [str(Path(__file__).parent), str(Path(lojalab.__file__).resolve().parent.parent)]
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": _NO_AVX512,
+        "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]),
+    }
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True, env=env)
+    if probe.returncode:
+        reason = (probe.stderr.strip().splitlines() or ["no message"])[-1]
+        pytest.skip(f"numpy does not start with {_NO_AVX512} disabled: {reason}")
+    code = (
+        "import json\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from test_flow import TRAJECTORY_PINS, _trajectory_digest\n"
+        "assert not __cpu_features__.get('X86_V4', False), 'X86_V4 is still on'\n"
+        "print(json.dumps([_trajectory_digest(text, x0) for text, x0, _, _ in TRAJECTORY_PINS]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [_trajectory_digest(text, x0) for text, x0, _, _ in TRAJECTORY_PINS]
 
 
 def _exit_path_digest(traj):
     # SHA-1 of everything a trajectory records, with the memory layout of
-    # each array (the evaluators round by layout), and of the dense output
-    # at every step time.
+    # each array, and of the dense output at every step time.
     sha = hashlib.sha1()
     for array in (traj.times, traj.points, traj.energies, traj.grad_norms, traj.arc_lengths):
         sha.update(np.ascontiguousarray(array).tobytes())
@@ -163,19 +200,19 @@ def _exit_path_digest(traj):
         ("0 - x^2", [0.1], dict(tol=1e-12, t_max=100.0, sigma=0.5),
          "left-domain", 212, "68b80c27219c97ba8ce562b12c16adefca1f5ec5"),
         ("x^2 - y^2", [0.1, 0.01], dict(tol=1e-10, sigma=0.5, crit_set=CriticalSet.origin(2)),
-         "left-domain", 416, "a3f9f161a1d2bfe806a129c74590d8cde0d1a8d8"),
+         "left-domain", 416, "797c0a33e0a55e268923440d3f8a486830793e12"),
         # Both events armed; the gradient wins and the limit is snapped.
         ("x^2 + y^2", [0.3, -0.2], dict(tol=1e-10, sigma=0.5, crit_set=CriticalSet.origin(2)),
-         "gradient-below-tol", 1268, "e1abde10d5ed5cd47ad7e5a53d0eb1924f426ffa"),
+         "gradient-below-tol", 1268, "d3b4c1706a91ad686cba1d121b73e332026692c1"),
         ("x^2*y^2", [0.3, 0.4], dict(tol=1e-10, t_max=1.0),
-         "max-time", 86, "8812c6bc28d4b85f0a6cfe1b7cb4ff6c60c726f9"),
+         "max-time", 86, "8966d5bdf8105e7c9f3cbf6aff22fc7eca6ed325"),
         ("x^2", [0.5], dict(tol=1e-10),
          "gradient-below-tol", 1304, "14cc93b1ab43be96db6d783631eb21ede891d694"),
         ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], dict(tol=1e-6),
-         "gradient-below-tol", 482, "178f0de13e59c190c9871c09ed3dae66a753930e"),
+         "gradient-below-tol", 482, "2a00cede5e42ec766afe3d2f834e5d7c22612b49"),
         # More than _STORED_SAMPLES steps: the kept samples are thinned.
         ("x^2 + y^4", [0.2, 0.2], dict(tol=3e-7),
-         "gradient-below-tol", 30122, "1e1c4865876289b6e2cc6f14b4e420094b985113"),
+         "gradient-below-tol", 30122, "a938c7f50a024de15375e39bf858e174c74be63f"),
         # At rest from the start: one sample, no dense output.
         ("x^2 + y^2", [1e-9, 0.0], dict(tol=1e-6, crit_set=CriticalSet.origin(2)),
          "gradient-below-tol", None, "3f8a8c7e2ef7076d3dfd5df462c7698e7a08dd03"),
@@ -189,15 +226,17 @@ def test_exit_paths_pinned_digest(text, x0, options, stop_reason, nfev, digest):
 
 
 def _solve_ivp_reference(fn, x0, tol, sigma=None, t_max=1e12, rtol=1e-9, atol=1e-9):
-    # integrate_flow's flow as scipy's solve_ivp integrates it.
+    # integrate_flow's flow as scipy's solve_ivp integrates it, on the same
+    # right-hand side: the one-point gradient and its norm summed left to
+    # right.
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        g = fn.gradient(y[None, :-1])[0]
-        return np.concatenate([-g, [np.linalg.norm(g)]])
+        g = fn.gradient_at(y[:-1].tolist())
+        return np.array([-v for v in g] + [flow._norm(g)])
 
     def grad_event(t, y):
-        return float(np.linalg.norm(fn.gradient(y[None, :-1])[0])) - tol
+        return flow._norm(fn.gradient_at(y[:-1].tolist())) - tol
 
     def ball_event(t, y):
         return sigma - float(np.linalg.norm(y[:-1]))
@@ -295,8 +334,8 @@ def test_step_size_collapse_raises():
 @pytest.mark.parametrize(
     "text, x0, digest",
     [
-        ("x^2*y^2", [0.3, 0.2], "3e01a0f3299ba69dc09a23d607569bf7ee328ded"),
-        ("x^2 + y^4", [0.2, 0.2], "6818dc4e733d99e8550b021bb38171b96474ce17"),
+        ("x^2*y^2", [0.3, 0.2], "c4d51101ffbb45f0ee5e83e7e396b998b2b4ecb8"),
+        ("x^2 + y^4", [0.2, 0.2], "9fd213925c7490b1900c04eed3014702fb67d3a8"),
     ],
 )
 def test_identity_errors_pinned_digest(text, x0, digest):
@@ -499,7 +538,7 @@ def test_distance_zero_skipped_for_sign_changing_function(text):
 
 
 def test_distance_reports_for_nonnegative_functions_pinned_digest():
-    # The reports of nonnegative inputs, as they were before the sign rule.
+    # The reports of nonnegative inputs, which the sign rule leaves as they are.
     axes = CriticalSet(subspaces=(CoordinateSubspace((0,)), CoordinateSubspace((1,))))
     cases = [
         ("x^2", CriticalSet.subspace(()), Fraction(1, 2), 2.0),
@@ -513,4 +552,4 @@ def test_distance_reports_for_nonnegative_functions_pinned_digest():
             parse(text), crit, theta, samples=2000, seed=3, gradient_constant=constant
         )
         sha.update(json.dumps([r.to_json() for r in reports], sort_keys=True).encode())
-    assert sha.hexdigest() == "ae914156daeb7f4b4c45dd03dfd7ad9864b8cd33"
+    assert sha.hexdigest() == "bdbeb7c4ffad322a61c1564e265ff48c0d07d49a"

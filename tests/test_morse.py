@@ -197,7 +197,7 @@ def test_gmb_inequality_quartic():
         ("2*x1^6 + 3*x2^6", ["x1", "x2", "x3"], (2,), 6, {},
          5.540100285859975, (0.5, 0.5), 7200),
         ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4, {},
-         3.440296897067748, (0.25, 0.25), 7200),
+         3.4402968970677477, (0.25, 0.25), 7200),
         # Starts too wide: the Taylor-remainder conditions force three halvings.
         ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4,
          {"cylinder_radius": 2.0, "samples": 10_000},

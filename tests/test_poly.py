@@ -12,8 +12,6 @@ from lojalab.poly import (
     Polynomial,
     PolynomialLimitError,
     Substitution,
-    _MonomialKernel,
-    _PLAN_MIN_SAVED_POWS,
     parse,
 )
 
@@ -152,12 +150,6 @@ def test_gradient_numeric_matches_partials_bit_for_bit():
             assert np.array_equal(fused(pts), reference), (str(p), m)
 
 
-def _broadcast_monomials(points, table):
-    # The evaluation kernel as it stood before the power table.
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.multiply.reduce(pts[:, None, :] ** table, axis=2)
-
-
 # Signed zeros, infinities, nan, subnormals, huge values and exact +-1.
 _SPECIAL_COORDINATES = np.array(
     [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-310, 1e308, -1e308, 1.0, -1.0]
@@ -165,96 +157,105 @@ _SPECIAL_COORDINATES = np.array(
 
 
 def _same_bits(a, b):
-    # Equal shape, memory layout and bits.  A nan matches any nan: when two
-    # nan operands meet, which one numpy's multiply passes on depends on the
-    # element's position in its SIMD loop, not on the values.
+    # Equal shape and bits.  A nan matches any nan: when two nan operands
+    # meet, which one a multiply passes on depends on the element's position
+    # in numpy's SIMD loop, not on the values.
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     a_nan, b_nan = np.isnan(a), np.isnan(b)
     return (
         a.shape == b.shape
-        and a.dtype == b.dtype
-        and a.flags.c_contiguous == b.flags.c_contiguous
-        and a.flags.f_contiguous == b.flags.f_contiguous
         and np.array_equal(a_nan, b_nan)
         and np.array_equal(a.view(np.int64)[~a_nan], b.view(np.int64)[~b_nan])
     )
 
 
-def _kernel_points(rng, m, d, layout):
-    pts = rng.uniform(-1.5, 1.5, size=(m, d + 1))
+def _kernel_points(rng, m, d):
+    pts = rng.uniform(-1.5, 1.5, size=(m, d))
     special = rng.random(pts.shape) < 0.15
     pts[special] = rng.choice(_SPECIAL_COORDINATES, size=int(special.sum()))
-    if layout == "rows":  # C-ordered rows of a wider array
-        return pts[:, :d]
-    if layout == "reversed":
-        return pts[::-1, :d]
-    return np.asarray(pts[:, :d], order=layout)
+    return pts
 
 
-def _kernel_tables(rng):
-    # The 1x1 x^2 table (where numpy squares) and its neighbours first.
-    tables = [[(2,)], [(3,)], [(0,)], [(1,)], [(2,), (3,)], [(2, 2)], [(2, 0), (1, 2)]]
-    tables.append([(e,) for e in range(10)])
-    for d in range(1, 5):
-        for _ in range(12):
-            count = int(rng.integers(1, 25))
-            tables.append([tuple(int(e) for e in rng.integers(0, 10, size=d)) for _ in range(count)])
-    return tables
+def _in_layout(pts, layout):
+    # The same point rows, F-ordered, as C-ordered rows of a wider array, or
+    # at decreasing addresses.
+    if layout == "F":
+        return np.asfortranarray(pts)
+    if layout == "rows":
+        wider = np.zeros((pts.shape[0], pts.shape[1] + 1))
+        wider[:, :-1] = pts
+        return wider[:, :-1]
+    return pts[::-1].copy()[::-1]
 
 
-def test_monomial_kernel_matches_broadcast_bit_for_bit():
+def _kernel_polynomials(rng):
+    # Constants, a variable in no term, then random terms with exponents up
+    # to 9, so the power chains run up to eight multiplications deep.
+    cases = [parse("5", variables=["x", "y"]), parse("x^2", variables=["x", "y", "z"])]
+    for d in range(1, 6):
+        for _ in range(6):
+            terms = {}
+            for _ in range(int(rng.integers(1, 13))):
+                exponent = tuple(int(e) for e in rng.integers(0, 10, size=d))
+                terms[exponent] = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5)))
+            cases.append(Polynomial([f"x{i}" for i in range(d)], terms))
+    return cases
+
+
+def test_one_point_gradient_matches_batch_rows_bit_for_bit():
+    # One arithmetic: gradient_at on Python floats gives the bits of the
+    # batch row, and a point's value and gradient do not depend on the
+    # memory layout or the size of the batch it comes in.
     rng = np.random.default_rng(11)
-    routes = set()
-    for n, exponents in enumerate(_kernel_tables(rng)):
-        d = len(exponents[0])
-        kernel = _MonomialKernel(exponents, d)
-        table = np.array(exponents, dtype=float)
-        # Row counts on both sides of the switch between the two routes, and
-        # on both sides of 4096, where numpy starts squaring F-ordered points.
-        switch = -(-_PLAN_MIN_SAVED_POWS // max(kernel.saved, 1))
-        counts = {1, 2, 3, 5, 8, 33, 64, 300, switch - 1, switch} - {0}
-        if n % 8 == 0:
-            counts |= {4096, 4097}
-        for m in sorted(counts):
-            for layout in ("C", "F", "rows", "reversed"):
-                pts = _kernel_points(rng, m, d, layout)
-                reference = _broadcast_monomials(pts, table)
-                assert _same_bits(kernel.monomials(pts), reference), (exponents, m, layout)
-                # A table that saves no pow (such as the 1x1 x^2, which the
-                # broadcast squares) never takes the plan.
-                if layout in ("C", "rows") and kernel.saved:
-                    assert _same_bits(kernel.planned(pts), reference), (exponents, m, layout)
-                    routes.add(m * kernel.saved >= _PLAN_MIN_SAVED_POWS)
-    assert routes == {False, True}
+    for n, p in enumerate(_kernel_polynomials(rng)):
+        d = len(p.variables)
+        value, gradient, gradient_at = p.numeric(), p.gradient_numeric(), p._gradient_at()
+        for m in (1, 5, 40, 4097) if n % 8 == 0 else (1, 5, 40):
+            base = _kernel_points(rng, m, d)
+            with np.errstate(all="ignore"):
+                values, grads = value(base), gradient(base)
+                for layout in ("F", "rows", "reversed"):
+                    pts = _in_layout(base, layout)
+                    assert _same_bits(value(pts), values), (str(p), m, layout)
+                    assert _same_bits(gradient(pts), grads), (str(p), m, layout)
+                if m == 4097:
+                    assert _same_bits(value(base[:4096]), values[:4096]), str(p)
+                    assert _same_bits(gradient(base[:4096]), grads[:4096]), str(p)
+            assert grads.flags.c_contiguous
+            for row, expected in zip(base, grads):
+                assert _same_bits(gradient_at(row.tolist()), expected), (str(p), row)
 
 
-def test_evaluators_match_broadcast_kernel_bit_for_bit():
-    # numeric() and gradient_numeric() against the same products and sums
-    # built on the reference kernel.
+def _rounding_bound(p, point):
+    # gamma_n * sum |c_k * m_k| with n = total degree + term count: a term of
+    # degree D takes D - 1 chain and product multiplications, one by its
+    # coefficient and one rounding of the coefficient; the sum from 0.0
+    # rounds K - 1 times.
+    u = Fraction(1, 2**53)
+    n = p.total_degree() + len(p.terms)
+    gamma = n * u / (1 - n * u)
+    terms = [Polynomial(p.variables, {e: c}) for e, c in p.terms.items()]
+    return gamma * sum(abs(term.evaluate_exact(point)) for term in terms)
+
+
+def test_evaluators_within_rounding_bound_of_exact_value():
+    # An oracle independent of the kernel: on dyadic points, which floats
+    # hold exactly, each value and partial lies within the standard
+    # forward-error bound of its exact rational value.
     rng = np.random.default_rng(12)
-    for n, exponents in enumerate(_kernel_tables(rng)):
-        d = len(exponents[0])
-        coeffs = [Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5))) for _ in exponents]
-        p = Polynomial([f"x{i}" for i in range(d)], dict(zip(exponents, coeffs)))
-        value_table = np.array(list(p.terms), dtype=float).reshape(len(p.terms), d)
-        value_coeffs = np.array([float(c) for c in p.terms.values()])
-        partials = [g.terms for g in p.gradient()]
-        grad_table = np.array([e for t in partials for e in t], dtype=float).reshape(-1, d)
-        value, gradient = p.numeric(), p.gradient_numeric()
-        for m in (1, 4, 40, 400, 4097) if n % 8 == 0 else (1, 4, 40, 400):
-            for layout in ("C", "F", "rows"):
-                pts = _kernel_points(rng, m, d, layout)
-                expected = _broadcast_monomials(pts, value_table) @ value_coeffs
-                assert _same_bits(value(pts), expected), (str(p), m, layout)
-                monomials = _broadcast_monomials(pts, grad_table)
-                expected = np.zeros((m, d))
-                start = 0
-                for j, terms in enumerate(partials):
-                    if terms:
-                        stop = start + len(terms)
-                        column_coeffs = np.array([float(c) for c in terms.values()])
-                        expected[:, j] = monomials[:, start:stop] @ column_coeffs
-                        start = stop
-                assert _same_bits(gradient(pts), expected), (str(p), m, layout)
+    for p in _kernel_polynomials(rng):
+        d = len(p.variables)
+        points = [
+            [Fraction(int(v), 64) for v in rng.integers(-96, 97, size=d)] for _ in range(10)
+        ]
+        floats = np.array([[float(v) for v in point] for point in points])
+        values, grads = p.numeric()(floats), p.gradient_numeric()(floats)
+        for i, point in enumerate(points):
+            error = abs(Fraction(float(values[i])) - p.evaluate_exact(point))
+            assert error <= _rounding_bound(p, point), (str(p), point)
+            for j, partial in enumerate(p.gradient()):
+                error = abs(Fraction(float(grads[i, j])) - partial.evaluate_exact(point))
+                assert error <= _rounding_bound(partial, point), (str(p), point, j)
 
 
 # ----------------------------------------------------------------------
