@@ -279,6 +279,8 @@ def resolve(
         raise BlowupError("cannot resolve the zero polynomial")
     if p.constant_term() != 0:
         raise BlowupError("polynomial does not vanish at the origin; nothing to resolve")
+    if max_depth < 0:
+        raise BlowupError(f"max_depth must be non-negative, got {max_depth}")
 
     root = _root_node(p)
     nodes: dict[str, BlowupNode] = {root.chart_id: root}

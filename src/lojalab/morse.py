@@ -13,6 +13,9 @@ exponent ``1 - 1/N`` with the explicit constant
 over unit directions ``v`` normal to ``K``; the inequality is then checked
 by sampling a shrinking cylinder around ``K`` on which the Taylor-remainder
 smallness conditions of the constant's derivation are themselves verified.
+Those conditions read ``D^N p(x) v^N`` and ``D^N p(x) v^{N-1}`` off one exact
+polynomial ``T(x, v) = N! [t^N] p(x + t v)`` in ``2d`` variables: its value
+and its ``v``-gradient over ``N``.
 
 Equality of the critical set with ``K`` (as opposed to containment, which is
 symbolic and exact) is probed by sampling only and flagged as heuristic.
@@ -219,22 +222,29 @@ def check_morse_bott(
     )
 
 
-def _derivatives_by_multi_index(p: Polynomial, max_order: int) -> dict[tuple[int, ...], Polynomial]:
-    """All iterated partials with multi-index total order <= max_order."""
-    d = len(p.variables)
-    out: dict[tuple[int, ...], Polynomial] = {(0,) * d: p}
-    frontier = [(0,) * d]
-    for _ in range(max_order):
-        next_frontier = []
-        for m in frontier:
-            base = out[m]
-            for i in range(d):
-                key = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-                if key not in out:
-                    out[key] = base.derivative(p.variables[i])
-                    next_frontier.append(key)
-        frontier = next_frontier
-    return out
+def _splits(total: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every ``k`` with ``0 <= k_i <= caps_i`` and ``sum(k) == total``."""
+    if not caps:
+        return [()] if total == 0 else []
+    firsts = range(min(caps[0], total) + 1)
+    return [(k, *tail) for k in firsts for tail in _splits(total - k, caps[1:])]
+
+
+def _nth_derivative_tensor(p: Polynomial, order: int) -> Polynomial:
+    """``T(x, v) = D^order p(x)[v^order] = order! [t^order] p(x + t v)``.
+
+    A polynomial in ``2d`` variables, the directions ``v`` (named ``x'``)
+    after ``x``.  By the binomial theorem a term ``c x^e`` contributes
+    ``order! c prod C(e_i, k_i) x^(e-k) v^k`` for each ``k <= e`` with
+    ``|k| = order``, and distinct ``(e, k)`` give distinct monomials.
+    """
+    scale = math.factorial(order)
+    terms = {}
+    for e, c in p.terms.items():
+        for k in _splits(order, e):
+            weight = math.prod(math.comb(n, j) for n, j in zip(e, k))
+            terms[tuple(n - j for n, j in zip(e, k)) + k] = scale * weight * c
+    return Polynomial(p.variables + tuple(f"{v}'" for v in p.variables), terms)
 
 
 def _normal_directions(d: int, subspace: Sequence[int], count: int) -> np.ndarray:
@@ -342,44 +352,16 @@ def verify_gmb_gradient_inequality(
     n_radii = 12
     n_kappa = max(1, samples // (n_dirs * n_radii))
     directions = _normal_directions(d, subspace, n_dirs)
-
-    # Each top-order partial with its weights and direction monomials v^m and
-    # v^(m - e_j); the monomials depend only on the mesh, so they are formed
-    # once and broadcast over every (kappa, radius) block of directions.
-    factorial = math.factorial
-    terms = []
-    for m, poly in _derivatives_by_multi_index(p, order).items():
-        if sum(m) != order:
-            continue
-        denominator = math.prod(factorial(k) for k in m)
-        contractions = []
-        for j in range(d):
-            if m[j] == 0:
-                continue
-            reduced = tuple(k - 1 if i == j else k for i, k in enumerate(m))
-            contractions.append((
-                j,
-                factorial(order - 1) / denominator * m[j],
-                np.prod(directions**np.array(reduced, dtype=float), axis=1),
-            ))
-        terms.append((
-            poly.numeric(),
-            factorial(order) / denominator,
-            np.prod(directions**np.array(m, dtype=float), axis=1),
-            contractions,
-        ))
+    tensor = _nth_derivative_tensor(p, order)
+    tensor_value, tensor_gradient = tensor.numeric(), tensor.gradient_numeric()
 
     def tensors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """D^N p(x) v^N and D^N p(x) v^{N-1} for a (blocks, n_dirs, d) array
         of points x, each block paired row by row with the directions v."""
-        vn = np.zeros(points.shape[:2])
-        vm = np.zeros(points.shape)
-        rows = points.reshape(-1, d)
-        for fn, weight, monomial, contractions in terms:
-            base = fn(rows).reshape(vn.shape)
-            vn += weight * base * monomial
-            for j, contraction_weight, reduced_monomial in contractions:
-                vm[:, :, j] += contraction_weight * base * reduced_monomial
+        blocks = points.shape[0]
+        rows = np.hstack([points.reshape(-1, d), np.tile(directions, (blocks, 1))])
+        vn = tensor_value(rows).reshape(points.shape[:2])
+        vm = tensor_gradient(rows)[:, d:].reshape(points.shape) / order
         return vn, vm
 
     at_zero_vn, at_zero_vm = tensors(np.zeros((1, len(directions), d)))

@@ -51,6 +51,8 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
     """Quasi-uniform unit directions, always including +/- each axis."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if count < 1:
+        raise ValueError(f"direction count must be at least 1, got {count}")
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
@@ -89,6 +91,10 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
     anchors = [np.zeros(dim)]
     for i in range(dim):
         e = np.zeros(dim)

@@ -2,13 +2,20 @@
 
 ``perfbench/layers.py`` lists them in ``REQUIRED``; a traced run refuses to
 start when one is missing, so a deletion here would break ``--trace 1``.
+A traced run also fails when a metric's source spans never ran, so one
+traced analyze-snc cycle must record every span that workload owes.
 """
 
 import importlib
+import random
 import runpy
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import lojalab
+import lojalab.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def test_every_required_function_resolves():
@@ -21,3 +28,25 @@ def test_every_required_function_resolves():
         if not callable(obj):
             missing.append(name)
     assert missing == []
+
+
+def test_traced_analyze_cycle_records_every_span(tmp_path):
+    # The perfbench modules are run from their files, not imported, so no
+    # bytecode is written next to them.
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    layers = runpy.run_path(str(LAYERS))
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    workload = workloads["WORKLOADS"]["analyze-snc"](lojalab, tmp_path)
+    tracer = tracing["Tracer"](lojalab)
+    tracer.install()
+    try:
+        for spec in workload.cycle(random.Random(0), 0):
+            workload.prepare(spec)
+            tracer.begin_job()
+            result = workload.run(spec)
+            tracer.end_job()
+            assert workload.check(spec, workload.collect(spec, result)) == [], spec
+    finally:
+        tracer.uninstall()
+    assert tracer.jobs == 20
+    assert layers["missing_spans"](tracer.totals, "analyze-snc") == []

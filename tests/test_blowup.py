@@ -134,6 +134,11 @@ def test_resolve_requires_vanishing_origin():
         resolve(parse("1 + x*y"))
 
 
+def test_resolve_rejects_negative_depth():
+    with pytest.raises(BlowupError, match="max_depth must be non-negative, got -1"):
+        resolve(CUSP, max_depth=-1)
+
+
 def test_resolve_depth_cap_flags_branch():
     result = resolve(CUSP, max_depth=1)
     assert result.depth_capped

@@ -59,6 +59,29 @@ def test_negative_seed_exits_one(tmp_path):
     assert _run(["analyze", "x1*x2", "--seed", "-1"], tmp_path) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "x^2*y^3", "--samples", "0"], "sample count must be at least 1, got 0"),
+    (["analyze", "x^2*y^3", "--samples", "-5"], "sample count must be at least 1, got -5"),
+    (["verify", "x^2*y^3", "--samples", "0"], "sample count must be at least 1, got 0"),
+    (["verify", "x^2*y^3", "--samples", "-5"], "sample count must be at least 1, got -5"),
+    (["flow", "x^2", "--point", "0.1", "--samples", "0"],
+     "sample count must be at least 1, got 0"),
+    (["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--samples", "-5"],
+     "sample count must be at least 1, got -5"),
+    (["estimate", "x^2 - y^3", "--estimate-samples", "0"],
+     "direction count must be at least 1, got 0"),
+    (["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--delta", "-1"],
+     "ball radius must be finite and positive, got -1.0"),
+    (["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--delta", "0"],
+     "ball radius must be finite and positive, got 0.0"),
+    (["resolve", "x^2 - y^3", "--max-depth", "-1"], "max_depth must be non-negative, got -1"),
+])
+def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
+    # Each used to pass on the anchor points alone, or fail as a check.
+    assert _run(argv, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_stdin_input(tmp_path, monkeypatch):
     assert _run(["analyze", "-"], tmp_path, monkeypatch, stdin="x^2\n") == 0
     assert _report(tmp_path)["theta"] == "1/2"

@@ -8,13 +8,14 @@ import pytest
 
 from lojalab.morse import (
     MorseBottError,
-    _derivatives_by_multi_index,
     _flat_to_order,
     _hessian_exact,
+    _nth_derivative_tensor,
     _vanishes_on,
     check_generalized_morse_bott,
     check_morse_bott,
     gmb_constant,
+    nth_derivative_form,
     verify_gmb_gradient_inequality,
 )
 from lojalab.poly import Polynomial, parse
@@ -119,17 +120,61 @@ def test_flatness_and_hessian_read_from_exponents():
             terms[exponent] = int(rng.integers(1, 4))
         q = Polynomial(names[:d], terms)
         subspace = tuple(i for i in range(d) if rng.random() < 0.5)
-        oracle = all(
-            _vanishes_on(partial, subspace)
-            for m, partial in _derivatives_by_multi_index(q, order - 1).items()
-            if sum(m) >= 1
-        )
+        # Every partial of order 1..order-1, one derivative at a time, each
+        # multi-index once: (last variable differentiated, partial).
+        partials, frontier = [], [(0, q)]
+        for _ in range(order - 1):
+            frontier = [
+                (i, g.derivative(q.variables[i]))
+                for last, g in frontier
+                for i in range(last, d)
+            ]
+            partials += [g for _, g in frontier]
+        oracle = all(_vanishes_on(partial, subspace) for partial in partials)
         assert _flat_to_order(q, subspace, order) == oracle, (str(q), subspace, order)
         hessian = [
             [q.derivative(u).derivative(v).constant_term() for v in q.variables]
             for u in q.variables
         ]
         assert _hessian_exact(q) == hessian, str(q)
+
+
+def test_derivative_tensor_is_taylor_coefficient():
+    # T(x, v) against N! [t^N] p(x + t v) expanded by sympy, and T(0, v)
+    # against the N-th derivative form at the origin.
+    import sympy
+
+    rng = np.random.default_rng(11)
+    names = ("x", "y", "z")
+    t = sympy.Symbol("t")
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        order = int(rng.integers(2, 7))
+        terms = {}
+        for _ in range(int(rng.integers(1, 6))):
+            exponent = tuple(int(k) for k in rng.integers(0, 6, size=d))
+            terms[exponent] = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        q = Polynomial(names[:d], terms)
+        tensor = _nth_derivative_tensor(q, order)
+
+        xs = sympy.symbols(names[:d])
+        vs = sympy.symbols(f"v0:{d}")
+        shifted = sympy.Poly(0, t, *xs, *vs)
+        for e, c in q.terms.items():
+            term = sympy.Poly(sympy.Rational(c.numerator, c.denominator), t, *xs, *vs)
+            for x, v, k in zip(xs, vs, e):
+                term *= sympy.Poly(x + t * v, t, *xs, *vs) ** k
+            shifted += term
+        expected = {
+            e[1:]: math.factorial(order) * Fraction(int(c.p), int(c.q))
+            for e, c in shifted.terms() if e[0] == order and c
+        }
+        assert len(tensor.variables) == 2 * d
+        assert tensor.terms == expected, (str(q), order)
+
+        at_zero = tensor.shift({v: 0 for v in q.variables})
+        at_zero = at_zero.rename({f"{v}'": v for v in q.variables})
+        assert at_zero == nth_derivative_form(q, order), (str(q), order)
 
 
 def test_round_quadratic_coercivity_value():
@@ -202,6 +247,9 @@ def test_gmb_inequality_quartic():
         ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4,
          {"cylinder_radius": 2.0, "samples": 10_000},
          3.575368416905518, (0.25, 0.0625), 18144),
+        # The shape of analyze-snc's gmb-d2 jobs: order 6, isolated zero.
+        ("3*x1^6 + x2^6", ["x1", "x2"], (), 6, {},
+         5.176618090805918, (0.5, 0.5), 1200),
     ],
 )
 def test_gmb_inequality_pinned_values(

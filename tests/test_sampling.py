@@ -58,6 +58,26 @@ def test_halton_rejects_indices_outside_int64():
         halton(3, 2, start=2**63 - 2)
 
 
+@pytest.mark.parametrize("count, radius, message", [
+    (0, 0.5, "sample count must be at least 1, got 0"),
+    (-5, 0.5, "sample count must be at least 1, got -5"),
+    (10, 0.0, "ball radius must be finite and positive, got 0.0"),
+    (10, -1.0, "ball radius must be finite and positive, got -1.0"),
+    (10, float("inf"), "ball radius must be finite and positive, got inf"),
+    (10, float("nan"), "ball radius must be finite and positive, got nan"),
+])
+def test_ball_points_rejects_empty_counts_and_bad_radii(count, radius, message):
+    with pytest.raises(ValueError, match=message):
+        ball_points(2, count, radius)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sphere_directions_rejects_empty_counts(dim):
+    for count in (0, -5):
+        with pytest.raises(ValueError, match=f"direction count must be at least 1, got {count}"):
+            sphere_directions(dim, count)
+
+
 def _check_anchors(points, dim, radius):
     anchors = points[: 2 * dim + 1]
     assert np.array_equal(anchors[0], np.zeros(dim))
