@@ -13,7 +13,6 @@ from .poly import (
     ParseError,
     Polynomial,
     PolynomialLimitError,
-    Substitution,
     parse,
 )
 from .snc import (
@@ -35,7 +34,6 @@ from .blowup import (
     ChartTree,
     ResolutionResult,
     TranslatedPointReport,
-    blowup_once,
     combine_point_bounds,
     exponent_upper_bound,
     pull_back_and_bound,
@@ -47,7 +45,6 @@ from .morse import (
     MorseBottReport,
     check_generalized_morse_bott,
     check_morse_bott,
-    gmb_constant,
     verify_gmb_gradient_inequality,
 )
 from .flow import (
@@ -59,7 +56,6 @@ from .flow import (
     dqds_identity_error,
     energy_monotonicity_violation,
     integrate_flow,
-    rk4_fixed_step,
     speed_identity_error,
     verify_distance_inequalities,
     verify_length_bound,
@@ -72,7 +68,6 @@ from .estimate import (
     compare_with_resolution_bound,
     estimate_theta,
     haraux_counterexample_check,
-    monomial_ratio_profile,
 )
 from .reports import InequalityCheckReport, SCHEMA, dump_report
 

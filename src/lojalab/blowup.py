@@ -251,13 +251,6 @@ def _root_node(p: Polynomial) -> BlowupNode:
     )
 
 
-def blowup_once(p: Polynomial) -> tuple[BlowupNode, BlowupNode]:
-    """Both charts of a single blow-up at the origin of a 2-variable chart."""
-    if len(p.variables) != 2:
-        raise BlowupError(f"blow-up needs exactly 2 variables, got {p.variables}")
-    return _expand(_root_node(p), set(p.variables))
-
-
 def resolve(
     p: Polynomial,
     max_depth: int = DEFAULT_MAX_DEPTH,

@@ -180,32 +180,6 @@ def estimate_theta(
     )
 
 
-def monomial_ratio_profile(
-    p: Polynomial,
-    theta: Fraction | float,
-    radii: Sequence[float],
-    samples_per_radius: int = 400,
-) -> list[float]:
-    """Per-radius minimum of ``||grad p|| / |p|^theta`` on spheres.
-
-    For a pure monomial with its own exponent this is exactly radius
-    independent (the ratio is scale covariant), which makes it a sharp
-    estimator sanity check.
-    """
-    theta = float(theta)
-    directions = sphere_directions(len(p.variables), samples_per_radius)
-    value_fn = p.numeric()
-    grad_fn = p.gradient_numeric()
-    out = []
-    for r in radii:
-        points = r * directions
-        values = np.abs(value_fn(points))
-        grads = np.linalg.norm(grad_fn(points), axis=1)
-        keep = values > VALUE_DISCARD
-        out.append(float((grads[keep] / values[keep] ** theta).min()))
-    return out
-
-
 @dataclass
 class ConsistencyVerdict:
     consistent: bool

@@ -247,6 +247,8 @@ def integrate_flow(
         raise FlowError(f"start point has shape {x0.shape}, expected ({fn.dimension},)")
     if not np.isfinite(x0).all():
         raise FlowError(f"start point {x0} is not finite")
+    if not all(math.isfinite(v) for v in (tol, rtol, atol)):
+        raise FlowError(f"tolerances must be finite, got tol={tol}, rtol={rtol}, atol={atol}")
     if tol <= 0:
         raise FlowError("tol must be positive")
     if not t_max > 0:
@@ -492,32 +494,6 @@ def _dormand_prince(
         rejected_steps=rejected,
         stop_reason=stop_reason,
     )
-
-
-def rk4_fixed_step(
-    E: Polynomial | Function,
-    x0: Sequence[float],
-    step: float,
-    steps: int,
-) -> np.ndarray:
-    """Classical fixed-step RK4 endpoint; the independent integration oracle.
-
-    The state is a list of Python floats and each stage takes the one-point
-    gradient ``g``, so the velocity ``-g`` enters as ``x - h * g``.
-    """
-    gradient_at = Function.of(E).gradient_at
-    x = [float(v) for v in x0]
-    half = 0.5 * step
-    for _ in range(steps):
-        k1 = gradient_at(x)
-        k2 = gradient_at([xi - half * ki for xi, ki in zip(x, k1)])
-        k3 = gradient_at([xi - half * ki for xi, ki in zip(x, k2)])
-        k4 = gradient_at([xi - step * ki for xi, ki in zip(x, k3)])
-        x = [
-            xi - (step / 6.0) * (a + 2 * b + 2 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-    return np.array(x)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ exponent ``1 - 1/N`` with the explicit constant
 
     C = (N/4) * inf_v ( (2/N!) * ||D^N(0) v^{N-1}|| )^(1/N)
 
-over unit directions ``v`` normal to ``K``; the inequality is then checked
+over unit directions ``v`` normal to ``K``.  The order-``N`` check reports
+``C`` with the coercivity: both are read off the ``N``-th derivative form on
+one mesh of the normal unit sphere.  The inequality is then checked
 by sampling a shrinking cylinder around ``K`` on which the Taylor-remainder
 smallness conditions of the constant's derivation are themselves verified.
 Those conditions read ``D^N p(x) v^N`` and ``D^N p(x) v^{N-1}`` off one exact
@@ -37,6 +39,9 @@ from .snc import ZERO_SKIP
 
 CERTIFIED_ZETA_MARGIN = 0.9
 COERCIVITY_FLOOR = 1e-12
+# Directions in the normal unit-sphere mesh that the order-N check reads
+# the coercivity and the cylinder constant off.
+_NORMAL_MESH_SIZE = 10_000
 # Starting cylinder length along the subspace, and how often the cylinder
 # may be halved, in verify_gmb_gradient_inequality.
 _CYLINDER_LENGTH = 0.5
@@ -61,6 +66,7 @@ class MorseBottReport:
     verdict: bool
     hessian_rank: int | None = None
     hessian_kernel_basis: tuple[tuple[Fraction, ...], ...] | None = None
+    cylinder_constant: float | None = None  # order-N check only
 
     def to_json(self) -> dict:
         return {
@@ -69,6 +75,7 @@ class MorseBottReport:
             "N": self.order,
             "zeta": self.coercivity_zeta,
             "zeta_certified": self.coercivity_zeta_certified,
+            "C": self.cylinder_constant,
             "theta": rational_str(self.predicted_theta) if self.predicted_theta else None,
             "conditions": {
                 "a": self.gradient_vanishes_on_subspace
@@ -268,7 +275,6 @@ def check_generalized_morse_bott(
     p: Polynomial,
     subspace: Iterable[int],
     order: int,
-    sphere_samples: int = 10_000,
     samples: int = 10_000,
     seed: int = 0,
 ) -> MorseBottReport:
@@ -279,6 +285,7 @@ def check_generalized_morse_bott(
     (c): the N-th derivative form at 0 is bounded away from zero on the unit
     sphere of the normal space (checked on a deterministic mesh; the
     certified coercivity keeps a 10% slack under the sampled minimum).
+    The cylinder constant ``C`` is the minimum over the same mesh.
     """
     if order < 2:
         raise MorseBottError("order must be at least 2")
@@ -290,10 +297,14 @@ def check_generalized_morse_bott(
     condition_b = _flat_to_order(p, subspace, order)
 
     form = nth_derivative_form(p, order)
-    directions = _normal_directions(d, subspace, sphere_samples)
+    directions = _normal_directions(d, subspace, _NORMAL_MESH_SIZE)
     values = np.abs(form.numeric()(directions))
     zeta = float(values.min())
     condition_c = zeta > COERCIVITY_FLOOR
+    # Row v of the form's gradient over N is D^N(0) v^{N-1}.
+    contracted = form.gradient_numeric()(directions) / order
+    norms = np.linalg.norm(contracted, axis=1)
+    inf_term = float(((2.0 / math.factorial(order)) * norms).min())
 
     verdict = contains and condition_b and condition_c
     return MorseBottReport(
@@ -307,21 +318,8 @@ def check_generalized_morse_bott(
         coercivity_zeta_certified=CERTIFIED_ZETA_MARGIN * zeta,
         predicted_theta=Fraction(order - 1, order) if verdict else None,
         verdict=verdict,
+        cylinder_constant=(order / 4.0) * inf_term ** (1.0 / order),
     )
-
-
-def gmb_constant(
-    p: Polynomial, subspace: Sequence[int], order: int, sphere_samples: int = 10_000
-) -> float:
-    """The cylinder constant (N/4) inf_v ((2/N!)||D^N(0) v^{N-1}||)^{1/N}."""
-    d = len(p.variables)
-    form = nth_derivative_form(p, order)
-    directions = _normal_directions(d, subspace, sphere_samples)
-    # Row v of the form's gradient over N is D^N(0) v^{N-1}.
-    contracted = form.gradient_numeric()(directions) / order
-    norms = np.linalg.norm(contracted, axis=1)
-    inf_term = float(((2.0 / math.factorial(order)) * norms).min())
-    return (order / 4.0) * inf_term ** (1.0 / order)
 
 
 def verify_gmb_gradient_inequality(
@@ -339,15 +337,13 @@ def verify_gmb_gradient_inequality(
     the ratio is minimized over the cylinder samples (and any caller-supplied
     extra points, which is how known bad curves are exhibited).
     """
-    if report.order is None:
-        raise MorseBottError("report carries no order; run the order-N check")
+    if report.cylinder_constant is None:
+        raise MorseBottError("report carries no cylinder constant; run the order-N check")
     if not (report.verdict or force):
         raise MorseBottError("report verdict is negative; pass force=True to probe anyway")
     order = report.order
     d = len(p.variables)
     subspace = report.critical_subspace
-    constant = gmb_constant(p, subspace, order)
-
     n_dirs = max(16, samples // 40)
     n_radii = 12
     n_kappa = max(1, samples // (n_dirs * n_radii))
@@ -401,7 +397,7 @@ def verify_gmb_gradient_inequality(
         inequality_id="gradient",
         exponent=Fraction(order - 1, order),
         measured_constant=measured,
-        predicted_constant=constant,
+        predicted_constant=report.cylinder_constant,
         sample_count=int(keep.sum()),
         ball_radii=(radius, length),
     )

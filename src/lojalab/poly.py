@@ -271,35 +271,6 @@ class Polynomial:
     # evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {len(self.variables)}"
-            )
-        total = 0.0
-        for e, c in self.terms.items():
-            acc = float(c)
-            for x, p in zip(point, e):
-                if p:
-                    acc *= float(x) ** p
-            total += acc
-        return total
-
-    def evaluate_exact(self, point: Sequence[Fraction | int]) -> Fraction:
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {len(self.variables)}"
-            )
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            acc = c
-            for x, p in zip(point, e):
-                if p:
-                    acc *= x**p
-            total += acc
-        return total
-
     def numeric(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorised evaluator mapping an (m, d) array to m values."""
         sums = _MonomialKernel([self.terms], len(self.variables))
@@ -345,16 +316,6 @@ class Polynomial:
     def rename(self, mapping: Mapping[str, str]) -> Polynomial:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         return Polynomial(new_vars, self.terms)
-
-    def substitute(self, substitution: "Substitution") -> Polynomial:
-        return substitution.apply(self)
-
-    def shift(self, assignments: Mapping[str, Fraction | int]) -> Polynomial:
-        """Substitute constants for a subset of variables, dropping them."""
-        sub = Substitution(
-            {v: Polynomial.constant(c) for v, c in assignments.items()}
-        )
-        return sub.apply(self)
 
     # ------------------------------------------------------------------
     # printing

@@ -120,8 +120,8 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
 
 def geometric_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     """Geometrically spaced radii from ``r_max`` down to ``r_min``."""
-    if not (0.0 < r_min <= r_max):
-        raise ValueError("need 0 < r_min <= r_max")
+    if not (0.0 < r_min <= r_max < math.inf):
+        raise ValueError(f"need finite radii with 0 < r_min <= r_max, got {r_min}, {r_max}")
     if count < 1:
         raise ValueError("need at least one radius")
     if count == 1 or r_min == r_max:

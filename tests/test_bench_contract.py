@@ -11,6 +11,8 @@ import random
 import runpy
 from pathlib import Path
 
+import pytest
+
 import lojalab
 import lojalab.cli
 
@@ -30,17 +32,20 @@ def test_every_required_function_resolves():
     assert missing == []
 
 
-def test_traced_analyze_cycle_records_every_span(tmp_path):
+def _traced(name, tmp_path, keep=lambda spec: True):
+    """Run the kept jobs of a workload's first cycle under the tracer; each
+    must pass its oracle.  Returns the tracer and the ``missing_spans``
+    function."""
     # The perfbench modules are run from their files, not imported, so no
     # bytecode is written next to them.
     tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
     layers = runpy.run_path(str(LAYERS))
     workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
-    workload = workloads["WORKLOADS"]["analyze-snc"](lojalab, tmp_path)
+    workload = workloads["WORKLOADS"][name](lojalab, tmp_path)
     tracer = tracing["Tracer"](lojalab)
     tracer.install()
     try:
-        for spec in workload.cycle(random.Random(0), 0):
+        for spec in filter(keep, workload.cycle(random.Random(0), 0)):
             workload.prepare(spec)
             tracer.begin_job()
             result = workload.run(spec)
@@ -48,5 +53,18 @@ def test_traced_analyze_cycle_records_every_span(tmp_path):
             assert workload.check(spec, workload.collect(spec, result)) == [], spec
     finally:
         tracer.uninstall()
+    return tracer, layers["missing_spans"]
+
+
+def test_traced_analyze_cycle_records_every_span(tmp_path):
+    tracer, missing_spans = _traced("analyze-snc", tmp_path)
     assert tracer.jobs == 20
-    assert layers["missing_spans"](tracer.totals, "analyze-snc") == []
+    assert missing_spans(tracer.totals, "analyze-snc") == []
+
+
+@pytest.mark.parametrize("name, stratum", [("resolve-curves", "bp-2-3"), ("flow-verify", "x^2")])
+def test_traced_job_records_every_span(tmp_path, name, stratum):
+    # One job of the stratum: x^2 - y^3, and x^2 from 0.5.
+    tracer, missing_spans = _traced(name, tmp_path, lambda spec: spec["stratum"] == stratum)
+    assert tracer.jobs == 1
+    assert missing_spans(tracer.totals, name) == []

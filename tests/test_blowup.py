@@ -11,7 +11,6 @@ import pytest
 
 from lojalab.blowup import (
     BlowupError,
-    blowup_once,
     exponent_upper_bound,
     pull_back_and_bound,
     resolve,
@@ -19,6 +18,8 @@ from lojalab.blowup import (
 )
 from lojalab.poly import Polynomial, Substitution, parse
 from lojalab.sampling import ball_points
+
+from oracles import evaluate_exact
 
 CUSP = parse("x^2 - y^3")
 
@@ -80,8 +81,14 @@ PINNED_DIGEST = "53b8ecc95f4f56ebc165f01568382c2e10d07815"
 CHECKED_TRANSLATED = 332
 
 
+def _blowup_once(p):
+    """Both charts of one blow-up at the origin: the depth-1 tree's nodes."""
+    tree = resolve(p, max_depth=1, expand_snc=True).tree
+    return tree.node("root/1"), tree.node("root/2")
+
+
 def test_blowup_once_cusp_charts():
-    chart1, chart2 = blowup_once(CUSP)
+    chart1, chart2 = _blowup_once(CUSP)
     assert chart1.total_transform.rename(RENAMES["root/1"]) == parse("u^2*v^2 - v^3")
     assert chart2.total_transform.rename(RENAMES["root/2"]) == parse("a^2 - a^3*b^3")
     # New exceptional line: second variable in chart 1, first in chart 2.
@@ -90,13 +97,13 @@ def test_blowup_once_cusp_charts():
 
 
 def test_blowup_once_monomializes_cross_term():
-    chart1, _ = blowup_once(parse("x*y"))
+    chart1, _ = _blowup_once(parse("x*y"))
     assert chart1.total_transform.rename(RENAMES["root/1"]) == parse("u*v^2")
 
 
 def test_blowup_once_needs_two_variables():
     with pytest.raises(BlowupError):
-        blowup_once(parse("x^2"))
+        _blowup_once(parse("x^2"))
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +224,7 @@ def test_roundtrip_composite_reproduces_total_transform():
                     root.variables[1]: node.composite[1],
                 }
             )
-            assert root.substitute(sub) == node.total_transform, (str(root), node.chart_id)
+            assert sub.apply(root) == node.total_transform, (str(root), node.chart_id)
 
 
 def test_resolve_does_not_multiply_polynomials(monkeypatch):
@@ -260,8 +267,8 @@ def test_exceptional_axes_map_into_zero_set():
             for t in probe_values:
                 point = [t, t]
                 point[axis] = Fraction(0)
-                image = [c.evaluate_exact(point) for c in node.composite]
-                on_curve = CUSP.evaluate_exact(image) == 0
+                image = [evaluate_exact(c, point) for c in node.composite]
+                on_curve = evaluate_exact(CUSP, image) == 0
                 at_origin = image[0] == 0 and image[1] == 0
                 assert on_curve or at_origin, (node.chart_id, axis)
 
@@ -304,9 +311,7 @@ def test_translated_polynomials_match_substitution():
             node = result.tree.node(point.chart_id)
             (gamma,) = set(point.translated.variables) - set(node.variables)
             shift = Polynomial.constant(point.point_value, (gamma,)) - Polynomial.variable(gamma)
-            reference = node.total_transform.substitute(
-                Substitution({point.along_variable: shift})
-            )
+            reference = Substitution({point.along_variable: shift}).apply(node.total_transform)
             assert point.translated == reference, (text, point.chart_id)
             assert point.translated.variables == reference.variables
             checked += 1
@@ -316,7 +321,7 @@ def test_translated_polynomials_match_substitution():
 def test_translated_analysis_counts_irrational_points():
     # x^2 - 2y^2 pulls back to v^2 (u^2 - 2): the residual meets the
     # exceptional line at u = +/- sqrt(2), both irrational.
-    child1, _ = blowup_once(parse("x^2 - 2*y^2"))
+    child1, _ = _blowup_once(parse("x^2 - 2*y^2"))
     reports, unanalyzed = translated_chart_analysis(child1)
     assert unanalyzed == 2
     assert reports == []

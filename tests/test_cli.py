@@ -75,6 +75,8 @@ def test_negative_seed_exits_one(tmp_path):
     (["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--delta", "0"],
      "ball radius must be finite and positive, got 0.0"),
     (["resolve", "x^2 - y^3", "--max-depth", "-1"], "max_depth must be non-negative, got -1"),
+    (["estimate", "x^2", "--r-max", "inf"],
+     "need finite radii with 0 < r_min <= r_max, got 1e-06, inf"),
 ])
 def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
     # Each used to pass on the anchor points alone, or fail as a check.

@@ -12,9 +12,10 @@ from lojalab.estimate import (
     compare_with_resolution_bound,
     estimate_theta,
     haraux_counterexample_check,
-    monomial_ratio_profile,
 )
 from lojalab.poly import parse
+
+from oracles import monomial_ratio_profile
 
 SNC_CORPUS = {
     "x1*x2": Fraction(1, 2),

@@ -24,12 +24,13 @@ from lojalab.flow import (
     dqds_identity_error,
     energy_monotonicity_violation,
     integrate_flow,
-    rk4_fixed_step,
     speed_identity_error,
     verify_distance_inequalities,
     verify_length_bound,
 )
 from lojalab.poly import Function, parse
+
+from oracles import rk4_fixed_step
 
 TIGHT = dict(rtol=1e-12, atol=1e-12)
 
@@ -316,11 +317,26 @@ def test_step_counts():
         ([0.5, 0.1], dict(t_max=-1.0), "t_max must be positive"),
         ([0.5, 0.1], dict(atol=-1.0), "atol must be non-negative"),
         ([math.inf, 0.1], {}, "not finite"),
+        # A NaN tol would never be met and an infinite one met at once, so
+        # non-finite tolerances fail before the first right-hand-side call.
+        ([0.5, 0.1], dict(tol=math.nan), "tolerances must be finite"),
+        ([0.5, 0.1], dict(tol=math.inf), "tolerances must be finite"),
+        ([0.5, 0.1], dict(rtol=math.nan), "tolerances must be finite"),
+        ([0.5, 0.1], dict(atol=math.inf), "tolerances must be finite"),
     ],
 )
 def test_bad_integration_input_raises(x0, options, message):
+    fn = Function.of(parse("x^2 + y^2"))
+    calls = []
+
+    def gradient(points):
+        calls.append(len(points))
+        return fn.gradient(points)
+
+    counted = Function(dimension=2, value=fn.value, gradient=gradient)
     with pytest.raises(FlowError, match=message):
-        integrate_flow(parse("x^2 + y^2"), x0, tol=1e-6, **options)
+        integrate_flow(counted, x0, **{"tol": 1e-6, **options})
+    assert calls == []
 
 
 def test_step_size_collapse_raises():

@@ -14,11 +14,12 @@ from lojalab.morse import (
     _vanishes_on,
     check_generalized_morse_bott,
     check_morse_bott,
-    gmb_constant,
     nth_derivative_form,
     verify_gmb_gradient_inequality,
 )
 from lojalab.poly import Polynomial, parse
+
+from oracles import shift
 
 
 def test_round_quadratic_is_morse_bott():
@@ -97,7 +98,7 @@ def test_vanishing_on_subspace_read_from_exponents():
         q = Polynomial(names[:d], terms)
         subspace = tuple(i for i in range(d) if rng.random() < 0.5)
         zeroed = {v: 0 for i, v in enumerate(q.variables) if i not in subspace}
-        restricted = q.shift(zeroed) if zeroed else q
+        restricted = shift(q, zeroed) if zeroed else q
         assert _vanishes_on(q, subspace) == restricted.is_zero, (str(q), subspace)
     # Condition (b) for x^3 + x^2*y^5 at order 3 on the y-axis: the first
     # partial 3*x^2 + 2*x*y^5 vanishes there, the second 6*x + 2*y^5 does not.
@@ -172,7 +173,7 @@ def test_derivative_tensor_is_taylor_coefficient():
         assert len(tensor.variables) == 2 * d
         assert tensor.terms == expected, (str(q), order)
 
-        at_zero = tensor.shift({v: 0 for v in q.variables})
+        at_zero = shift(tensor, {v: 0 for v in q.variables})
         at_zero = at_zero.rename({f"{v}'": v for v in q.variables})
         assert at_zero == nth_derivative_form(q, order), (str(q), order)
 
@@ -215,7 +216,39 @@ def test_verdicts_invariant_under_permutation_and_scaling():
 
 def test_gmb_constant_for_square():
     # D^2(0) v = 2v on the unit sphere: C = (2/4) * (2/2! * 2)^(1/2).
-    assert gmb_constant(parse("x^2"), (), 2) == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
+    report = check_generalized_morse_bott(parse("x^2"), (), 2)
+    assert report.cylinder_constant == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, variables, subspace, order, constant",
+    [
+        ("2*x1^6 + 3*x2^6", ["x1", "x2", "x3"], (2,), 6, 1.548899325224234),
+        ("x1^4 + 2*x2^4 + x1^4*x3", ["x1", "x2", "x3"], (2,), 4, 1.0745700515095462),
+        ("3*x1^6 + x2^6", ["x1", "x2"], (), 6, 1.4463949184887004),
+        ("x^2", None, (), 2, 0.7071067811865476),
+        ("x^4", None, (), 4, 1.189207115002721),
+        # Negative verdict: the constant is still reported for a forced probe.
+        ("x^3 + x^2*y^5", None, (1,), 3, 0.9449407874211548),
+    ],
+)
+def test_cylinder_constant_pinned(text, variables, subspace, order, constant):
+    # Exact values of the minimum over the 10,000-direction normal mesh; any
+    # change in the mesh or in the form's arithmetic moves them.
+    report = check_generalized_morse_bott(parse(text, variables=variables), subspace, order)
+    assert report.cylinder_constant == constant
+    assert report.to_json()["C"] == constant
+
+
+def test_gmb_inequality_needs_the_order_n_report():
+    # The Hessian check reports no cylinder constant, even with a positive
+    # verdict; the order-2 check gives it.
+    p = parse("x^2 + y^2")
+    report = check_morse_bott(p, ())
+    assert report.verdict and report.cylinder_constant is None
+    with pytest.raises(MorseBottError, match="no cylinder constant"):
+        verify_gmb_gradient_inequality(p, report)
+    assert verify_gmb_gradient_inequality(p, check_generalized_morse_bott(p, (), 2)).passed
 
 
 def test_gmb_inequality_square():
