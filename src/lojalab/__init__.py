@@ -24,7 +24,6 @@ from .snc import (
     exponent_from_snc,
     generalized_young_gap,
     generalized_young_holds_exact,
-    measure_gradient_ratio,
     monomial_inequality_holds_exact,
     verify_gradient_inequality,
 )

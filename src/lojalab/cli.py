@@ -507,10 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[config.command](config)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (snc.SncError, blowup.BlowupError, flow_mod.FlowError,
+    except (ParseError, OSError, snc.SncError, blowup.BlowupError, flow_mod.FlowError,
             estimate_mod.EstimateError, morse.MorseBottError, PolynomialLimitError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial
-from .reports import PREDICTED_SLACK, InequalityCheckReport
+from .reports import PREDICTED_SLACK, InequalityCheckReport, sampled_check
 from .sampling import ball_points
 
 if TYPE_CHECKING:
@@ -46,6 +46,8 @@ DEFAULT_STEP_CONTROL = 1e-9
 # over the smallest norm) below which dqds_identity_error skips points.
 _STORED_SAMPLES = 4000
 _GRAD_FLOOR_FACTOR = 1e3
+# Points of the dense resampling that speed_identity_error measures along.
+_SPEED_SAMPLES = 50_000
 # Right-hand-side calls one integration may make before it fails.  RK45 makes
 # about seven per step and keeps about 0.8 KB of dense output per step; the
 # stiff x^2 + y^4 flow from (0.2, 0.2) at the default tol 1e-10, which used to
@@ -627,7 +629,7 @@ def dqds_identity_error(
     return float(rel.max())
 
 
-def speed_identity_error(traj: Trajectory, count: int = 50_000) -> float:
+def speed_identity_error(traj: Trajectory) -> float:
     """Deviation of the arc-length parameterization from unit speed.
 
     Compares the polyline length of a dense resampling against the arc
@@ -636,7 +638,7 @@ def speed_identity_error(traj: Trajectory, count: int = 50_000) -> float:
     at sub-step resolution would measure interpolant-derivative noise, so
     the check is a global one.)
     """
-    _, pts, s = _dense_resample(traj, count)
+    _, pts, s = _dense_resample(traj, _SPEED_SAMPLES)
     ds_total = float(s[-1] - s[0])
     if ds_total <= 0:
         return 0.0
@@ -674,7 +676,8 @@ def verify_distance_inequalities(
     gradient/critical-distance inequality, and ``gamma`` from running the
     beta route on ``||grad E||^2`` (falling back to ``mu`` when no exponent
     for it is derivable).  Both value inequalities are reported as skipped
-    when E changes sign on the ball.
+    when E changes sign on the ball, and all four when no sample lies off
+    the critical set.
     """
     theta = Fraction(theta)
     if not (Fraction(1, 2) <= theta < 1):
@@ -687,81 +690,27 @@ def verify_distance_inequalities(
     pts, dist = pts[keep], dist[keep]
     values = E.numeric()(pts)
     grads = np.linalg.norm(E.gradient_numeric()(pts), axis=1)
-    count = int(len(pts))
-
-    reports: list[InequalityCheckReport] = []
 
     # Both value inequalities need E >= 0.  The critical-distance one reads
     # E as a height above its minimum; the zero-distance one is measured
     # against the critical set, which contains the zero set only for E >= 0
     # (every zero is then a minimum, hence critical).
-    sign_changes = bool(np.any(values < -1e-12))
+    sign_skip = "skipped: function changes sign on the ball" if np.any(values < -1e-12) else ""
+    heights = np.abs(values)
     alpha = 1 / (1 - theta)
-    if sign_changes:
-        reports.append(
-            InequalityCheckReport(
-                inequality_id="distance-critical",
-                exponent=alpha,
-                measured_constant=0.0,
-                predicted_constant=None,
-                sample_count=count,
-                ball_radii=ball,
-                notes="skipped: function changes sign on the ball",
-                skipped=True,
-            )
-        )
-    else:
-        predicted = None
-        if gradient_constant is not None:
-            predicted = (float(1 - theta) * gradient_constant) ** float(alpha)
-        measured = float((np.abs(values) / dist ** float(alpha)).min())
-        reports.append(
-            InequalityCheckReport(
-                inequality_id="distance-critical",
-                exponent=alpha,
-                measured_constant=measured,
-                predicted_constant=predicted,
-                sample_count=count,
-                ball_radii=ball,
-            )
-        )
-    alpha_report = reports[-1]
+    predicted_alpha = None
+    if gradient_constant is not None and not sign_skip:
+        predicted_alpha = (float(1 - theta) * gradient_constant) ** float(alpha)
 
     # The zero-set inequality runs through E^2, whose exponent is
     # theta' = (1 + theta)/2 exactly when E has exponent theta.
     theta_sq = (1 + theta) / 2
     beta = 1 / (2 * (1 - theta_sq))
-    measured_beta, notes = 0.0, "skipped: function changes sign on the ball"
-    if not sign_changes:
-        measured_beta, notes = float((np.abs(values) / dist ** float(beta)).min()), ""
-    reports.append(
-        InequalityCheckReport(
-            inequality_id="distance-zero",
-            exponent=beta,
-            measured_constant=measured_beta,
-            predicted_constant=None,
-            sample_count=count,
-            ball_radii=ball,
-            notes=notes,
-            skipped=sign_changes,
-        )
-    )
 
     mu = theta / (1 - theta)
     predicted_mu = None
-    if gradient_constant is not None and alpha_report.predicted_constant:
-        predicted_mu = gradient_constant * alpha_report.predicted_constant ** float(theta)
-    measured_mu = float((grads / dist ** float(mu)).min())
-    reports.append(
-        InequalityCheckReport(
-            inequality_id="gradient-distance",
-            exponent=mu,
-            measured_constant=measured_mu,
-            predicted_constant=predicted_mu,
-            sample_count=count,
-            ball_radii=ball,
-        )
-    )
+    if gradient_constant is not None and predicted_alpha:
+        predicted_mu = gradient_constant * predicted_alpha ** float(theta)
 
     grad_sq = _gradient_square_polynomial(E)
     bound = exponent_upper_bound(grad_sq * grad_sq)
@@ -773,16 +722,11 @@ def verify_distance_inequalities(
     else:
         gamma = mu
         notes = "fallback: no exponent derivable for the squared gradient; using mu"
-    measured_gamma = float((grads / dist ** float(gamma)).min())
-    reports.append(
-        InequalityCheckReport(
-            inequality_id="gradient-distance-analytic",
-            exponent=gamma,
-            measured_constant=measured_gamma,
-            predicted_constant=None,
-            sample_count=count,
-            ball_radii=ball,
-            notes=notes,
-        )
-    )
-    return reports
+    return [
+        sampled_check("distance-critical", alpha, heights, dist, float(alpha), ball,
+                      predicted_alpha, skip=sign_skip),
+        sampled_check("distance-zero", beta, heights, dist, float(beta), ball, skip=sign_skip),
+        sampled_check("gradient-distance", mu, grads, dist, float(mu), ball, predicted_mu),
+        sampled_check("gradient-distance-analytic", gamma, grads, dist, float(gamma), ball,
+                      notes=notes),
+    ]

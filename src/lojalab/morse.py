@@ -33,11 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .poly import Polynomial
-from .reports import InequalityCheckReport, rational_str
+from .reports import InequalityCheckReport, rational_str, sampled_check
 from .sampling import ball_points, geometric_radii, sphere_directions, subspace_grid
-from .snc import ZERO_SKIP
 
-CERTIFIED_ZETA_MARGIN = 0.9
 COERCIVITY_FLOOR = 1e-12
 # Directions in the normal unit-sphere mesh that the order-N check reads
 # the coercivity and the cylinder constant off.
@@ -61,7 +59,6 @@ class MorseBottReport:
     order: int | None
     condition_b_holds: bool | None
     coercivity_zeta: float | None
-    coercivity_zeta_certified: float | None
     predicted_theta: Fraction | None
     verdict: bool
     hessian_rank: int | None = None
@@ -74,7 +71,6 @@ class MorseBottReport:
             "K": list(self.critical_subspace),
             "N": self.order,
             "zeta": self.coercivity_zeta,
-            "zeta_certified": self.coercivity_zeta_certified,
             "C": self.cylinder_constant,
             "theta": rational_str(self.predicted_theta) if self.predicted_theta else None,
             "conditions": {
@@ -221,7 +217,6 @@ def check_morse_bott(
         order=2 if verdict else None,
         condition_b_holds=contains,
         coercivity_zeta=None,
-        coercivity_zeta_certified=None,
         predicted_theta=Fraction(1, 2) if verdict else None,
         verdict=verdict,
         hessian_rank=rank,
@@ -283,9 +278,10 @@ def check_generalized_morse_bott(
     Condition (b): every mixed partial of total order ``1..N-1`` vanishes
     identically on the subspace (read exactly off the exponents).  Condition
     (c): the N-th derivative form at 0 is bounded away from zero on the unit
-    sphere of the normal space (checked on a deterministic mesh; the
-    certified coercivity keeps a 10% slack under the sampled minimum).
-    The cylinder constant ``C`` is the minimum over the same mesh.
+    sphere of the normal space.  The coercivity ``zeta`` is the sampled
+    minimum of ``|D^N p(0) v^N|`` over a deterministic mesh of that sphere,
+    not a certified bound; the cylinder constant ``C`` is the minimum over
+    the same mesh.
     """
     if order < 2:
         raise MorseBottError("order must be at least 2")
@@ -315,7 +311,6 @@ def check_generalized_morse_bott(
         order=order,
         condition_b_holds=condition_b,
         coercivity_zeta=zeta,
-        coercivity_zeta_certified=CERTIFIED_ZETA_MARGIN * zeta,
         predicted_theta=Fraction(order - 1, order) if verdict else None,
         verdict=verdict,
         cylinder_constant=(order / 4.0) * inf_term ** (1.0 / order),
@@ -388,16 +383,12 @@ def verify_gmb_gradient_inequality(
     check_points = points.reshape(-1, d)
     if extra_points is not None:
         check_points = np.concatenate([check_points, np.atleast_2d(extra_points)])
-    energies = np.abs(p.numeric()(check_points) - float(p.constant_term()))
-    grads = np.linalg.norm(p.gradient_numeric()(check_points), axis=1)
-    keep = energies > ZERO_SKIP
-    theta = 1.0 - 1.0 / order
-    measured = float((grads[keep] / energies[keep] ** theta).min()) if np.any(keep) else math.inf
-    return InequalityCheckReport(
-        inequality_id="gradient",
-        exponent=Fraction(order - 1, order),
-        measured_constant=measured,
-        predicted_constant=report.cylinder_constant,
-        sample_count=int(keep.sum()),
-        ball_radii=(radius, length),
+    return sampled_check(
+        "gradient",
+        Fraction(order - 1, order),
+        np.linalg.norm(p.gradient_numeric()(check_points), axis=1),
+        np.abs(p.numeric()(check_points) - float(p.constant_term())),
+        1.0 - 1.0 / order,
+        (radius, length),
+        predicted=report.cylinder_constant,
     )

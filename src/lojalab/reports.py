@@ -12,11 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 SCHEMA = "loja-lab/1"
 
 # Measured constants may sit exactly on a predicted bound; 1% slack keeps
 # sampled equality cases from flapping.
 PREDICTED_SLACK = 0.01
+# Samples whose base is this small count as lying on its zero set and are
+# left out of a sampled check (the inequality is trivially true there).
+ZERO_SKIP = 1e-300
 
 
 def rational_str(value: Fraction) -> str:
@@ -97,3 +102,35 @@ class InequalityCheckReport:
             "ball_radii": list(self.ball_radii),
             "notes": self.notes,
         }
+
+
+def sampled_check(
+    inequality_id: str,
+    exponent: Fraction,
+    lhs: np.ndarray,
+    base: np.ndarray,
+    power: float,
+    ball_radii: tuple[float, float],
+    predicted: float | None = None,
+    notes: str = "",
+    skip: str = "",
+) -> InequalityCheckReport:
+    """The sampled check of ``lhs >= C * base^power``.
+
+    Keeps the samples with ``base > ZERO_SKIP`` and measures ``C`` as the
+    minimum of ``lhs / base**power`` over them.  With a ``skip`` reason, or
+    with no kept sample, the check is skipped: measured 0.0, no prediction,
+    and the reason as its notes.
+    """
+    keep = base > ZERO_SKIP
+    kept = int(keep.sum())
+    if not skip and kept == 0:
+        skip = "skipped: no sample kept (the base vanishes at every sample)"
+    if skip:
+        return InequalityCheckReport(
+            inequality_id, exponent, 0.0, None, kept, ball_radii, notes=skip, skipped=True
+        )
+    measured = float((lhs[keep] / base[keep] ** power).min())
+    return InequalityCheckReport(
+        inequality_id, exponent, measured, predicted, kept, ball_radii, notes=notes
+    )

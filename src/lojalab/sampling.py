@@ -20,6 +20,17 @@ import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _MAX_CHUNK_ROWS = 1 << 16
+# Largest counts a sampler accepts, so that a mistyped count fails at once
+# instead of allocating without bound.  They bound memory, not run time.
+_MAX_RADII = 10_000
+_MAX_POINTS = 1_000_000
+
+
+def _check_count(count: int, what: str, limit: int) -> None:
+    if count < 1:
+        raise ValueError(f"{what} count must be at least 1, got {count}")
+    if count > limit:
+        raise ValueError(f"{what} count {count} exceeds the limit {limit}")
 
 
 def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
@@ -51,8 +62,7 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
     """Quasi-uniform unit directions, always including +/- each axis."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if count < 1:
-        raise ValueError(f"direction count must be at least 1, got {count}")
+    _check_count(count, "direction", _MAX_POINTS)
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
@@ -91,8 +101,7 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+    _check_count(count, "sample", _MAX_POINTS)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
     anchors = [np.zeros(dim)]
@@ -122,8 +131,7 @@ def geometric_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     """Geometrically spaced radii from ``r_max`` down to ``r_min``."""
     if not (0.0 < r_min <= r_max < math.inf):
         raise ValueError(f"need finite radii with 0 < r_min <= r_max, got {r_min}, {r_max}")
-    if count < 1:
-        raise ValueError("need at least one radius")
+    _check_count(count, "radius", _MAX_RADII)
     if count == 1 or r_min == r_max:
         return np.array([r_max])
     return np.exp(np.linspace(math.log(r_max), math.log(r_min), count))

@@ -29,14 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .poly import Polynomial
-from .reports import InequalityCheckReport, rational_str
+from .reports import InequalityCheckReport, rational_str, sampled_check
 from .sampling import ball_points
 
 DEFAULT_SIGMA = 0.5
 MAX_SIGMA_HALVINGS = 40
-# Points where |p| is this small count as lying on the zero set and are
-# skipped by ratio checks (the inequality is trivially true there).
-ZERO_SKIP = 1e-300
 
 
 class SncError(ValueError):
@@ -58,9 +55,6 @@ class MonomialFactorization:
     @property
     def variables(self) -> tuple[str, ...]:
         return self.residual.variables
-
-    def monomial_total_degree(self) -> int:
-        return sum(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,7 @@ def compute_constants(
     unit_min = float(residual_abs.min())
     unit_max = float(residual_abs.max())
     if unit_min <= 0.0:
-        raise SncError("residual vanishes inside the certified ball")
+        raise SncError("residual vanishes inside the sampled ball")
     theta = float(report.theta)
     if report.active_count == 1:
         constant = unit_min / (2.0 * unit_max**theta)
@@ -208,25 +202,6 @@ def compute_constants(
     )
 
 
-def measure_gradient_ratio(
-    p: Polynomial,
-    theta: float,
-    radius: float,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, int]:
-    """Minimum of ``||grad p|| / |p|^theta`` over kept ball samples."""
-    dim = len(p.variables)
-    points = ball_points(dim, samples, radius, seed=seed)
-    values = np.abs(p.numeric()(points))
-    grads = np.linalg.norm(p.gradient_numeric()(points), axis=1)
-    keep = values > ZERO_SKIP
-    if not np.any(keep):
-        return math.inf, 0
-    ratios = grads[keep] / values[keep] ** theta
-    return float(ratios.min()), int(keep.sum())
-
-
 def verify_gradient_inequality(
     p: Polynomial,
     report: ExponentReport,
@@ -240,16 +215,15 @@ def verify_gradient_inequality(
     """
     if report.ball_radius is None or report.gradient_constant is None:
         raise ValueError("report lacks constants; run compute_constants first")
-    min_ratio, kept = measure_gradient_ratio(
-        p, float(report.theta), report.ball_radius, samples=samples, seed=seed
-    )
-    return InequalityCheckReport(
-        inequality_id="gradient",
-        exponent=report.theta,
-        measured_constant=min_ratio,
-        predicted_constant=report.gradient_constant,
-        sample_count=kept,
-        ball_radii=(report.ball_radius, report.ball_radius),
+    points = ball_points(len(p.variables), samples, report.ball_radius, seed=seed)
+    return sampled_check(
+        "gradient",
+        report.theta,
+        np.linalg.norm(p.gradient_numeric()(points), axis=1),
+        np.abs(p.numeric()(points)),
+        float(report.theta),
+        (report.ball_radius, report.ball_radius),
+        predicted=report.gradient_constant,
     )
 
 

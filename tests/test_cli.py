@@ -77,6 +77,11 @@ def test_negative_seed_exits_one(tmp_path):
     (["resolve", "x^2 - y^3", "--max-depth", "-1"], "max_depth must be non-negative, got -1"),
     (["estimate", "x^2", "--r-max", "inf"],
      "need finite radii with 0 < r_min <= r_max, got 1e-06, inf"),
+    (["estimate", "x^2", "--radius-count", "10001"], "radius count 10001 exceeds the limit 10000"),
+    (["analyze", "x^2*y^3", "--samples", "1000001"],
+     "sample count 1000001 exceeds the limit 1000000"),
+    (["estimate", "x^2 - y^3", "--estimate-samples", "1000001"],
+     "direction count 1000001 exceeds the limit 1000000"),
 ])
 def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
     # Each used to pass on the anchor points alone, or fail as a check.
@@ -125,6 +130,19 @@ def test_flow_skipped_check_is_not_a_failure(tmp_path):
     status = {c["inequality"]: c["status"] for c in report["distance_checks"]}
     assert status["distance-critical"] == "skipped"
     assert report["checks"]["distance_checks"] is True
+
+
+def test_flow_with_every_sample_critical_skips_every_distance_check(tmp_path):
+    # The whole plane is critical, so no sample lies off the critical set;
+    # this used to exit 1 on numpy's zero-size reduction error.
+    argv = ["flow", "x^2 + y^2", "--point", "0.3,0.1", "--crit", "free:0,1"]
+    assert _run(argv, tmp_path) == 0
+    checks = _report(tmp_path)["distance_checks"]
+    assert len(checks) == 4
+    for check in checks:
+        assert check["status"] == "skipped", check
+        assert check["sample_count"] == 0
+        assert check["notes"].startswith("skipped:")
 
 
 def test_flow_over_rhs_budget_exits_one(tmp_path, monkeypatch, capsys):

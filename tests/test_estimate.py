@@ -67,6 +67,12 @@ def test_band_contains_closed_form_on_brieskorn_pham():
     assert misses == []
 
 
+def test_band_contains_one_half_for_a_three_variable_well():
+    # Three variables take the Fibonacci direction mesh.
+    est = estimate_theta(parse("x1^2 + x2^2 + x3^2"), (0.0, 0.0, 0.0))
+    assert est.band[0] <= 0.5 <= est.band[1]
+
+
 def test_estimate_scale_invariance():
     p = parse("x^2*y^2")
     a = estimate_theta(p, (0.0, 0.0))

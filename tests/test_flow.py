@@ -569,3 +569,16 @@ def test_distance_reports_for_nonnegative_functions_pinned_digest():
         )
         sha.update(json.dumps([r.to_json() for r in reports], sort_keys=True).encode())
     assert sha.hexdigest() == "bdbeb7c4ffad322a61c1564e265ff48c0d07d49a"
+
+
+def test_distance_reports_for_sign_changing_functions_pinned_digest():
+    # Captured before the distance checks moved onto reports.sampled_check:
+    # both value inequalities skipped, both gradient ones measured.
+    sha = hashlib.sha1()
+    for text in ("x^2 - y^2", "x^2*y - y^3", "x^2 - y^3"):
+        reports = verify_distance_inequalities(
+            parse(text), CriticalSet.origin(2), Fraction(8, 9),
+            samples=2000, seed=3, gradient_constant=1.0,
+        )
+        sha.update(json.dumps([r.to_json() for r in reports], sort_keys=True).encode())
+    assert sha.hexdigest() == "29209604dd4aa0aa20c42771f211df05753d19de"

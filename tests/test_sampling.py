@@ -65,6 +65,7 @@ def test_halton_rejects_indices_outside_int64():
     (10, -1.0, "ball radius must be finite and positive, got -1.0"),
     (10, float("inf"), "ball radius must be finite and positive, got inf"),
     (10, float("nan"), "ball radius must be finite and positive, got nan"),
+    (1_000_001, 0.5, "sample count 1000001 exceeds the limit 1000000"),
 ])
 def test_ball_points_rejects_empty_counts_and_bad_radii(count, radius, message):
     with pytest.raises(ValueError, match=message):
@@ -145,3 +146,19 @@ def test_ball_points_match_pinned_digests(key):
 def test_plane_directions_include_the_exact_axes(count):
     rows = {tuple(row) for row in sphere_directions(2, count)}
     assert {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)} <= rows
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 10])
+def test_sphere_directions_are_unit_rows_with_the_exact_axes(dim):
+    # d = 3 takes the Fibonacci spiral, d >= 4 the Halton cube.
+    count = 500
+    directions = sphere_directions(dim, count)
+    assert directions.shape == (count + 2 * dim, dim)
+    assert np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-15)
+    rows = [tuple(row) for row in directions]
+    for i in range(dim):
+        axis = np.zeros(dim)
+        axis[i] = 1.0
+        assert rows.count(tuple(axis)) == 1
+        assert rows.count(tuple(-axis)) == 1
+    assert np.array_equal(directions, sphere_directions(dim, count))
