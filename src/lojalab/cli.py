@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import blowup, estimate as estimate_mod, flow as flow_mod, morse, snc
+from . import blowup, estimate as estimate_mod, flow as flow_mod, snc
 from .poly import ParseError, PolynomialLimitError, parse
 from .reports import dump_report, rational_str
 
@@ -54,16 +54,21 @@ DEMO_EXPECTED = {
 
 @dataclass
 class RunConfig:
+    """The record of one run, written into every report as ``config``.
+
+    Each option's default is the field of the same name, read by the parser.
+    """
+
     command: str
     polynomial_text: str | None = None
     point: tuple[float, ...] | None = None
-    sigma: float = 0.5
+    sigma: float = snc.DEFAULT_SIGMA
     delta: float = 0.125
-    tol: float = 1e-10
+    tol: float = flow_mod.DEFAULT_GRAD_TOL
     t_max: float = 1e12
     samples: int = 10_000
     seed: int = 0
-    max_depth: int = 8
+    max_depth: int = blowup.DEFAULT_MAX_DEPTH
     r_min: float = 1e-6
     r_max: float = 1e-1
     radius_count: int = 26
@@ -74,12 +79,6 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _read_polynomial_text(text: str) -> str:
-    if text == "-":
-        return sys.stdin.read().strip()
-    return text
 
 
 def _parse_point(text: str | None, dim: int | None = None) -> tuple[float, ...] | None:
@@ -122,11 +121,9 @@ def _parse_crit(text: str | None, dim: int) -> flow_mod.CriticalSet | None:
 
 
 def _emit(report: dict, config: RunConfig) -> None:
-    out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = dict(report)
     report["config"] = config.to_json()
-    text = dump_report(report, str(out_dir / "report.json"))
+    text = dump_report(report, str(Path(config.output_path) / "report.json"))
     if config.format == "json":
         print(text)
     else:
@@ -150,12 +147,11 @@ def _human_lines(report: dict, prefix: str = "") -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (config, input text) to (report, passed)
 # ----------------------------------------------------------------------
 
 
-def _analyze(config: RunConfig, text: str) -> dict:
-    """The analyze report; its ``pass`` decides the exit code."""
+def _analyze(config: RunConfig, text: str) -> tuple[dict, bool]:
     if text in estimate_mod.BUILTIN_FUNCTIONS:
         fn = estimate_mod.builtin_function(text)
         est = estimate_mod.estimate_theta(
@@ -164,7 +160,7 @@ def _analyze(config: RunConfig, text: str) -> dict:
             (config.r_min, config.r_max, config.radius_count),
             config.estimate_samples,
         )
-        return {
+        report = {
             "input": text,
             "snc": False,
             "estimate": est.to_json(),
@@ -172,10 +168,11 @@ def _analyze(config: RunConfig, text: str) -> dict:
             "note": "non-polynomial builtin: gradient inequality "
             + ("fails near 0" if est.failure_detected else "holds empirically"),
         }
+        return report, report["pass"]
     p = parse(text)
     factorization = snc.detect_snc(p)
     if not factorization.snc_at_origin:
-        return {
+        report = {
             "input": text,
             "snc": False,
             "monomial": list(factorization.exponents),
@@ -183,57 +180,48 @@ def _analyze(config: RunConfig, text: str) -> dict:
             "pass": False,
             "note": "residual vanishes at the origin; run `resolve` first",
         }
+        return report, False
     try:
         full = snc.compute_constants(
             factorization, sigma=config.sigma, samples=config.samples, seed=config.seed
         )
     except snc.SncError as exc:
-        return {"input": text, "snc": True, "pass": False, "note": str(exc)}
+        return {"input": text, "snc": True, "pass": False, "note": str(exc)}, False
     check = snc.verify_gradient_inequality(p, full, config.samples, config.seed)
-    return {"input": text, "snc": True, **snc.analyze_report_json(full, check)}
+    report = {"input": text, "snc": True, **snc.analyze_report_json(full, check)}
+    return report, report["pass"]
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    report = _analyze(config, _read_polynomial_text(config.polynomial_text or ""))
-    _emit(report, config)
-    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
-
-
-def _cmd_resolve(config: RunConfig) -> int:
-    p = parse(_read_polynomial_text(config.polynomial_text or ""))
+def _resolve(config: RunConfig, text: str) -> tuple[dict, bool]:
+    p = parse(text)
     result = blowup.resolve(p, max_depth=config.max_depth)
     report = result.to_json()
     report["input"] = str(p)
     try:
-        bound = blowup.pull_back_and_bound(p, result)
-        report["pullback"] = bound.to_json()
+        report["pullback"] = blowup.pull_back_and_bound(p, result).to_json()
     except blowup.BlowupError as exc:
         report["pullback"] = None
         report["note"] = str(exc)
-        _emit(report, config)
-        return EXIT_CHECK_FAILED
-    _emit(report, config)
-    return EXIT_OK
+        return report, False
+    return report, True
 
 
-def _cmd_flow(config: RunConfig) -> int:
-    p = parse(_read_polynomial_text(config.polynomial_text or ""))
+def _flow(config: RunConfig, text: str) -> tuple[dict, bool]:
+    p = parse(text)
     dim = len(p.variables)
-    point = config.point
-    if point is None or len(point) != dim:
-        print(f"flow needs --point with {dim} coordinates", file=sys.stderr)
-        return EXIT_USAGE
+    if len(config.point) != dim:
+        raise ValueError(f"flow needs --point with {dim} coordinates")
     crit = _parse_crit(config.crit, dim)
     traj = flow_mod.integrate_flow(
         p,
-        point,
+        config.point,
         tol=config.tol,
         t_max=config.t_max,
         sigma=config.sigma,
         crit_set=crit,
     )
     worst_increase = flow_mod.energy_monotonicity_violation(traj)
-    checks: dict[str, object] = {
+    checks: dict[str, bool | None] = {
         "energy_monotone": bool(worst_increase <= 1e-9),
     }
     report = {
@@ -274,35 +262,33 @@ def _cmd_flow(config: RunConfig) -> int:
             seed=config.seed,
         )
         report["distance_checks"] = [r.to_json() for r in distance_reports]
-        checks["distance_checks"] = all(r.passed for r in distance_reports if not r.skipped)
+        # A set that measured nothing is null and does not decide the verdict.
+        measured = [r.passed for r in distance_reports if not r.skipped]
+        checks["distance_checks"] = all(measured) if measured else None
     report["checks"] = checks
-    report["pass"] = all(bool(v) for v in checks.values())
-    out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj.write_csv(str(out_dir / "trajectory.csv"))
-    _emit(report, config)
-    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    report["pass"] = all(bool(v) for v in checks.values() if v is not None)
+    traj.write_csv(str(Path(config.output_path) / "trajectory.csv"))
+    return report, report["pass"]
 
 
-def _estimate(config: RunConfig, text: str) -> dict:
+def _estimate(config: RunConfig, text: str) -> tuple[dict, bool]:
     """The estimate report, after writing ``envelope.csv``.
 
-    An inconsistent ``resolution_consistency`` decides the exit code.
+    An inconsistent ``resolution_consistency`` fails the run.
     """
     radii = (config.r_min, config.r_max, config.radius_count)
+    comparison = None
     if text in estimate_mod.BUILTIN_FUNCTIONS:
         fn = estimate_mod.builtin_function(text)
         est = estimate_mod.estimate_theta(
             fn, (0.0,) * fn.dimension, radii, config.estimate_samples
         )
         report = {"input": text, **est.to_json()}
-        comparison = None
     else:
         p = parse(text)
         point = config.point or (0.0,) * len(p.variables)
         est = estimate_mod.estimate_theta(p, point, radii, config.estimate_samples)
         report = {"input": str(p), **est.to_json()}
-        comparison = None
         bound = blowup.exponent_upper_bound(p)
         if bound is not None:
             verdict = estimate_mod.compare_with_resolution_bound(
@@ -314,25 +300,11 @@ def _estimate(config: RunConfig, text: str) -> dict:
                 **verdict.to_json(),
             }
     report["resolution_consistency"] = comparison
-    out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    est.write_envelope_csv(str(out_dir / "envelope.csv"))
-    return report
+    est.write_envelope_csv(str(Path(config.output_path) / "envelope.csv"))
+    return report, comparison is None or comparison["consistent"]
 
 
-def _estimate_passed(report: dict) -> bool:
-    comparison = report["resolution_consistency"]
-    return comparison is None or comparison["consistent"]
-
-
-def _cmd_estimate(config: RunConfig) -> int:
-    report = _estimate(config, _read_polynomial_text(config.polynomial_text or ""))
-    _emit(report, config)
-    return EXIT_OK if _estimate_passed(report) else EXIT_CHECK_FAILED
-
-
-def _cmd_verify(config: RunConfig) -> int:
-    text = _read_polynomial_text(config.polynomial_text or "")
+def _verify(config: RunConfig, text: str) -> tuple[dict, bool]:
     if text in estimate_mod.BUILTIN_FUNCTIONS:
         result = estimate_mod.haraux_counterexample_check(
             (config.r_min, config.r_max, config.radius_count),
@@ -345,21 +317,15 @@ def _cmd_verify(config: RunConfig) -> int:
             },
             "pass": result["pass"],
         }
-        _emit(report, config)
-        return EXIT_OK if result["pass"] else EXIT_CHECK_FAILED
-    analyzed = _analyze(config, text)
-    estimated = _estimate(config, text)
-    report = {
-        "input": text,
-        "analyze": analyzed,
-        "estimate": estimated,
-        "pass": analyzed["pass"] and _estimate_passed(estimated),
-    }
-    _emit(report, config)
-    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+        return report, result["pass"]
+    analyzed, analyze_passed = _analyze(config, text)
+    estimated, estimate_passed = _estimate(config, text)
+    passed = analyze_passed and estimate_passed
+    report = {"input": text, "analyze": analyzed, "estimate": estimated, "pass": passed}
+    return report, passed
 
 
-def _cmd_demo_cusp(config: RunConfig) -> int:
+def _demo_cusp(config: RunConfig, text: str | None) -> tuple[dict, bool]:
     p = parse(CUSP_TEXT)
     result = blowup.resolve(p, max_depth=3, expand_snc=True)
     matches: dict[str, bool] = {}
@@ -410,13 +376,26 @@ def _cmd_demo_cusp(config: RunConfig) -> int:
         "origin_local": True,
         "pass": all_ok,
     }
-    _emit(report, config)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return report, all_ok
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# argument parsing and the one exit path
 # ----------------------------------------------------------------------
+
+SAMPLING = ("--samples", "--seed", "--sigma")
+ESTIMATION = ("--r-min", "--r-max", "--radius-count", "--estimate-samples")
+
+# name: (handler, help, options beyond --output-path and --format)
+SUBCOMMANDS = {
+    "analyze": (_analyze, "normal-crossing exponent and gradient inequality", SAMPLING),
+    "resolve": (_resolve, "blow-up tree and exponent interval", ("--max-depth",)),
+    "flow": (_flow, "gradient-flow trajectory and checks",
+             (*SAMPLING, "--delta", "--tol", "--t-max")),
+    "estimate": (_estimate, "empirical exponent estimate", ESTIMATION),
+    "verify": (_verify, "full battery on one input", (*SAMPLING, *ESTIMATION)),
+    "demo-cusp": (_demo_cusp, "golden cusp-resolution reproduction", ()),
+}
 
 
 @functools.cache
@@ -427,91 +406,47 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gradient-inequality analysis for polynomial functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp: argparse.ArgumentParser, poly: bool = True) -> None:
-        if poly:
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name != "demo-cusp":
             sp.add_argument(
-                "polynomial",
+                "polynomial_text",
+                metavar="polynomial",
                 help="polynomial expression, builtin name (haraux, delellis), or '-' for stdin",
             )
-        sp.add_argument("--output-path", default=".", help="directory for report files")
-        sp.add_argument("--format", choices=("json", "human"), default="human")
-
-    def add_sampling(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--samples", type=int, default=10_000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--sigma", type=float, default=0.5)
-
-    sp = sub.add_parser("analyze", help="normal-crossing exponent and gradient inequality")
-    add_common(sp)
-    add_sampling(sp)
-    sp = sub.add_parser("resolve", help="blow-up tree and exponent interval")
-    add_common(sp)
-    sp.add_argument("--max-depth", type=int, default=8)
-    sp = sub.add_parser("flow", help="gradient-flow trajectory and checks")
-    add_common(sp)
-    add_sampling(sp)
-    sp.add_argument("--delta", type=float, default=0.125)
-    sp.add_argument("--point", required=True, help="comma-separated start point")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--t-max", type=float, default=1e12)
-    sp.add_argument("--crit", default=None, help="origin | free:IDX,... | points:X,Y;...")
-    sp = sub.add_parser("estimate", help="empirical exponent estimate")
-    add_common(sp)
-    sp.add_argument("--point", default=None, help="critical point (default: origin)")
-    sp.add_argument("--r-min", type=float, default=1e-6)
-    sp.add_argument("--r-max", type=float, default=1e-1)
-    sp.add_argument("--radius-count", type=int, default=26)
-    sp.add_argument("--estimate-samples", type=int, default=400)
-    sp = sub.add_parser("verify", help="full battery on one input")
-    add_common(sp)
-    add_sampling(sp)
-    sp.add_argument("--r-min", type=float, default=1e-6)
-    sp.add_argument("--r-max", type=float, default=1e-1)
-    sp.add_argument("--radius-count", type=int, default=26)
-    sp.add_argument("--estimate-samples", type=int, default=400)
-    sp = sub.add_parser("demo-cusp", help="golden cusp-resolution reproduction")
-    add_common(sp, poly=False)
+        sp.add_argument("--output-path", default=RunConfig.output_path,
+                        help="directory for report files")
+        sp.add_argument("--format", choices=("json", "human"), default=RunConfig.format)
+        for option in options:
+            default = getattr(RunConfig, option[2:].replace("-", "_"))
+            sp.add_argument(option, type=type(default), default=default)
+        if name == "flow":
+            sp.add_argument("--point", required=True, help="comma-separated start point")
+            sp.add_argument("--crit", help="origin | free:IDX,... | points:X,Y;...")
+        elif name == "estimate":
+            sp.add_argument("--point", help="critical point (default: origin)")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.output_path = args.output_path
-    config.format = args.format
-    if hasattr(args, "polynomial"):
-        config.polynomial_text = args.polynomial
-    if getattr(args, "point", None) is not None:
-        config.point = _parse_point(args.point)
-    for name in ("samples", "seed", "sigma", "delta", "tol", "t_max", "max_depth",
-                 "r_min", "r_max", "radius_count", "estimate_samples", "crit"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    config = _config_from_args(args)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "resolve": _cmd_resolve,
-        "flow": _cmd_flow,
-        "estimate": _cmd_estimate,
-        "verify": _cmd_verify,
-        "demo-cusp": _cmd_demo_cusp,
-    }
     try:
-        return handlers[config.command](config)
-    except (ParseError, OSError, snc.SncError, blowup.BlowupError, flow_mod.FlowError,
-            estimate_mod.EstimateError, morse.MorseBottError, PolynomialLimitError,
-            ValueError) as exc:
+        fields = vars(args)
+        config = RunConfig(**fields | {"point": _parse_point(fields.get("point"))})
+        text = config.polynomial_text
+        if text == "-":
+            text = sys.stdin.read().strip()
+        Path(config.output_path).mkdir(parents=True, exist_ok=True)
+        report, passed = SUBCOMMANDS[config.command][0](config, text)
+        _emit(report, config)
+    # Every module's input error is a ValueError.
+    except (OSError, ValueError, PolynomialLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def entrypoint() -> None:

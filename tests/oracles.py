@@ -35,6 +35,17 @@ def shift(p: Polynomial, assignments: Mapping[str, Fraction | int]) -> Polynomia
     return Substitution({v: Polynomial.constant(c) for v, c in assignments.items()}).apply(p)
 
 
+def vanishes_on(p: Polynomial, subspace: Sequence[int]) -> bool:
+    """Is ``p`` identically zero on the coordinate subspace?
+
+    Zeroing the normal coordinates drops exactly the terms with a positive
+    exponent in one of them and leaves the others distinct, so ``p``
+    vanishes there exactly when every term has such an exponent.
+    """
+    normal = [i for i in range(len(p.variables)) if i not in set(subspace)]
+    return all(any(e[i] for i in normal) for e in p.terms)
+
+
 def rk4_fixed_step(
     E: Polynomial | Function,
     x0: Sequence[float],

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lojalab
-from lojalab.cli import _build_parser, main
+from lojalab.cli import RunConfig, _build_parser, main
 
 
 def _run(argv, tmp_path, monkeypatch=None, stdin=None):
@@ -143,6 +143,8 @@ def test_flow_with_every_sample_critical_skips_every_distance_check(tmp_path):
         assert check["status"] == "skipped", check
         assert check["sample_count"] == 0
         assert check["notes"].startswith("skipped:")
+    # A set that measured nothing is neither passed nor failed.
+    assert _report(tmp_path)["checks"]["distance_checks"] is None
 
 
 def test_flow_over_rhs_budget_exits_one(tmp_path, monkeypatch, capsys):
@@ -180,8 +182,39 @@ def test_import_loads_no_scipy(module):
     assert result.stdout.strip() == "[]"
 
 
-def test_flow_requires_matching_point(tmp_path):
+def test_flow_requires_matching_point(tmp_path, capsys):
     assert _run(["flow", "x^2 + y^2", "--point", "0.5"], tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "x^2", "--point", "abc"],
+    ["estimate", "x^2", "--point", "1,,2"],
+])
+def test_malformed_point_exits_one(tmp_path, capsys, argv):
+    # Both used to raise out of main with a traceback.
+    assert _run(argv, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: bad point")
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["analyze", "x^2"], None),
+    (["resolve", "x*y"], None),
+    (["flow", "x^2", "--point", "0.5"], (0.5,)),
+    (["estimate", "x^2"], None),
+    (["verify", "x^2"], None),
+    (["demo-cusp"], None),
+])
+def test_minimal_argv_runs_with_the_run_config_defaults(tmp_path, argv, point):
+    # RunConfig is the one place a default is written; the parser reads it.
+    assert _run(argv, tmp_path) == 0
+    expected = RunConfig(
+        command=argv[0],
+        polynomial_text=argv[1] if len(argv) > 1 else None,
+        point=point,
+        output_path=str(tmp_path),
+    )
+    assert _report(tmp_path)["config"] == json.loads(json.dumps(expected.to_json()))
 
 
 def test_flow_rejects_ragged_crit_point(tmp_path, capsys):
@@ -322,3 +355,36 @@ def test_analyze_reports_pinned_digest(tmp_path):
 def test_estimate_reports_pinned_digest(tmp_path):
     digest = _reports_digest("estimate", ESTIMATE_CORPUS, [], tmp_path)
     assert digest == "a128cd6b695e5393f8a992c89bf77413f80a7488"
+
+
+# Every subcommand's outputs that the two digests above do not cover: the
+# exit code, report.json (less config.output_path), each CSV written, and
+# the stdout of one --format json run, pinned byte for byte.
+CLI_CORPUS = (
+    ["resolve", "x^2 - y^3"],
+    ["resolve", "x^2 - y^3", "--max-depth", "1"],
+    ["flow", "x^2", "--point", "0.5", "--crit", "free:"],
+    ["flow", "x^2*y^2", "--point", "0.4,0.2", "--crit", "free:0|free:1", "--tol", "1e-8"],
+    ["flow", "x^2 + y^4", "--point", "0.2,0.2", "--tol", "1e-5"],
+    ["estimate", "delellis"],
+    ["verify", "haraux"],
+    ["verify", "x^2*y^2"],
+    ["demo-cusp"],
+)
+
+
+def test_cli_outputs_pinned_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sha = hashlib.sha1()
+    for index, argv in enumerate(CLI_CORPUS):
+        out = Path(f"run{index}")
+        sha.update(repr((argv, main([*argv, "--output-path", str(out)]))).encode())
+        report = json.loads((out / "report.json").read_text())
+        report["config"].pop("output_path")
+        sha.update(json.dumps(report, sort_keys=True).encode())
+        for csv in sorted(out.glob("*.csv")):
+            sha.update(csv.name.encode() + csv.read_bytes())
+    capsys.readouterr()
+    assert main(["resolve", "x^2 - y^3", "--format", "json", "--output-path", "json"]) == 0
+    sha.update(capsys.readouterr().out.encode())
+    assert sha.hexdigest() == "03d13a94c90af4d22717ac58437cdd7530fe2917"

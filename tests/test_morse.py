@@ -11,7 +11,6 @@ from lojalab.morse import (
     _flat_to_order,
     _hessian_exact,
     _nth_derivative_tensor,
-    _vanishes_on,
     check_generalized_morse_bott,
     check_morse_bott,
     nth_derivative_form,
@@ -19,7 +18,7 @@ from lojalab.morse import (
 )
 from lojalab.poly import Polynomial, parse
 
-from oracles import shift
+from oracles import shift, vanishes_on
 
 
 def test_round_quadratic_is_morse_bott():
@@ -99,12 +98,12 @@ def test_vanishing_on_subspace_read_from_exponents():
         subspace = tuple(i for i in range(d) if rng.random() < 0.5)
         zeroed = {v: 0 for i, v in enumerate(q.variables) if i not in subspace}
         restricted = shift(q, zeroed) if zeroed else q
-        assert _vanishes_on(q, subspace) == restricted.is_zero, (str(q), subspace)
+        assert vanishes_on(q, subspace) == restricted.is_zero, (str(q), subspace)
     # Condition (b) for x^3 + x^2*y^5 at order 3 on the y-axis: the first
     # partial 3*x^2 + 2*x*y^5 vanishes there, the second 6*x + 2*y^5 does not.
     gx = parse("x^3 + x^2*y^5").derivative("x")
-    assert _vanishes_on(gx, (1,))
-    assert not _vanishes_on(gx.derivative("x"), (1,))
+    assert vanishes_on(gx, (1,))
+    assert not vanishes_on(gx.derivative("x"), (1,))
 
 
 def test_flatness_and_hessian_read_from_exponents():
@@ -131,7 +130,10 @@ def test_flatness_and_hessian_read_from_exponents():
                 for i in range(last, d)
             ]
             partials += [g for _, g in frontier]
-        oracle = all(_vanishes_on(partial, subspace) for partial in partials)
+        oracle = all(vanishes_on(partial, subspace) for partial in partials)
+        # Order 2 is the gradient, which both Morse-Bott checks read this way.
+        gradient_vanishes = all(vanishes_on(g, subspace) for g in q.gradient())
+        assert _flat_to_order(q, subspace, 2) == gradient_vanishes, (str(q), subspace)
         assert _flat_to_order(q, subspace, order) == oracle, (str(q), subspace, order)
         hessian = [
             [q.derivative(u).derivative(v).constant_term() for v in q.variables]
