@@ -280,9 +280,8 @@ def _estimate(config: RunConfig, text: str) -> tuple[dict, bool]:
     comparison = None
     if text in estimate_mod.BUILTIN_FUNCTIONS:
         fn = estimate_mod.builtin_function(text)
-        est = estimate_mod.estimate_theta(
-            fn, (0.0,) * fn.dimension, radii, config.estimate_samples
-        )
+        point = config.point or (0.0,) * fn.dimension
+        est = estimate_mod.estimate_theta(fn, point, radii, config.estimate_samples)
         report = {"input": text, **est.to_json()}
     else:
         p = parse(text)

@@ -35,7 +35,7 @@ import numpy as np
 from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial
 from .reports import PREDICTED_SLACK, InequalityCheckReport, sampled_check
-from .sampling import ball_points
+from .sampling import _MAX_POINTS, ball_points
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -51,10 +51,10 @@ _SPEED_SAMPLES = 50_000
 # Right-hand-side calls one integration may make before it fails.  RK45 makes
 # about seven per step and keeps about 0.8 KB of dense output per step; the
 # stiff x^2 + y^4 flow from (0.2, 0.2) at the default tol 1e-10, which used to
-# run for minutes, now stops at the budget after a few seconds (2.9 s on a
-# 2-vCPU Xeon VM with AVX-512) with about 25 MB of dense output.  The budget is
-# about 80 times the 3,176 calls that flow needs at tol 1e-5 and four times
-# the 62,270 it needs at tol 1e-7.
+# run for minutes, now stops at the budget after about 2 s (1.7-2.3 s over
+# three runs on a 2-vCPU Xeon VM with AVX-512) with about 25 MB of dense
+# output.  The budget is about 80 times the 3,176 calls that flow needs at
+# tol 1e-5 and four times the 62,270 it needs at tol 1e-7.
 MAX_RHS_CALLS = 250_000
 
 
@@ -265,7 +265,7 @@ def integrate_flow(
     rhs_calls = 0
     gradient_at = fn.gradient_at
 
-    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> float:
+    def rhs(t: float, y: list[float], out: np.ndarray) -> float:
         """Write ``-grad E`` and ``|grad E|`` at ``y`` into ``out``; return the norm."""
         nonlocal rhs_calls
         rhs_calls += 1
@@ -274,7 +274,7 @@ def integrate_flow(
                 f"right-hand-side budget of {MAX_RHS_CALLS} calls exhausted at "
                 f"t = {t:.6g}: the flow is too stiff for RK45 at tol {tol:g}"
             )
-        g = gradient_at(y[:-1].tolist())
+        g = gradient_at(y[:-1])
         norm = _norm(g)
         if not math.isfinite(norm):
             raise FlowError(f"non-finite gradient norm at {y[:-1]}")
@@ -287,7 +287,7 @@ def integrate_flow(
     f0 = np.empty_like(y0)
     # The first right-hand side serves the at-rest test, the first stage and
     # the stopping event's initial value.
-    norm0 = rhs(0.0, y0, f0)
+    norm0 = rhs(0.0, y0.tolist(), f0)
     if norm0 - tol <= 0:
         # Already at rest: a single-sample trajectory.
         limit, snap = _snap(x0.copy(), crit_set)
@@ -348,7 +348,7 @@ def integrate_flow(
 
 
 def _dormand_prince(
-    rhs: Callable[[float, np.ndarray, np.ndarray], float],
+    rhs: Callable[[float, list[float], np.ndarray], float],
     y0: np.ndarray,
     f0: np.ndarray,
     t_bound: float,
@@ -362,20 +362,34 @@ def _dormand_prince(
 
     The arithmetic is scipy 1.17's ``solve_ivp(method="RK45",
     dense_output=True, events=...)`` operation for operation, on the
-    tableau ``scipy.integrate.RK45`` holds: the same ``np.dot`` layouts for
-    the stages, the step, the error estimate and each step's
-    ``RkDenseOutput``; the initial step of Hairer, Norsett and Wanner II.4;
-    the step-size rule; and event roots from ``brentq`` on the step's
-    interpolant.  Trajectories and right-hand-side counts are therefore bit
-    for bit those of ``solve_ivp`` on the same right-hand side.
+    tableau ``scipy.integrate.RK45`` holds: the initial step of Hairer,
+    Norsett and Wanner II.4; the stages, the step, the error estimate and
+    each step's ``RkDenseOutput``; the step-size rule; and event roots from
+    ``brentq`` on the step's interpolant.  Trajectories and right-hand-side
+    counts are therefore bit for bit those of ``solve_ivp`` on the same
+    right-hand side.
 
-    ``rhs(t, y, out)`` writes the derivative at ``y`` into ``out`` and
-    returns the gradient norm, so the stopping event at an accepted state,
-    ``norm - tol``, needs no call; ``f0`` is ``rhs(0, y0)``, whose last
-    entry is that norm.  ``gradient_gap`` and ``ball_gap`` give the two
-    events anywhere else.  Both events are terminal and fire on a downward
-    crossing; the earliest root wins and the gradient event wins a tie.  A
-    step size that collapses below ten ulps of ``t`` raises ``FlowError``.
+    Every contraction is the ``np.dot`` scipy makes, on the same operands
+    (called as ``ndarray.dot``, the same C routine without ``np.dot``'s
+    dispatcher): the stage and step combinations of the rows of ``K``, the
+    error estimate, ``rms``'s sum of squares and the interpolant's ``Q``.
+    Their bits are the BLAS kernel's, which may fuse or reorder its sums.
+    The elementwise work around them (stage states ``y + d*h``, the new
+    state, the error scale and the error quotient) runs on Python floats in
+    scipy's operation order: IEEE ``+ - * /``, ``abs`` and ``max`` are
+    correctly rounded, so each entry has numpy's bits on any host, without
+    numpy's per-call cost on rows of two to four entries.  The accepted
+    state becomes an array once per step, for the recorded states, the
+    interpolant and the ball event.
+
+    ``rhs(t, y, out)`` takes the state as a list of floats, writes the
+    derivative there into ``out`` and returns the gradient norm, so the
+    stopping event at an accepted state, ``norm - tol``, needs no call;
+    ``f0`` is ``rhs(0, y0)``, whose last entry is that norm.
+    ``gradient_gap`` and ``ball_gap`` give the two events anywhere else.
+    Both events are terminal and fire on a downward crossing; the earliest
+    root wins and the gradient event wins a tie.  A step size that
+    collapses below ten ulps of ``t`` raises ``FlowError``.
     """
     # Imported on first use: scipy.integrate adds about 50 MB of resident
     # memory and 0.3 s to start-up, and only the flow needs it.
@@ -403,7 +417,7 @@ def _dormand_prince(
     d1 = rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    rhs(h0, y0 + h0 * f0, K[1])
+    rhs(h0, (y0 + h0 * f0).tolist(), K[1])
     d2 = rms((K[1] - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -411,10 +425,11 @@ def _dormand_prince(
         h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
     h_abs = min(100 * h0, h1, t_bound)
 
-    t, y = 0.0, y0
-    ts, ys, interpolants = [t], [y], []
+    # The accepted state, as floats and as the array scipy keeps.
+    t, y, y_array = 0.0, y0.tolist(), y0
+    ts, ys, interpolants = [t], [y_array], []
     gap = f0[-1] - tol
-    ball = ball_gap(y) if ball_gap is not None else 0.0
+    ball = ball_gap(y_array) if ball_gap is not None else 0.0
     steps = rejected = 0
     stop_reason = "max-time"
     while True:
@@ -434,11 +449,16 @@ def _dormand_prince(
             h = t_new - t
             h_abs = abs(h)
             for KT_s, a, c, out in stage_plan:
-                rhs(t + c * h, y + np.dot(KT_s, a) * h, out)
-            y_new = y + h * np.dot(KT_step, B)
+                dy = KT_s.dot(a).tolist()
+                rhs(t + c * h, [v + dv * h for v, dv in zip(y, dy)], out)
+            dy = KT_step.dot(B).tolist()
+            y_new = [v + h * dv for v, dv in zip(y, dy)]
             norm_new = rhs(t + h, y_new, f_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = rms(np.dot(KT, E) * h / scale)
+            error = KT.dot(E).tolist()
+            error_norm = rms(np.array([
+                e * h / (atol + max(abs(v), abs(w)) * rtol)
+                for e, v, w in zip(error, y, y_new)
+            ]))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -452,13 +472,13 @@ def _dormand_prince(
             step_rejected = True
             rejected += 1
         steps += 1
-        interpolant = RkDenseOutput(t, t_new, y, KT.dot(P))
+        interpolant = RkDenseOutput(t, t_new, y_array, KT.dot(P))
         interpolants.append(interpolant)
-        t_old, t, y = t, t_new, y_new
+        t_old, t, y, y_array = t, t_new, y_new, np.array(y_new)
         K[0] = f_new
 
         gap_new = norm_new - tol
-        ball_new = ball_gap(y) if ball_gap is not None else 0.0
+        ball_new = ball_gap(y_array) if ball_gap is not None else 0.0
         hits = []
         if gap >= 0 and gap_new <= 0:
             hits.append(("gradient-below-tol", gradient_gap))
@@ -481,7 +501,7 @@ def _dormand_prince(
                 ys.append(interpolant(t_event))
             break
         ts.append(t)
-        ys.append(y)
+        ys.append(y_array)
         if t - t_bound >= 0:
             break
         gap, ball = gap_new, ball_new
@@ -555,34 +575,40 @@ def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
     """``sol(t)`` for an RK45 dense output and ascending ``t``, bit for bit.
 
     Points are assigned to steps as ``OdeSolution`` does (left side, clamped
-    to the first and last step) and each step's interpolant is evaluated with
-    scipy's arithmetic: powers of ``x = (t - t_old) / h`` by repeated
-    multiplication, then ``h * Q @ p + y_old``.  The powers are built for all
-    points at once; the product stays one ``np.dot`` per step, because a
-    single contraction over all steps rounds differently.  ``h`` comes from
-    each interpolant: a terminal event shortens the last step in ``sol.ts``
-    but not its interpolant.
+    to the first and last step), but step-major: one ``searchsorted`` of the
+    inner step ends in ``t`` gives each step's run of points, and
+    ``np.repeat`` spreads each step's ``t_old``, ``h`` and ``y_old`` over
+    its run.  Each point then gets scipy's arithmetic: powers of
+    ``x = (t - t_old) / h`` by repeated multiplication, then
+    ``h * (Q @ p) + y_old``.  Only the product ``Q @ p`` is per step, as
+    scipy's one ``np.dot`` per step: its bits are the BLAS kernel's, and a
+    single contraction over all steps rounds differently.  The powers, the
+    scaling by ``h`` and the shift by ``y_old`` are elementwise, so doing
+    them for all points at once keeps every bit.  ``h`` comes from each
+    interpolant: a terminal event shortens the last step in ``sol.ts`` but
+    not its interpolant.
     """
     steps = sol.interpolants
-    segment = np.searchsorted(sol.ts, t, side="left") - 1
-    np.clip(segment, 0, len(steps) - 1, out=segment)
-    t_old = np.array([step.t_old for step in steps])
-    h = np.array([step.h for step in steps])
-    x = (t - t_old[segment]) / h[segment]
+    # Step k takes the points in (ts[k], ts[k + 1]]; the first step also
+    # takes those before it and the last those after it.
+    ends = np.searchsorted(t, sol.ts[1:len(steps)], side="right")
+    bounds = [0, *ends.tolist(), len(t)]
+    counts = np.diff(bounds)
+    h = np.repeat([step.h for step in steps], counts)
+    x = (t - np.repeat([step.t_old for step in steps], counts)) / h
     powers = np.empty((steps[0].order + 1, len(t)))
     powers[0] = x
     for k in range(1, len(powers)):
         np.multiply(powers[k - 1], x, out=powers[k])
-    # Point-major, as scipy's result is.
-    states = np.empty((len(steps[0].y_old), len(t)), order="F")
-    bounds = np.searchsorted(segment, np.arange(len(steps) + 1))
-    for k in np.flatnonzero(np.diff(bounds)):
+    # One row per point, so each step's run is one contiguous block; the
+    # transpose is point-major, as scipy's result is.
+    states = np.empty((len(t), len(steps[0].y_old)))
+    for k in np.flatnonzero(counts).tolist():
         lo, hi = bounds[k], bounds[k + 1]
-        step = steps[k]
-        y = step.h * np.dot(step.Q, powers[:, lo:hi])
-        y += step.y_old[:, None]
-        states[:, lo:hi] = y
-    return states
+        states[lo:hi] = np.dot(steps[k].Q, powers[:, lo:hi]).T
+    states *= h[:, None]
+    states += np.repeat([step.y_old for step in steps], counts, axis=0)
+    return states.T
 
 
 def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -605,8 +631,11 @@ def dqds_identity_error(
     Uses the arc-length parameterization carried by the integrator: the
     energy along the reparameterized path satisfies dQ/ds = -||grad E||.
     Non-uniform three-point differences on a geometric resampling keep the
-    truncation error well under the 1e-6 target.
+    truncation error well under the 1e-6 target.  ``count`` resampled points
+    give ``count - 2`` differences, so it must lie in ``[3, _MAX_POINTS]``.
     """
+    if not 3 <= count <= _MAX_POINTS:
+        raise FlowError(f"identity resample count must lie in [3, {_MAX_POINTS}], got {count}")
     fn = Function.of(E)
     _, pts, s = _dense_resample(traj, count)
     q = fn.value(pts)
@@ -642,8 +671,24 @@ def speed_identity_error(traj: Trajectory) -> float:
     ds_total = float(s[-1] - s[0])
     if ds_total <= 0:
         return 0.0
-    polyline = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    polyline = float(_segment_lengths(pts).sum())
     return abs(polyline / ds_total - 1.0)
+
+
+def _segment_lengths(points: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(np.diff(points, axis=0), axis=1)``, one coordinate at a time.
+
+    Each coordinate's differences are squared and added in coordinate
+    order, which is how numpy's norm sums a row of fewer than eight entries;
+    below dimension 8 the bits are therefore numpy's, without its slow
+    reduction over a short inner axis.
+    """
+    squares = np.zeros(len(points) - 1)
+    for row in points.T:
+        step = np.diff(row)
+        step *= step
+        squares += step
+    return np.sqrt(squares)
 
 
 # ----------------------------------------------------------------------

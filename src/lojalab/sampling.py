@@ -24,6 +24,11 @@ _MAX_CHUNK_ROWS = 1 << 16
 # instead of allocating without bound.  They bound memory, not run time.
 _MAX_RADII = 10_000
 _MAX_POINTS = 1_000_000
+# A seed moves the Halton start by this stride.  The largest seed starts the
+# stream at most 2**62 in, which leaves 2**62 more indices for the rows a
+# sample draws after it.
+_SEED_STRIDE = 104_729
+_MAX_SEED = 2**62 // _SEED_STRIDE
 
 
 def _check_count(count: int, what: str, limit: int) -> None:
@@ -97,13 +102,16 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
     extrema attained on the axes or at the boundary are sampled exactly.
     After those ``2*dim + 1`` anchors come exactly ``count`` interior points:
     the first ``count`` points of the seeded Halton stream that fall in the
-    ball, so a larger ``count`` extends a smaller one's sample.
+    ball, so a larger ``count`` extends a smaller one's sample.  The seed
+    must lie in ``[0, _MAX_SEED]``.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     _check_count(count, "sample", _MAX_POINTS)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"seed must lie in [0, {_MAX_SEED}], got {seed}")
     anchors = [np.zeros(dim)]
     for i in range(dim):
         e = np.zeros(dim)
@@ -114,7 +122,7 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
     # cube-to-ball volume ratio (and capped, so memory stays bounded in high
     # dimension); each chunk continues the Halton stream.
     ratio = 2.0**dim * math.gamma(dim / 2.0 + 1.0) / math.pi ** (dim / 2.0)
-    start = 1 + seed * 104729
+    start = 1 + seed * _SEED_STRIDE
     inside = [np.empty((0, dim))]
     found = 0
     while found < count:

@@ -82,6 +82,13 @@ def test_negative_seed_exits_one(tmp_path):
      "sample count 1000001 exceeds the limit 1000000"),
     (["estimate", "x^2 - y^3", "--estimate-samples", "1000001"],
      "direction count 1000001 exceeds the limit 1000000"),
+    (["analyze", "x1*x2", "--seed", "-1"], "seed must lie in [0, 44034470093549], got -1"),
+    (["analyze", "x1*x2", "--seed", "100000000000000"],
+     "seed must lie in [0, 44034470093549], got 100000000000000"),
+    (["flow", "x^2 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--seed", "-1"],
+     "seed must lie in [0, 44034470093549], got -1"),
+    (["estimate", "haraux", "--point", "7,7,7"], "point has shape (3,), expected (2,)"),
+    (["estimate", "haraux", "--point", "0.5"], "point has shape (1,), expected (2,)"),
 ])
 def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
     # Each used to pass on the anchor points alone, or fail as a check.
@@ -241,6 +248,16 @@ def test_estimate_cusp_with_consistency(tmp_path):
 def test_estimate_builtin(tmp_path):
     assert _run(["estimate", "delellis"], tmp_path) == 0
     assert _report(tmp_path)["failure_detected"] is True
+
+
+def test_estimate_builtin_at_a_given_point(tmp_path):
+    # --point reaches a builtin as it reaches a polynomial: the origin given
+    # explicitly is the default, and a point off the critical set fails.
+    assert _run(["estimate", "haraux"], tmp_path) == 0
+    default = _report(tmp_path)
+    assert _run(["estimate", "haraux", "--point", "0,0"], tmp_path) == 0
+    assert _report(tmp_path)["theta_hat"] == default["theta_hat"]
+    assert _run(["estimate", "haraux", "--point", "0.5,0.5"], tmp_path) == 1
 
 
 def test_verify_haraux_passes_as_counterexample(tmp_path):

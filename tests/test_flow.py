@@ -398,6 +398,90 @@ def test_dense_resample_matches_scipy_bit_for_bit(text, x0, tol):
     assert states.strides == reference.strides
 
 
+def test_dense_states_match_scipy_on_one_step_and_edge_grids():
+    # One step, and a grid with duplicate times, points before ts[0], on
+    # every step end and past ts[-1]; each goes to the step OdeSolution picks.
+    short = integrate_flow(parse("x^2"), [0.5], tol=1e-10, t_max=1e-7).dense.sol
+    assert len(short.interpolants) == 1
+    full = integrate_flow(parse("x^2 + y^4"), [0.2, 0.2], tol=1e-5).dense.sol
+    for sol in (short, full):
+        t_end = sol.ts[-1]
+        grid = np.concatenate([
+            [-1.0, 0.0, 0.0], sol.ts, sol.ts[1:], np.geomspace(t_end * 1e-9, t_end, 301),
+            [t_end * (1 + 1e-9), sol.interpolants[-1].t, 2 * t_end, 2 * t_end],
+        ])
+        grid.sort()
+        states = _dense_states(sol, grid)
+        reference = sol(grid)
+        assert np.array_equal(states, reference)
+        assert states.strides == reference.strides
+
+
+@pytest.mark.parametrize(
+    "text, x0, tol",
+    [("x^2", [0.5], 1e-10), ("x^2*y^2", [0.3, 0.4], 1e-10),
+     ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], 1e-6)],
+)
+def test_speed_identity_matches_norm_polyline_bit_for_bit(text, x0, tol):
+    # The row-wise polyline is np.linalg.norm's, in d = 1, 2 and 3.
+    traj = integrate_flow(parse(text), x0, tol=tol)
+    _, points, arcs = _dense_resample(traj, flow._SPEED_SAMPLES)
+    lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    assert np.array_equal(flow._segment_lengths(points), lengths)
+    expected = abs(float(lengths.sum()) / float(arcs[-1] - arcs[0]) - 1.0)
+    assert speed_identity_error(traj) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_segment_lengths_match_norm_bit_for_bit(dim):
+    # Scales far apart, so that the order of the squares' sum shows.
+    rng = np.random.default_rng(dim)
+    points = np.cumsum(rng.standard_normal((20_000, dim)) * np.logspace(0, -9, dim), axis=0)
+    lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    assert np.array_equal(flow._segment_lengths(points), lengths)
+    assert np.array_equal(flow._segment_lengths(np.asfortranarray(points)), lengths)
+
+
+@pytest.mark.parametrize(
+    "text, x0, options",
+    [("x^2 + y^4", [0.2, 0.2], dict(tol=1e-5)),
+     ("x^2*y^2*z^2 + x^4", [0.3, 0.2, 0.25], dict(tol=1e-6, sigma=0.5))],
+)
+def test_batch_gradient_integrates_to_the_compiled_bits(text, x0, options):
+    # Without a compiled gradient_at the right-hand side is the gradient on
+    # a one-row batch, a numpy row rather than a list of floats.
+    compiled = Function.of(parse(text))
+    batch = Function(dimension=compiled.dimension, value=compiled.value,
+                     gradient=compiled.gradient)
+    ours, theirs = (integrate_flow(fn, x0, **options).dense for fn in (batch, compiled))
+    assert np.array_equal(ours.t, theirs.t)
+    assert np.array_equal(ours.y, theirs.y)
+    assert ours.nfev == theirs.nfev
+    for a, b in zip(ours.sol.interpolants, theirs.sol.interpolants, strict=True):
+        assert np.array_equal(a.Q, b.Q)
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1, 2, flow._MAX_POINTS + 1, 10**9])
+def test_dqds_identity_rejects_counts_outside_the_range(monkeypatch, count):
+    # Fewer than three points measure nothing; the cap comes before any
+    # resampling is allocated.
+    p = parse("x^2")
+    traj = integrate_flow(p, [0.5], tol=1e-5)
+
+    def no_resample(*args):
+        raise AssertionError("resampled")
+
+    monkeypatch.setattr(flow, "_dense_resample", no_resample)
+    with pytest.raises(FlowError, match=rf"must lie in \[3, 1000000\], got {count}$"):
+        dqds_identity_error(traj, p, count=count)
+
+
+def test_dqds_identity_accepts_three_points():
+    p = parse("x^2")
+    traj = integrate_flow(p, [0.5], tol=1e-5)
+    assert 0.0 < dqds_identity_error(traj, p, count=3) < 1.0
+
+
 def test_stopping_event_reuses_rhs_gradient():
     fn = Function.of(parse("x^2*y^2"))
     calls = []

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lojalab.sampling import ball_points, halton, sphere_directions
+from lojalab.sampling import _MAX_SEED, ball_points, halton, sphere_directions
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -70,6 +70,15 @@ def test_halton_rejects_indices_outside_int64():
 def test_ball_points_rejects_empty_counts_and_bad_radii(count, radius, message):
     with pytest.raises(ValueError, match=message):
         ball_points(2, count, radius)
+
+
+def test_ball_points_accepts_exactly_the_seed_range():
+    # The seed, not the Halton index it maps to, is named in the error.
+    for seed in (0, _MAX_SEED):
+        assert ball_points(2, 5, 0.5, seed=seed).shape == (10, 2)
+    for seed in (-1, _MAX_SEED + 1, 10**14):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, {_MAX_SEED}\], got {seed}$"):
+            ball_points(2, 5, 0.5, seed=seed)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
