@@ -55,7 +55,7 @@ def _pull_back(p: Polynomial, child_vars: tuple[str, str], chart: int) -> Polyno
         terms = {(i, i + j): c for (i, j), c in p.terms.items()}
     else:
         terms = {(i + j, j): c for (i, j), c in p.terms.items()}
-    return Polynomial(child_vars, terms)
+    return Polynomial._trusted(child_vars, terms)
 
 
 @dataclass
@@ -346,16 +346,33 @@ class TranslatedPointReport:
 
 def _recenter(p: Polynomial, along: int, t: Fraction, gamma: str) -> Polynomial:
     """``p`` with coordinate ``along`` replaced by ``t - gamma``, expanded
-    binomially; ``gamma`` takes that coordinate's place."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    binomially; ``gamma`` takes that coordinate's place.
+
+    With ``t = a/b``, ``top`` the largest power of the coordinate and ``L``
+    the lcm of the coefficient denominators, every contribution
+    ``c * C(k, j) * t^(k-j) * (-1)^j`` is an integer over ``L * b^top``, so
+    each output coefficient is one ``Fraction`` of an integer sum.
+    """
+    top = max((e[along] for e in p.terms), default=0)
+    a_powers, b_powers = [1], [1]
+    for _ in range(top):
+        a_powers.append(a_powers[-1] * t.numerator)
+        b_powers.append(b_powers[-1] * t.denominator)
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    numerators: dict[tuple[int, ...], int] = {}
     for e, c in p.terms.items():
         k = e[along]
+        scaled = c.numerator * (lcm // c.denominator)
+        head, tail = e[:along], e[along + 1 :]
         for power in range(k + 1):
-            key = e[:along] + (power,) + e[along + 1 :]
-            term = c * math.comb(k, power) * t ** (k - power) * (-1) ** power
-            terms[key] = terms.get(key, Fraction(0)) + term
+            key = head + (power,) + tail
+            n = scaled * math.comb(k, power) * a_powers[k - power] * b_powers[top - k + power]
+            numerators[key] = numerators.get(key, 0) + (-n if power & 1 else n)
+    denominator = lcm * b_powers[top]
     variables = p.variables[:along] + (gamma,) + p.variables[along + 1 :]
-    return Polynomial(variables, terms)
+    return Polynomial._trusted(
+        variables, {key: Fraction(n, denominator) for key, n in numerators.items()}
+    )
 
 
 def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointReport], int]:
@@ -383,7 +400,7 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
         axis_var = variables[i]
         along_var = variables[1 - i]
         # The residual restricted to the axis: the terms free of its variable.
-        on_axis = Polynomial(
+        on_axis = Polynomial._trusted(
             variables, {e: c for e, c in residual.terms.items() if e[i] == 0}
         )
         coeffs = univar.coeffs_from_poly(on_axis)

@@ -625,7 +625,7 @@ def dqds_identity_error(
     traj: Trajectory,
     E: Polynomial | Function,
     count: int = 20_000,
-) -> float:
+) -> float | None:
     """Max relative error of finite-difference dE/ds against -||grad E||.
 
     Uses the arc-length parameterization carried by the integrator: the
@@ -633,6 +633,8 @@ def dqds_identity_error(
     Non-uniform three-point differences on a geometric resampling keep the
     truncation error well under the 1e-6 target.  ``count`` resampled points
     give ``count - 2`` differences, so it must lie in ``[3, _MAX_POINTS]``.
+    Returns ``None`` when no difference is measured: no interior point
+    clears the gradient floor, or no pair of steps has positive length.
     """
     if not 3 <= count <= _MAX_POINTS:
         raise FlowError(f"identity resample count must lie in [3, {_MAX_POINTS}], got {count}")
@@ -653,24 +655,25 @@ def dqds_identity_error(
     floor = _GRAD_FLOOR_FACTOR * max(1e-300, float(g.min()))
     mask = g[1:-1][ok] > floor
     if not np.any(mask):
-        return 0.0
+        return None
     rel = np.abs(deriv[mask] - target[mask]) / np.abs(target[mask])
     return float(rel.max())
 
 
-def speed_identity_error(traj: Trajectory) -> float:
+def speed_identity_error(traj: Trajectory) -> float | None:
     """Deviation of the arc-length parameterization from unit speed.
 
     Compares the polyline length of a dense resampling against the arc
     length carried by the integrator over the same range; agreement means
     the reparameterized path has speed one.  (Pointwise difference quotients
     at sub-step resolution would measure interpolant-derivative noise, so
-    the check is a global one.)
+    the check is a global one.)  Returns ``None`` when the resampled range
+    carries no arc length, so there is no speed to measure.
     """
     _, pts, s = _dense_resample(traj, _SPEED_SAMPLES)
     ds_total = float(s[-1] - s[0])
     if ds_total <= 0:
-        return 0.0
+        return None
     polyline = float(_segment_lengths(pts).sum())
     return abs(polyline / ds_total - 1.0)
 

@@ -6,6 +6,11 @@ operations (arithmetic, differentiation, substitution, monomial-content
 extraction) are exact, so downstream golden tests compare bit-identical
 values.  Floating-point evaluation is provided separately for the numeric
 pipelines.
+
+The public ``Polynomial(variables, terms)`` validates what a caller supplies;
+arithmetic, differentiation and the blow-up charts build their results from
+already validated terms through ``Polynomial._trusted``, which only drops
+zero coefficients and enforces the size caps.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _check_distinct(variables: tuple[str, ...]) -> None:
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names in {variables}")
+
+
 def _check_limits(terms: Mapping[Exponent, Fraction]) -> None:
     if len(terms) > MAX_TERM_COUNT:
         raise PolynomialLimitError(
@@ -69,8 +79,7 @@ class Polynomial:
         terms: Mapping[Exponent, Fraction | int],
     ) -> None:
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+        _check_distinct(variables)
         clean: dict[Exponent, Fraction] = {}
         for exponent, coeff in terms.items():
             exponent = tuple(int(e) for e in exponent)
@@ -86,6 +95,23 @@ class Polynomial:
         _check_limits(clean)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(
+        cls, variables: tuple[str, ...], terms: Mapping[Exponent, Fraction]
+    ) -> Polynomial:
+        """A polynomial from terms derived from validated polynomials.
+
+        ``variables`` must be a tuple of distinct names and every exponent a
+        tuple of ``len(variables)`` non-negative ints with a ``Fraction``
+        coefficient.  Zero coefficients are dropped and the caps still hold.
+        """
+        clean = {e: c for e, c in terms.items() if c}
+        _check_limits(clean)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", clean)
+        return poly
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -167,6 +193,7 @@ class Polynomial:
     def with_variables(self, variables: Sequence[str]) -> Polynomial:
         """Re-express this polynomial over a superset of its variables."""
         variables = tuple(variables)
+        _check_distinct(variables)
         positions = []
         for v in self.variables:
             if v not in variables:
@@ -178,7 +205,7 @@ class Polynomial:
             for pos, power in zip(positions, e):
                 new_e[pos] = power
             terms[tuple(new_e)] = c
-        return Polynomial(variables, terms)
+        return Polynomial._trusted(variables, terms)
 
     def _coerce(self, other: object) -> Polynomial | None:
         if isinstance(other, Polynomial):
@@ -195,12 +222,12 @@ class Polynomial:
         terms = dict(a.terms)
         for e, c in b.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(variables, terms)
+        return Polynomial._trusted(variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: object) -> Polynomial:
         rhs = self._coerce(other)
@@ -224,7 +251,7 @@ class Polynomial:
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(variables, terms)
+        return Polynomial._trusted(variables, terms)
 
     __rmul__ = __mul__
 
@@ -244,7 +271,7 @@ class Polynomial:
 
     def scale(self, factor: Fraction | int) -> Polynomial:
         factor = Fraction(factor)
-        return Polynomial(
+        return Polynomial._trusted(
             self.variables, {e: c * factor for e, c in self.terms.items()}
         )
 
@@ -262,7 +289,7 @@ class Polynomial:
             new_e[i] -= 1
             key = tuple(new_e)
             terms[key] = terms.get(key, Fraction(0)) + c * e[i]
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     def gradient(self) -> tuple[Polynomial, ...]:
         return tuple(self.derivative(v) for v in self.variables)
@@ -283,16 +310,11 @@ class Polynomial:
         point to every monomial once; column j is partial j's sum, exactly
         as its ``numeric()`` would compute it.
         """
-        sums = _MonomialKernel([g.terms for g in self.gradient()], len(self.variables))
-        return lambda points: sums(points).T.copy()
+        return self._gradient_kernel().columns
 
-    def _gradient_at(self) -> Callable[[Sequence[float]], list[float]]:
-        """The gradient at one point of Python floats, as d Python floats.
-
-        The same arithmetic as a one-row ``gradient_numeric()`` call, bit for
-        bit, with no numpy call per evaluation.
-        """
-        return _MonomialKernel([g.terms for g in self.gradient()], len(self.variables)).at_point()
+    def _gradient_kernel(self) -> _MonomialKernel:
+        """One kernel whose groups are the d partials, in variable order."""
+        return _MonomialKernel([g.terms for g in self.gradient()], len(self.variables))
 
     # ------------------------------------------------------------------
     # structure
@@ -311,11 +333,12 @@ class Polynomial:
         quotient = {
             tuple(x - m for x, m in zip(e, content)): c for e, c in self.terms.items()
         }
-        return content, Polynomial(self.variables, quotient)
+        return content, Polynomial._trusted(self.variables, quotient)
 
     def rename(self, mapping: Mapping[str, str]) -> Polynomial:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
-        return Polynomial(new_vars, self.terms)
+        _check_distinct(new_vars)
+        return Polynomial._trusted(new_vars, self.terms)
 
     # ------------------------------------------------------------------
     # printing
@@ -412,6 +435,10 @@ class _MonomialKernel:
                 acc += term
         return sums
 
+    def columns(self, points: np.ndarray) -> np.ndarray:
+        """The (m, groups) array: row i holds every group's sum at point i."""
+        return self(points).T.copy()
+
     def at_point(self) -> Callable[[Sequence[float]], list[float]]:
         """A closure mapping d Python floats to the group sums at that point.
 
@@ -458,8 +485,9 @@ class Function:
 
     ``gradient_at`` maps one point, d Python floats, to the d entries of the
     gradient there.  Left out, it is ``gradient`` on a one-row batch; for a
-    polynomial, ``of`` compiles it to plain-float arithmetic that gives the
-    bits of that row without a numpy call.
+    polynomial, ``of`` takes it and ``gradient`` from one compiled kernel, so
+    it runs plain-float arithmetic that gives the bits of that row without a
+    numpy call.
     """
 
     dimension: int
@@ -482,12 +510,13 @@ class Function:
         """``E`` itself, or a polynomial compiled to its exact evaluators."""
         if isinstance(E, Function):
             return E
+        kernel = E._gradient_kernel()
         return cls(
             dimension=len(E.variables),
             value=E.numeric(),
-            gradient=E.gradient_numeric(),
+            gradient=kernel.columns,
             name=str(E),
-            gradient_at=E._gradient_at(),
+            gradient_at=kernel.at_point(),
         )
 
 

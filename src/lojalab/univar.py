@@ -91,13 +91,14 @@ def rational_roots(c: Coeffs) -> list[tuple[Fraction, int]]:
             denominator_lcm, coeff.denominator
         )
     ints = [int(coeff * denominator_lcm) for coeff in c]
-    candidates: list[Fraction] = []
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if cand not in candidates:
-                    candidates.append(cand)
+    # A dict keeps the first-seen order of the candidates, so the roots come
+    # out in the same order as a list would give, without a quadratic dedupe.
+    candidates = dict.fromkeys(
+        Fraction(sign * p, q)
+        for p in _divisors(ints[0])
+        for q in _divisors(ints[-1])
+        for sign in (1, -1)
+    )
     for cand in candidates:
         mult = 0
         while len(c) > 1 and evaluate(c, cand) == 0:

@@ -8,18 +8,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lojalab.blowup import (
     BlowupError,
+    _pull_back,
+    _recenter,
     exponent_upper_bound,
     pull_back_and_bound,
     resolve,
     translated_chart_analysis,
 )
-from lojalab.poly import Polynomial, Substitution, parse
+from lojalab.poly import Polynomial, PolynomialLimitError, Substitution, parse
 from lojalab.sampling import ball_points
 
 from oracles import evaluate_exact
+from test_poly import assert_equals_validated_rebuild, polynomials
 
 CUSP = parse("x^2 - y^3")
 
@@ -316,6 +321,37 @@ def test_translated_polynomials_match_substitution():
             assert point.translated.variables == reference.variables
             checked += 1
     assert checked == CHECKED_TRANSLATED
+
+
+@given(
+    polynomials(dim=2, max_degree=5),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9),
+    st.integers(0, 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_recenter_matches_substitution_on_random_points(p, t, along):
+    # Integer and non-integer, negative and positive t; the polynomials
+    # carry rational coefficients, so the common denominator is exercised.
+    translated = _recenter(p, along, t, "gamma")
+    shift = Polynomial.constant(t, ("gamma",)) - Polynomial.variable("gamma")
+    reference = Substitution({p.variables[along]: shift}).apply(p)
+    assert translated == reference
+    assert translated.variables == reference.variables
+    assert_equals_validated_rebuild(translated)
+
+
+@given(polynomials(dim=2, max_degree=5), st.sampled_from((1, 2)))
+@settings(max_examples=60, deadline=None)
+def test_pull_back_equals_its_validated_rebuild(p, chart):
+    assert_equals_validated_rebuild(_pull_back(p, ("u", "v"), chart))
+
+
+def test_pull_back_past_the_degree_cap_raises():
+    # Chart 1 sends x^40*y^30 to u^40*v^70.
+    with pytest.raises(PolynomialLimitError):
+        _pull_back(parse("x^40*y^30 + x"), ("u", "v"), 1)
+    with pytest.raises(PolynomialLimitError):
+        resolve(parse("x^30 - y^31"))
 
 
 def test_translated_analysis_counts_irrational_points():

@@ -482,6 +482,22 @@ def test_dqds_identity_accepts_three_points():
     assert 0.0 < dqds_identity_error(traj, p, count=3) < 1.0
 
 
+def test_identity_errors_are_none_when_nothing_is_measured(monkeypatch):
+    # On x^2 up to t = 1 the gradient norm falls from 1 to about 0.14, so no
+    # point clears the floor of 1e3 times the smallest norm.
+    p = parse("x^2")
+    traj = integrate_flow(p, [0.5], tol=1e-10, t_max=1.0)
+    assert dqds_identity_error(traj, p) is None
+    assert speed_identity_error(traj) < 1e-6
+    # A resampled range that carries no arc length has no speed to compare.
+    monkeypatch.setattr(
+        flow,
+        "_dense_resample",
+        lambda traj, count: (np.zeros(count), np.zeros((count, 1)), np.full(count, 0.25)),
+    )
+    assert speed_identity_error(traj) is None
+
+
 def test_stopping_event_reuses_rhs_gradient():
     fn = Function.of(parse("x^2*y^2"))
     calls = []

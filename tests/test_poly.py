@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lojalab.poly import (
+    Function,
     ParseError,
     Polynomial,
     PolynomialLimitError,
@@ -189,7 +190,8 @@ def test_one_point_gradient_matches_batch_rows_bit_for_bit():
     rng = np.random.default_rng(11)
     for n, p in enumerate(_kernel_polynomials(rng)):
         d = len(p.variables)
-        value, gradient, gradient_at = p.numeric(), p.gradient_numeric(), p._gradient_at()
+        fn = Function.of(p)
+        value, gradient, gradient_at = fn.value, fn.gradient, fn.gradient_at
         for m in (1, 5, 40, 4097) if n % 8 == 0 else (1, 5, 40):
             base = _kernel_points(rng, m, d)
             with np.errstate(all="ignore"):
@@ -398,3 +400,47 @@ def test_monomial_content_roundtrip(p):
     assert monomial * quotient == p
     again, _ = quotient.monomial_content()
     assert again == (0,) * len(p.variables)
+
+
+# ----------------------------------------------------------------------
+# the trusted constructor
+# ----------------------------------------------------------------------
+
+
+def assert_equals_validated_rebuild(p):
+    """``p`` is what the validating constructor makes of its own terms:
+    the same variables, keys and values in the same order, with tuple-of-int
+    exponents and ``Fraction`` coefficients."""
+    rebuilt = Polynomial(p.variables, dict(p.terms))
+    assert p.variables == rebuilt.variables
+    assert list(p.terms.items()) == list(rebuilt.terms.items())
+    for (e, c), (e_ref, c_ref) in zip(p.terms.items(), rebuilt.terms.items()):
+        assert type(e) is tuple and [type(x) for x in e] == [type(x) for x in e_ref]
+        assert type(c) is type(c_ref) is Fraction
+
+
+@given(polynomials(), polynomials(), st.integers(0, 3), _coeffs)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_equal_their_validated_rebuild(p, q, k, a):
+    results = [p + q, p - q, q - p, p * q, -p, p**k, p + 3, 2 - p, a * p, p.scale(a)]
+    results += p.gradient()
+    if not p.is_zero:
+        results.append(p.monomial_content()[1])
+    results.append(p.with_variables(tuple(reversed(p.variables)) + ("w",)))
+    results.append(p.rename({"x": "u"}))
+    for r in results:
+        assert_equals_validated_rebuild(r)
+
+
+def test_trusted_results_keep_the_caps_and_the_name_check():
+    with pytest.raises(PolynomialLimitError):
+        parse("(x + 1)^65")
+    with pytest.raises(PolynomialLimitError):
+        parse("x^40 + y") * parse("x^30 + 1")
+    p = parse("x*y + 1")
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        p.with_variables(("x", "x", "y"))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        p.rename({"y": "x"})
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        parse("x", variables=["x", "x"])

@@ -1,8 +1,11 @@
 """Exact univariate root extraction and real-root counting."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lojalab.poly import parse
 from lojalab.univar import (
@@ -56,3 +59,49 @@ def test_constant_and_zero_edge_cases():
 def test_multivariate_rejected():
     with pytest.raises(ValueError):
         coeffs_from_poly(parse("x*y"))
+
+
+def test_rational_roots_of_a_coefficient_with_many_divisors():
+    # 720720 has 240 divisors, so 115,200 root candidates, which a
+    # list-membership dedupe compares pairwise for minutes.
+    roots = rational_roots([Fraction(-720720), Fraction(0), Fraction(720720)])
+    assert roots == [(Fraction(1), 1), (Fraction(-1), 1)]
+
+
+def _times(c, factor):
+    out = [Fraction(0)] * (len(c) + len(factor) - 1)
+    for i, a in enumerate(c):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+_planted = st.dictionaries(
+    st.fractions(min_value=-6, max_value=6, max_denominator=5), st.integers(1, 3), max_size=3
+)
+_quadratic = st.tuples(
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6).filter(bool)
+)
+
+
+@given(_planted, _quadratic)
+@settings(max_examples=60, deadline=None)
+def test_roots_against_sympy_on_planted_polynomials(planted, quadratic):
+    # sympy is the oracle: prod (z - r)^m times c0 + c1*z + c2*z^2.
+    import sympy
+
+    z = sympy.Symbol("z")
+    c = [Fraction(k) for k in quadratic]
+    for root, mult in planted.items():
+        for _ in range(mult):
+            c = _times(c, [-root, Fraction(1)])
+    expected = Counter(planted)
+    quad = sympy.Poly(list(reversed(quadratic)), z)
+    for root, mult in sympy.roots(quad).items():
+        if root.is_rational:
+            expected[Fraction(int(root.p), int(root.q))] += mult
+    found = rational_roots(c)
+    assert len({root for root, _ in found}) == len(found)
+    assert dict(found) == dict(expected)
+    full = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c)], z)
+    assert count_distinct_real_roots(c) == len(set(sympy.real_roots(full)))
