@@ -24,6 +24,7 @@ from pathlib import Path
 from . import blowup, estimate as estimate_mod, flow as flow_mod, snc
 from .poly import ParseError, PolynomialLimitError, parse
 from .reports import dump_report, rational_str
+from .sampling import check_ball
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +58,8 @@ class RunConfig:
     """The record of one run, written into every report as ``config``.
 
     Each option's default is the field of the same name, read by the parser.
+    A report records the input, the output options and its subcommand's own
+    options, not the defaults of options the subcommand does not take.
     """
 
     command: str
@@ -78,7 +81,14 @@ class RunConfig:
     format: str = "human"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        own = {_field(option) for option in SUBCOMMANDS[self.command][2]}
+        own |= {"command", "polynomial_text", "output_path", "format"}
+        return {k: v for k, v in asdict(self).items() if k in own}
+
+
+def _field(option: str) -> str:
+    """The ``RunConfig`` field of a command-line option."""
+    return option[2:].replace("-", "_")
 
 
 def _parse_point(text: str | None, dim: int | None = None) -> tuple[float, ...] | None:
@@ -182,9 +192,7 @@ def _analyze(config: RunConfig, text: str) -> tuple[dict, bool]:
         }
         return report, False
     try:
-        full = snc.compute_constants(
-            factorization, sigma=config.sigma, samples=config.samples, seed=config.seed
-        )
+        full = snc.compute_constants(factorization, sigma=config.sigma)
     except snc.SncError as exc:
         return {"input": text, "snc": True, "pass": False, "note": str(exc)}, False
     check = snc.verify_gradient_inequality(p, full, config.samples, config.seed)
@@ -239,9 +247,7 @@ def _flow(config: RunConfig, text: str) -> tuple[dict, bool]:
     factorization = snc.detect_snc(p)
     if factorization.snc_at_origin and traj.converged:
         try:
-            full = snc.compute_constants(
-                factorization, sigma=config.sigma, samples=config.samples, seed=config.seed
-            )
+            full = snc.compute_constants(factorization, sigma=config.sigma)
             bound = flow_mod.verify_length_bound(
                 traj, full.theta, full.gradient_constant or 0.0
             )
@@ -382,18 +388,25 @@ def _demo_cusp(config: RunConfig, text: str | None) -> tuple[dict, bool]:
 # argument parsing and the one exit path
 # ----------------------------------------------------------------------
 
-SAMPLING = ("--samples", "--seed", "--sigma")
-ESTIMATION = ("--r-min", "--r-max", "--radius-count", "--estimate-samples")
+SAMPLING = {"--samples": {}, "--seed": {}, "--sigma": {}}
+ESTIMATION = {"--r-min": {}, "--r-max": {}, "--radius-count": {}, "--estimate-samples": {}}
 
-# name: (handler, help, options beyond --output-path and --format)
+# name: (handler, help, options beyond --output-path and --format).  Each
+# option maps to argparse keywords beyond its default, which is the RunConfig
+# field, and its type, which is the default's (str for a None default).
 SUBCOMMANDS = {
     "analyze": (_analyze, "normal-crossing exponent and gradient inequality", SAMPLING),
-    "resolve": (_resolve, "blow-up tree and exponent interval", ("--max-depth",)),
-    "flow": (_flow, "gradient-flow trajectory and checks",
-             (*SAMPLING, "--delta", "--tol", "--t-max")),
-    "estimate": (_estimate, "empirical exponent estimate", ESTIMATION),
-    "verify": (_verify, "full battery on one input", (*SAMPLING, *ESTIMATION)),
-    "demo-cusp": (_demo_cusp, "golden cusp-resolution reproduction", ()),
+    "resolve": (_resolve, "blow-up tree and exponent interval", {"--max-depth": {}}),
+    "flow": (_flow, "gradient-flow trajectory and checks", {
+        **SAMPLING, "--delta": {}, "--tol": {}, "--t-max": {},
+        "--point": {"required": True, "help": "comma-separated start point"},
+        "--crit": {"help": "origin | free:IDX,... | points:X,Y;..."},
+    }),
+    "estimate": (_estimate, "empirical exponent estimate", {
+        **ESTIMATION, "--point": {"help": "critical point (default: origin)"},
+    }),
+    "verify": (_verify, "full battery on one input", SAMPLING | ESTIMATION),
+    "demo-cusp": (_demo_cusp, "golden cusp-resolution reproduction", {}),
 }
 
 
@@ -416,14 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output-path", default=RunConfig.output_path,
                         help="directory for report files")
         sp.add_argument("--format", choices=("json", "human"), default=RunConfig.format)
-        for option in options:
-            default = getattr(RunConfig, option[2:].replace("-", "_"))
-            sp.add_argument(option, type=type(default), default=default)
-        if name == "flow":
-            sp.add_argument("--point", required=True, help="comma-separated start point")
-            sp.add_argument("--crit", help="origin | free:IDX,... | points:X,Y;...")
-        elif name == "estimate":
-            sp.add_argument("--point", help="critical point (default: origin)")
+        for option, keywords in options.items():
+            default = getattr(RunConfig, _field(option))
+            kind = str if default is None else type(default)
+            sp.add_argument(option, type=kind, default=default, **keywords)
     return parser
 
 
@@ -435,6 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fields = vars(args)
         config = RunConfig(**fields | {"point": _parse_point(fields.get("point"))})
+        check_ball(config.samples, config.sigma, config.seed)
         text = config.polynomial_text
         if text == "-":
             text = sys.stdin.read().strip()

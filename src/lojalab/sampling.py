@@ -95,6 +95,15 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
     return np.concatenate([pts, axes])
 
 
+def check_ball(count: int, radius: float, seed: int) -> None:
+    """Raise ``ValueError`` unless :func:`ball_points` accepts these."""
+    _check_count(count, "sample", _MAX_POINTS)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"seed must lie in [0, {_MAX_SEED}], got {seed}")
+
+
 def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarray:
     """Quasi-uniform sample of the closed ball of the given radius.
 
@@ -107,11 +116,7 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    _check_count(count, "sample", _MAX_POINTS)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    if not 0 <= seed <= _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, {_MAX_SEED}], got {seed}")
+    check_ball(count, radius, seed)
     anchors = [np.zeros(dim)]
     for i in range(dim):
         e = np.zeros(dim)

@@ -7,11 +7,13 @@ gradient inequality ``||grad f|| >= C0 * |f|^theta`` holds near 0 with
 
     theta = 1 - 1/N,          N = n1 + ... + nd,
 
-and an explicit constant built from the extrema of ``|f0|`` on a small ball:
+and an explicit constant built from bounds ``m <= |f0| <= M`` on a small ball:
 ``C0 = m * sqrt(N/n) / (2 * M^theta)`` when at least two exponents are
-active, and ``C0 = m / (2 * M^theta)`` when exactly one is.  The ball radius
-is found constructively by halving until the pointwise shrinking condition
-``|x_j * df0/dx_j| <= (n_j / 2) * |f0|`` holds at every sample.
+active, and ``C0 = m / (2 * M^theta)`` when exactly one is.  The radius, ``m``
+and ``M`` are certified by exact rational majorants of ``f0`` on the box
+that contains the ball, so that the shrinking condition
+``|x_j * df0/dx_j| <= (n_j / 2) * |f0|`` holds throughout; a sampled check
+of the inequality is the independent test of the constant.
 
 The elementary engine behind the multi-variable case is the generalized
 Young inequality ``(prod a_j)^r <= r * sum a_j^{p_j} / p_j`` for positive
@@ -64,9 +66,9 @@ class ExponentReport:
     ``theta`` is exact; ``active_count`` is the number of positive monomial
     exponents and ``max_active_exponent`` their maximum.  The numeric fields
     are populated by :func:`compute_constants`: ``ball_radius`` is the final
-    halved radius, ``unit_min``/``unit_max`` the sampled extrema of the
-    residual's absolute value, and ``gradient_constant`` the resulting lower
-    bound for ``||grad p|| / |p|^theta``.
+    halved radius, ``unit_min``/``unit_max`` certified lower and upper bounds
+    of the residual's absolute value on that ball, and ``gradient_constant``
+    the resulting lower bound for ``||grad p|| / |p|^theta``.
     """
 
     theta: Fraction
@@ -132,61 +134,57 @@ def exponent_from_snc(mf: MonomialFactorization) -> ExponentReport:
     )
 
 
-def _shrink_condition_holds(
-    points: np.ndarray, residual_abs: np.ndarray, partials: list
-) -> bool:
-    """Check ``|x_j * F_xj| <= (n_j/2) * |F|`` at every point, active j.
+def _float_below(x: Fraction) -> float:
+    f = float(x)
+    return math.nextafter(f, -math.inf) if f > x else f
 
-    ``residual_abs`` is ``|F|`` at the points and ``partials`` holds
-    ``(j, n_j/2, evaluator of F_xj)`` for each active exponent.
-    """
-    for j, half_n, partial in partials:
-        lhs = np.abs(points[:, j] * partial(points))
-        if np.any(lhs > half_n * residual_abs + 1e-15):
-            return False
-    return True
+
+def _float_above(x: Fraction) -> float:
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 def compute_constants(
     mf: MonomialFactorization,
     sigma: float = DEFAULT_SIGMA,
-    samples: int = 10_000,
-    seed: int = 0,
+    *,
+    samples: int | None = None,
 ) -> ExponentReport:
-    """Constructive constants for the gradient inequality on a ball.
+    """Certified constants for the gradient inequality on a ball.
 
-    Halves ``sigma`` (at most 40 times) until the shrinking condition holds
-    at every sample of the closed ball, then takes ``m = min |f0|`` and
-    ``M = max |f0|`` over the samples of that last check and assembles the
-    constant for the one-active-exponent or multi-exponent branch
-    accordingly.  The residual and its active partials are compiled once.
+    Exact on the box ``|x_i| <= r``, which contains the ball: with
+    ``c0 = |f0(0)|``, ``S(r) = sum_{e != 0} |c_e| r^|e|`` bounds
+    ``|f0 - f0(0)|`` and ``T_j(r) = sum e_j |c_e| r^|e|`` bounds
+    ``|x_j * df0/dx_j|``.  ``r`` halves from ``sigma`` (at most
+    ``MAX_SIGMA_HALVINGS`` times) until ``S(r) < c0`` and
+    ``T_j(r) <= (n_j/2) * (c0 - S(r))`` for every active j; then
+    ``m = c0 - S(r)`` rounded down and ``M = c0 + S(r)`` rounded up.
+    ``samples`` is ignored (nothing is sampled); it is kept for existing
+    callers.
     """
     report = exponent_from_snc(mf)
-    dim = len(mf.variables)
-    radius = float(sigma)
-    if radius <= 0:
-        raise ValueError("sigma must be positive")
-    residual = mf.residual.numeric()
-    partials = [
-        (j, 0.5 * n_j, mf.residual.derivative(v).numeric())
-        for j, (v, n_j) in enumerate(zip(mf.variables, mf.exponents))
-        if n_j >= 1
-    ]
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    c0 = abs(mf.residual.constant_term())
+    terms = [(e, abs(c)) for e, c in mf.residual.terms.items() if any(e)]
+    active = [(j, Fraction(n_j, 2)) for j, n_j in enumerate(mf.exponents) if n_j >= 1]
+    radius = Fraction(sigma)
     for _ in range(MAX_SIGMA_HALVINGS + 1):
-        points = ball_points(dim, samples, radius, seed=seed)
-        residual_abs = np.abs(residual(points))
-        if _shrink_condition_holds(points, residual_abs, partials):
+        weighted = [(e, c * radius ** sum(e)) for e, c in terms]
+        spread = sum(w for _, w in weighted)
+        if spread < c0 and all(
+            sum(e[j] * w for e, w in weighted) <= half_n * (c0 - spread)
+            for j, half_n in active
+        ):
             break
-        radius *= 0.5
+        radius /= 2
     else:
         raise SncError(
             "ball radius underflow: shrinking condition keeps failing "
             "(degenerate residual near the origin)"
         )
-    unit_min = float(residual_abs.min())
-    unit_max = float(residual_abs.max())
-    if unit_min <= 0.0:
-        raise SncError("residual vanishes inside the sampled ball")
+    unit_min = _float_below(c0 - spread)
+    unit_max = _float_above(c0 + spread)
     theta = float(report.theta)
     if report.active_count == 1:
         constant = unit_min / (2.0 * unit_max**theta)
@@ -195,7 +193,7 @@ def compute_constants(
         constant = unit_min * math.sqrt(ratio) / (2.0 * unit_max**theta)
     return replace(
         report,
-        ball_radius=radius,
+        ball_radius=float(radius),
         unit_min=unit_min,
         unit_max=unit_max,
         gradient_constant=constant,

@@ -10,6 +10,7 @@ unanalyzed) without approximating them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 from .poly import Polynomial
@@ -41,16 +42,30 @@ def _trim(c: Coeffs) -> Coeffs:
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of ``n`` in ascending order, none for 0.
+
+    Trial division divides out each prime as it is found, so it stops at the
+    square root of the remaining cofactor rather than of ``n``.
+    """
     n = abs(n)
     if n == 0:
         return []
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    divisors = [1]
+    limit = isqrt(n)
+    for prime in chain((2,), range(3, limit + 1, 2)):
+        if prime > limit:
+            break
+        if n % prime:
+            continue
+        exponent = 0
+        while n % prime == 0:
+            n //= prime
+            exponent += 1
+        divisors = [d * prime**k for d in divisors for k in range(exponent + 1)]
+        limit = isqrt(n)
+    if n > 1:
+        divisors += [d * n for d in divisors]
+    return sorted(divisors)
 
 
 def evaluate(c: Coeffs, x: Fraction) -> Fraction:
@@ -91,12 +106,15 @@ def rational_roots(c: Coeffs) -> list[tuple[Fraction, int]]:
             denominator_lcm, coeff.denominator
         )
     ints = [int(coeff * denominator_lcm) for coeff in c]
-    # A dict keeps the first-seen order of the candidates, so the roots come
-    # out in the same order as a list would give, without a quadratic dedupe.
-    candidates = dict.fromkeys(
+    # Candidates +-p/q come lazily, p ascending, then q, then the sign.  A
+    # value first appears in reduced form, since reducing divides p, so
+    # skipping the unreduced pairs keeps each value once, in first-seen order.
+    leading = _divisors(ints[-1])
+    candidates = (
         Fraction(sign * p, q)
         for p in _divisors(ints[0])
-        for q in _divisors(ints[-1])
+        for q in leading
+        if gcd(p, q) == 1
         for sign in (1, -1)
     )
     for cand in candidates:

@@ -120,7 +120,7 @@ def test_criterion_constructive_gradient_inequality():
     with criterion("constructive gradient inequality on the corpus", 10.0):
         for text in EXPONENT_CORPUS:
             p = parse(text)
-            report = compute_constants(detect_snc(p), samples=10_000, seed=0)
+            report = compute_constants(detect_snc(p))
             check = verify_gradient_inequality(p, report, samples=10_000, seed=0)
             assert check.passed, (
                 f"{text}: measured {check.measured_constant} "

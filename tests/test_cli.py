@@ -89,6 +89,15 @@ def test_negative_seed_exits_one(tmp_path):
      "seed must lie in [0, 44034470093549], got -1"),
     (["estimate", "haraux", "--point", "7,7,7"], "point has shape (3,), expected (2,)"),
     (["estimate", "haraux", "--point", "0.5"], "point has shape (1,), expected (2,)"),
+    (["analyze", "x^2*y^3", "--sigma", "inf"], "ball radius must be finite and positive, got inf"),
+    (["analyze", "x^2*y^3", "--sigma", "nan"], "ball radius must be finite and positive, got nan"),
+    (["analyze", "x^2*y^3", "--sigma", "0"], "ball radius must be finite and positive, got 0.0"),
+    (["flow", "x^2", "--point", "0.1", "--sigma", "inf"],
+     "ball radius must be finite and positive, got inf"),
+    (["flow", "x^2", "--point", "0.1", "--sigma", "nan"],
+     "ball radius must be finite and positive, got nan"),
+    (["flow", "x^2", "--point", "0.1", "--sigma", "0"],
+     "ball radius must be finite and positive, got 0.0"),
 ])
 def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
     # Each used to pass on the anchor points alone, or fail as a check.
@@ -112,6 +121,16 @@ def test_resolve_writes_leaf_table(tmp_path):
     assert report["complete"] is True
     assert _run(["resolve", "x^2 - 2*y^2"], tmp_path) == 0
     assert _report(tmp_path)["complete"] is False
+
+
+def test_resolve_with_a_coefficient_of_many_digits(tmp_path):
+    # Root candidates come from the divisors of 10^14: trial division up to
+    # its square root took seconds.  The report is pinned less its config.
+    assert _run(["resolve", "x^2 - 100000000000000*y^2"], tmp_path) == 0
+    report = _report(tmp_path)
+    report.pop("config")
+    digest = hashlib.sha1(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "ebd625f14f890c0966d616b28b357fe4e321ae6c"
 
 
 def test_flow_writes_trajectory(tmp_path):
@@ -222,6 +241,20 @@ def test_minimal_argv_runs_with_the_run_config_defaults(tmp_path, argv, point):
         output_path=str(tmp_path),
     )
     assert _report(tmp_path)["config"] == json.loads(json.dumps(expected.to_json()))
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["analyze", "x^2"], {"samples", "seed", "sigma"}),
+    (["resolve", "x*y"], {"max_depth"}),
+    (["flow", "x^2", "--point", "0.5"],
+     {"samples", "seed", "sigma", "delta", "tol", "t_max", "point", "crit"}),
+    (["estimate", "x^2"], {"r_min", "r_max", "radius_count", "estimate_samples", "point"}),
+    (["demo-cusp"], set()),
+])
+def test_config_records_only_the_run_options(tmp_path, argv, options):
+    assert _run(argv, tmp_path) == 0
+    own = {"command", "polynomial_text", "output_path", "format"}
+    assert set(_report(tmp_path)["config"]) == own | options
 
 
 def test_flow_rejects_ragged_crit_point(tmp_path, capsys):
@@ -339,8 +372,8 @@ def test_reused_parser_gives_the_same_reports(tmp_path):
 
 
 # Monomial times unit in d = 1..4, each with a mild unit (sigma stays 0.5)
-# and a strong one (sigma halves); their analyze reports carry sampled
-# m, M, C0 and min_ratio, pinned byte for byte below.
+# and a strong one (sigma halves); their analyze reports carry certified
+# m, M, C0 and the sampled min_ratio, pinned byte for byte below.
 ANALYZE_CORPUS = (
     "x1^2*(1 + 1/4*x1)",
     "x1^3*(1 - 3*x1 + 2*x1^2)",
@@ -366,12 +399,12 @@ def _reports_digest(command, corpus, extra, tmp_path):
 
 def test_analyze_reports_pinned_digest(tmp_path):
     digest = _reports_digest("analyze", ANALYZE_CORPUS, ["--samples", "2000"], tmp_path)
-    assert digest == "c270850c2ff4b5d24e9c7c78f246d06919934046"
+    assert digest == "e0a214742b15b839ce9a64e553411e805b9b7901"
 
 
 def test_estimate_reports_pinned_digest(tmp_path):
     digest = _reports_digest("estimate", ESTIMATE_CORPUS, [], tmp_path)
-    assert digest == "a128cd6b695e5393f8a992c89bf77413f80a7488"
+    assert digest == "afd84cd755b4d9eb98d0d207548489de1d9aedae"
 
 
 # Every subcommand's outputs that the two digests above do not cover: the
@@ -404,4 +437,4 @@ def test_cli_outputs_pinned_digest(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["resolve", "x^2 - y^3", "--format", "json", "--output-path", "json"]) == 0
     sha.update(capsys.readouterr().out.encode())
-    assert sha.hexdigest() == "03d13a94c90af4d22717ac58437cdd7530fe2917"
+    assert sha.hexdigest() == "b93bd5376ec6328cac05d36c1fcb077af9974c0b"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lojalab.poly import parse
+from lojalab.poly import Polynomial, parse
 from lojalab.reports import InequalityCheckReport
 from lojalab.snc import (
     ExponentReport,
@@ -22,6 +22,7 @@ from lojalab.snc import (
     monomial_inequality_holds_exact,
     verify_gradient_inequality,
 )
+from oracles import evaluate_exact
 
 # ----------------------------------------------------------------------
 # detection
@@ -150,7 +151,7 @@ def test_constants_unit_extrema_on_quarter_ball():
     assert rep.unit_min == 0.75 and rep.unit_max == 1.25
     expected = 0.75 * math.sqrt(8 / 6) / (2 * 1.25 ** (7 / 8))
     assert rep.gradient_constant == pytest.approx(expected, rel=1e-15)
-    # Oracle: dense random sampling cannot beat the sampled extrema by much.
+    # Oracle: dense random sampling stays within the certified extrema.
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.25, 0.25, size=(200_000, 2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 0.25]
@@ -165,6 +166,66 @@ def test_constants_shrink_condition_halves_sigma():
     rep = compute_constants(detect_snc(parse("a^2*b^2 - a^2*b^3")), sigma=2.0)
     assert rep.ball_radius < 1.0
     assert rep.unit_min > 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_constants_reject_a_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        compute_constants(detect_snc(parse("x^2")), sigma=sigma)
+
+
+def test_constants_sample_and_compile_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compute_constants sampled or compiled")
+
+    monkeypatch.setattr("lojalab.snc.ball_points", forbidden)
+    monkeypatch.setattr(Polynomial, "numeric", forbidden)
+    monkeypatch.setattr(Polynomial, "gradient_numeric", forbidden)
+    rep = compute_constants(detect_snc(parse("x1^2*x2*(1 + 4*x1 - 2*x2^2)")))
+    assert rep.ball_radius == 0.0625
+
+
+@st.composite
+def _monomial_times_unit(draw):
+    """A monomial times a unit of one or two terms, as in the benchmark."""
+    d = draw(st.integers(1, 4))
+    names = [f"x{i + 1}" for i in range(d)]
+    monomial = "*".join(f"{v}^{draw(st.integers(2 if d == 1 else 1, 4))}" for v in names)
+    unit = "1"
+    for _ in range(draw(st.integers(1, 2))):
+        term = "*".join(draw(st.sampled_from(names)) for _ in range(draw(st.integers(1, 2))))
+        coeff = draw(st.fractions(min_value=-5, max_value=5, max_denominator=8).filter(bool))
+        unit += f" + ({coeff})*{term}"
+    return parse(f"{monomial}*({unit})")
+
+
+@given(_monomial_times_unit(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_certified_constants_hold_on_the_box(p, data):
+    # Exact oracle: m <= |f0| <= M and |x_j df0/dx_j| <= (n_j/2)|f0| at
+    # every corner of the box |x_i| <= r and at random rational points of it.
+    mf = detect_snc(p)
+    rep = compute_constants(mf)
+    radius = Fraction(rep.ball_radius)
+    f0 = mf.residual
+    partials = [
+        (j, Fraction(n, 2), f0.derivative(v))
+        for j, (v, n) in enumerate(zip(f0.variables, mf.exponents))
+        if n
+    ]
+    d = len(f0.variables)
+    corners = [[radius * (1 - 2 * (k >> i & 1)) for i in range(d)] for k in range(2**d)]
+    inside = st.lists(
+        st.fractions(min_value=-radius, max_value=radius, max_denominator=64),
+        min_size=d,
+        max_size=d,
+    )
+    for x in corners + [data.draw(inside) for _ in range(8)]:
+        value = abs(evaluate_exact(f0, x))
+        assert rep.unit_min <= value <= rep.unit_max
+        for j, half_n, partial in partials:
+            assert abs(x[j] * evaluate_exact(partial, x)) <= half_n * value
+    assert verify_gradient_inequality(p, rep, samples=200).passed
 
 
 def test_gradient_inequality_passes_on_corpus():

@@ -1,5 +1,6 @@
 """Exact univariate root extraction and real-root counting."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lojalab.poly import parse
 from lojalab.univar import (
+    _divisors,
     coeffs_from_poly,
     count_distinct_real_roots,
     evaluate,
@@ -68,6 +70,23 @@ def test_rational_roots_of_a_coefficient_with_many_divisors():
     assert roots == [(Fraction(1), 1), (Fraction(-1), 1)]
 
 
+@given(st.integers(2, 10**6), st.integers(2, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_divisors_against_sympy(a, b):
+    import sympy
+
+    assert _divisors(a * b) == sympy.divisors(a * b)
+    assert _divisors(-a * b) == sympy.divisors(a * b)
+
+
+def test_divisors_of_a_large_power_and_of_zero():
+    import sympy
+
+    assert _divisors(10**14) == sympy.divisors(10**14)
+    assert _divisors(0) == []
+    assert _divisors(1) == [1]
+
+
 def _times(c, factor):
     out = [Fraction(0)] * (len(c) + len(factor) - 1)
     for i, a in enumerate(c):
@@ -103,5 +122,17 @@ def test_roots_against_sympy_on_planted_polynomials(planted, quadratic):
     found = rational_roots(c)
     assert len({root for root, _ in found}) == len(found)
     assert dict(found) == dict(expected)
+    # Nonzero roots come in the first-seen order of the candidates +-p/q,
+    # p over the divisors of the lowest coefficient, then q of the leading.
+    low = [x for x in c if x][0]
+    scale = math.lcm(*(x.denominator for x in c))
+    order = list(dict.fromkeys(
+        Fraction(sign * p, q)
+        for p in sympy.divisors(abs(int(low * scale)))
+        for q in sympy.divisors(abs(int(c[-1] * scale)))
+        for sign in (1, -1)
+    ))
+    nonzero = [root for root, _ in found if root]
+    assert nonzero == sorted(nonzero, key=order.index)
     full = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c)], z)
     assert count_distinct_real_roots(c) == len(set(sympy.real_roots(full)))
