@@ -39,27 +39,48 @@ def _check_count(count: int, what: str, limit: int) -> None:
 
 
 def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
-    """First ``count`` points of the Halton sequence in [0, 1)^dim."""
+    """Points ``start, ..., start + count - 1`` of the Halton sequence in [0, 1)^dim.
+
+    Column j holds the radical inverse in base ``b = _PRIMES[j]``: with the
+    digits ``d_k`` of the index, least significant first, and the scales
+    ``s_0 = 1/b``, ``s_{k+1} = s_k / b``, it is the float sum
+    ``(((0 + d_0 s_0) + d_1 s_1) + ...)`` taken in that order.
+
+    The low ``m`` digits, for the largest ``b^m <= count``, come from a table
+    of that running sum over every residue ``r`` mod ``b^m``, built one level
+    at a time by ``T_{k+1}[d b^k + r] = T_k[r] + d s_k`` from ``T_0 = [0]``.
+    Each entry is the same additions in the same order as the digit-by-digit
+    sum of its residue.  The indices of one block of ``b^m`` share their high
+    part ``index // b^m`` and run through every residue once, so the rows are
+    the table tiled over the few blocks the range touches.  The high digits
+    then continue each row's sum, one pass per digit, with the digit taken
+    per block.  Leading zero digits add an exact ``+0.0`` on either path, so
+    every row is bit-identical to the digit-by-digit sum.
+    """
     if dim > len(_PRIMES):
-        raise ValueError(f"halton supports dimension <= {len(_PRIMES)}")
+        raise ValueError(f"sampled checks support at most {len(_PRIMES)} variables, got {dim}")
     if start < 0 or start + count > np.iinfo(np.int64).max:
         # A negative index never reaches 0 under floor division, and int64
         # indices past the top would wrap.
         raise ValueError("halton indices must lie in [0, 2**63 - 1)")
     out = np.empty((count, dim))
-    index = np.arange(start, start + count, dtype=np.int64)
     for j in range(dim):
-        # Radical inverse of every index at once; rows whose index is
-        # exhausted add exact zeros, so each row equals the digit-by-digit sum.
         base = _PRIMES[j]
-        n = index
-        value = np.zeros(count)
+        table = np.zeros(1)
         scale = 1.0 / base
-        while n.any():
-            n, digit = np.divmod(n, base)
-            value += digit * scale
+        while table.size * base <= count:
+            table = ((np.arange(base) * scale)[:, None] + table).ravel()
             scale /= base
-        out[:, j] = value
+        block = table.size
+        first = start // block
+        high = np.arange(first, (start + count - 1) // block + 1, dtype=np.int64)
+        rows = np.tile(table, (high.size, 1))
+        while high.any():
+            high, digit = np.divmod(high, base)
+            rows += (digit * scale)[:, None]
+            scale /= base
+        offset = start - first * block
+        out[:, j] = rows.ravel()[offset : offset + count]
     return out
 
 

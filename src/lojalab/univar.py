@@ -41,17 +41,59 @@ def _trim(c: Coeffs) -> Coeffs:
     return c
 
 
+# The first 13 primes are Miller-Rabin witnesses for every composite below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# Below this square root, trial division finishes sooner than the 13 tests.
+_MR_MIN_ROOT = 1 << 10
+
+
+def _proven_prime(n: int) -> bool:
+    """True only for a prime ``n`` below ``_MR_LIMIT``; False at or above it."""
+    if n < 2 or n >= _MR_LIMIT:
+        return False
+    for prime in _MR_BASES:
+        if n % prime == 0:
+            return n == prime
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for witness in _MR_BASES:
+        x = pow(witness, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _search_limit(n: int) -> int:
+    """Largest trial divisor that can still split the cofactor ``n``."""
+    root = isqrt(n)
+    return 1 if root >= _MR_MIN_ROOT and _proven_prime(n) else root
+
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of ``n`` in ascending order, none for 0.
 
     Trial division divides out each prime as it is found, so it stops at the
-    square root of the remaining cofactor rather than of ``n``.
+    square root of the remaining cofactor rather than of ``n``, and at once
+    when that cofactor is a proven prime.  A cofactor at or above
+    ``_MR_LIMIT``, or one with two large prime factors, is still searched up
+    to its square root.
     """
     n = abs(n)
     if n == 0:
         return []
     divisors = [1]
-    limit = isqrt(n)
+    limit = _search_limit(n)
     for prime in chain((2,), range(3, limit + 1, 2)):
         if prime > limit:
             break
@@ -62,7 +104,7 @@ def _divisors(n: int) -> list[int]:
             n //= prime
             exponent += 1
         divisors = [d * prime**k for d in divisors for k in range(exponent + 1)]
-        limit = isqrt(n)
+        limit = _search_limit(n)
     if n > 1:
         divisors += [d * n for d in divisors]
     return sorted(divisors)

@@ -98,6 +98,8 @@ def test_negative_seed_exits_one(tmp_path):
      "ball radius must be finite and positive, got nan"),
     (["flow", "x^2", "--point", "0.1", "--sigma", "0"],
      "ball radius must be finite and positive, got 0.0"),
+    (["analyze", "*".join(f"x{i}" for i in range(1, 12))],
+     "sampled checks support at most 10 variables, got 11"),
 ])
 def test_empty_samples_and_bad_radii_exit_one(tmp_path, capsys, argv, message):
     # Each used to pass on the anchor points alone, or fail as a check.
@@ -131,6 +133,16 @@ def test_resolve_with_a_coefficient_of_many_digits(tmp_path):
     report.pop("config")
     digest = hashlib.sha1(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == "ebd625f14f890c0966d616b28b357fe4e321ae6c"
+
+
+def test_resolve_with_a_large_prime_coefficient(tmp_path):
+    # 100000000000031 is prime: trial division to its square root took
+    # about a second.  The report is pinned less its config.
+    assert _run(["resolve", "x^2 - 100000000000031*y^2"], tmp_path) == 0
+    report = _report(tmp_path)
+    report.pop("config")
+    digest = hashlib.sha1(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "d08abc170cea8dc03d1dd42183d8892ed43f6b62"
 
 
 def test_flow_writes_trajectory(tmp_path):

@@ -46,6 +46,43 @@ def test_halton_matches_scalar_reference_bit_for_bit(dim):
             assert got.tobytes() == expected[:count, :dim].tobytes(), (seed, count)
 
 
+def _table_edge_cases(base):
+    # Counts b^m - 1, b^m and b^m + 1, each with its table size: the largest
+    # power of the base that is at most the count.
+    cases = []
+    power = base
+    while power + 1 <= 5000:
+        cases += [(power - 1, power // base), (power, power), (power + 1, power)]
+        power *= base
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_halton_table_edges_match_scalar_reference(dim):
+    # Bases 2, 3 and 29 are the last columns of dims 1, 2 and 10.
+    base = PRIMES[dim - 1]
+    for seed in (0, 3):
+        expected = _reference_rows(seed)
+        first = 1 + seed * 104729
+        for count, block in _table_edge_cases(base):
+            # From the reference start, and from one and two rows short of a
+            # block edge, so that the range straddles it.
+            edge = -first % block + block
+            for offset in (0, edge - 1, edge - 2):
+                if offset < 0 or offset + count > 5000:
+                    continue
+                got = halton(count, dim, start=first + offset)
+                want = expected[offset : offset + count, :dim]
+                assert got.tobytes() == want.tobytes(), (seed, count, offset)
+
+
+def test_halton_at_the_largest_seed_start_matches_scalar_reference():
+    start = 1 + _MAX_SEED * 104729
+    expected = _halton_reference(300, 10, start=start)
+    for count in (0, 1, 28, 29, 30, 300):
+        assert halton(count, 10, start=start).tobytes() == expected[:count].tobytes(), count
+
+
 def test_halton_rejects_dimension_past_the_prime_table():
     with pytest.raises(ValueError):
         halton(5, 11)
@@ -171,3 +208,22 @@ def test_sphere_directions_are_unit_rows_with_the_exact_axes(dim):
         assert rows.count(tuple(axis)) == 1
         assert rows.count(tuple(-axis)) == 1
     assert np.array_equal(directions, sphere_directions(dim, count))
+
+
+# SHA-1 of the float64 bytes of sphere_directions(dim, 500), the Halton-cube
+# mesh, captured from the per-digit divmod sampler.
+SPHERE_DIGESTS = {
+    4: "ccf590af939bd5ef6cd35ed660a4bd6fefd58241",
+    5: "b3349a6ddf6d2066f8088bddf2866bbc4420618c",
+    6: "80b0b62786402a1e874815665766ee4dbce69a69",
+    7: "433f1b2b0b626a1de1277a8d73dfc8b967366e58",
+    8: "f89547e8ea0d38dcbea4261c4501f4f4522a4f7c",
+    9: "289f1a5603bc5aa1f58eba9b6615056b953a5d26",
+    10: "68fe2ec13274bc2ef63bd6ee6e570ca1e0b8f48b",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(SPHERE_DIGESTS))
+def test_sphere_directions_match_pinned_digests(dim):
+    directions = sphere_directions(dim, 500)
+    assert hashlib.sha1(directions.tobytes()).hexdigest() == SPHERE_DIGESTS[dim]

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from lojalab.poly import parse
 from lojalab.univar import (
+    _MR_LIMIT,
     _divisors,
+    _proven_prime,
     coeffs_from_poly,
     count_distinct_real_roots,
     evaluate,
@@ -85,6 +87,42 @@ def test_divisors_of_a_large_power_and_of_zero():
     assert _divisors(10**14) == sympy.divisors(10**14)
     assert _divisors(0) == []
     assert _divisors(1) == [1]
+
+
+@pytest.mark.parametrize("n", [
+    2**61 - 1,  # prime: trial division to its root took 102 s
+    100_000_000_000_031,  # prime
+    10**9 + 7,
+    4 * (2**61 - 1),  # prime cofactor after the small primes
+    2 * 3**5 * 100_000_000_000_031,
+    10_007**2,  # prime squares are composite: found by trial division
+    999_983**2,
+    41**3,
+    10**14,
+])
+def test_divisors_of_primes_prime_cofactors_and_prime_squares(n):
+    import sympy
+
+    assert _divisors(n) == sympy.divisors(n)
+
+
+@given(st.integers(0, 10**30))
+@settings(max_examples=300, deadline=None)
+def test_proven_prime_against_sympy(n):
+    import sympy
+
+    assert _proven_prime(n) == (n < _MR_LIMIT and sympy.isprime(n))
+
+
+@pytest.mark.parametrize("n", [
+    # The least strong pseudoprimes to the first k prime bases (OEIS A014233).
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    _MR_LIMIT,
+])
+def test_proven_prime_rejects_strong_pseudoprimes(n):
+    assert not _proven_prime(n)
 
 
 def _times(c, factor):
