@@ -1,26 +1,28 @@
 """Morse-Bott and higher-order flatness checks on coordinate subspaces.
 
-The critical set is assumed (and verified, not discovered) to be a
-coordinate subspace ``K`` through the origin.  The plain check compares the
-kernel of the exact rational Hessian with ``K``; the order-``N`` check
-verifies that every derivative of order ``1..N-1`` vanishes identically on
-``K`` and that the ``N``-th derivative at the origin is coercive transverse
-to ``K``.  A positive order-``N`` verdict predicts the gradient-inequality
-exponent ``1 - 1/N`` with the explicit constant
+The critical set is declared, not discovered: a coordinate subspace ``K``
+through the origin.  The plain check compares the kernel of the exact
+rational Hessian with ``K``.  The order-``N`` check decides, on the
+coefficients, condition (b), that every derivative of order ``1..N-1``
+vanishes identically on ``K``, and condition (c), that the contracted form
+``D^N p(0)[v^{N-1}]`` has no zero on the unit sphere normal to ``K``; (c)
+may be left undecided, which gives no verdict.  With (b) and (c), the
+paper's scaling argument (at ``N = 2`` the Morse-Bott lemma) makes ``K`` the
+whole critical set near the origin, so no verdict rests on a sample.
 
-    C = (N/4) * inf_v ( (2/N!) * ||D^N(0) v^{N-1}|| )^(1/N)
+A positive order-``N`` verdict predicts the gradient-inequality exponent
+``1 - 1/N`` with the explicit constant
 
-over unit directions ``v`` normal to ``K``.  The order-``N`` check reports
-``C`` with the coercivity: both are read off the ``N``-th derivative form on
-one mesh of the normal unit sphere.  The inequality is then checked
+    C = (N/4) * ( (2/N!) * zeta )^(1/N),   zeta = inf_v ||D^N(0) v^{N-1}||
+
+over unit directions ``v`` normal to ``K``.  The order-``N`` check reads
+``zeta`` as the minimum over one mesh of the normal unit sphere, so ``zeta``
+and ``C`` are sampled, not certified.  The inequality is then checked
 by sampling a shrinking cylinder around ``K`` on which the Taylor-remainder
 smallness conditions of the constant's derivation are themselves verified.
 Those conditions read ``D^N p(x) v^N`` and ``D^N p(x) v^{N-1}`` off one exact
 polynomial ``T(x, v) = N! [t^N] p(x + t v)`` in ``2d`` variables: its value
 and its ``v``-gradient over ``N``.
-
-Equality of the critical set with ``K`` (as opposed to containment, which is
-symbolic and exact) is probed by sampling only and flagged as heuristic.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import numpy as np
 
 from .poly import Polynomial
 from .reports import InequalityCheckReport, rational_str, sampled_check
-from .sampling import ball_points, geometric_radii, sphere_directions, subspace_grid
+from .sampling import geometric_radii, sphere_directions, subspace_grid
+from .univar import forms_share_real_zero
 
-COERCIVITY_FLOOR = 1e-12
 # Directions in the normal unit-sphere mesh that the order-N check reads
 # the coercivity and the cylinder constant off.
 _NORMAL_MESH_SIZE = 10_000
@@ -44,8 +46,6 @@ _NORMAL_MESH_SIZE = 10_000
 # may be halved, in verify_gmb_gradient_inequality.
 _CYLINDER_LENGTH = 0.5
 _MAX_CYLINDER_HALVINGS = 40
-# Radius of the ball that the critical-set equality probe samples.
-_PROBE_RADIUS = 0.25
 
 
 class MorseBottError(ValueError):
@@ -57,9 +57,9 @@ class MorseBottReport:
     kind: str  # "morse-bott" or "generalized"
     critical_subspace: tuple[int, ...]
     gradient_vanishes_on_subspace: bool
-    is_critical_set_exactly_subspace: bool  # sampled heuristic, not a proof
     order: int | None
     condition_b_holds: bool | None
+    condition_c_holds: bool | None  # None: undecided
     coercivity_zeta: float | None
     predicted_theta: Fraction | None
     verdict: bool
@@ -74,16 +74,14 @@ class MorseBottReport:
             "N": self.order,
             "zeta": self.coercivity_zeta,
             "C": self.cylinder_constant,
+            # zeta and C are minima over the normal mesh, not certified bounds.
+            "constants": None if self.cylinder_constant is None else "sampled",
             "theta": rational_str(self.predicted_theta) if self.predicted_theta else None,
             "conditions": {
-                "a": self.gradient_vanishes_on_subspace
-                and self.is_critical_set_exactly_subspace,
+                "a": self.gradient_vanishes_on_subspace,
                 "b": self.condition_b_holds,
-                "c": None
-                if self.coercivity_zeta is None
-                else self.coercivity_zeta > COERCIVITY_FLOOR,
+                "c": self.condition_c_holds,
             },
-            "critical_set_equality_check": "heuristic-sampled",
             "pass": self.verdict,
         }
 
@@ -107,23 +105,6 @@ def _checked_subspace(p: Polynomial, subspace: Iterable[int]) -> tuple[int, ...]
     if any(i < 0 or i >= d for i in subspace):
         raise MorseBottError(f"subspace indices {subspace} out of range for d={d}")
     return subspace
-
-
-def _sampled_criticality_check(p: Polynomial, subspace: Sequence[int], samples: int) -> bool:
-    """Look for sampled gradient zeros off the declared subspace.
-
-    Random points almost never land exactly on a stray critical variety, so
-    this can only catch gross violations; the report flags it as heuristic.
-    """
-    d = len(p.variables)
-    points = ball_points(d, samples, _PROBE_RADIUS)
-    off = [i for i in range(d) if i not in set(subspace)]
-    dist = np.linalg.norm(points[:, off], axis=1)
-    keep = dist > 1e-3 * _PROBE_RADIUS
-    if not np.any(keep):
-        return True
-    grads = np.linalg.norm(p.gradient_numeric()(points[keep]), axis=1)
-    return bool(np.all(grads > 1e-12))
 
 
 def _hessian_exact(p: Polynomial) -> list[list[Fraction]]:
@@ -170,18 +151,20 @@ def _kernel_basis(matrix: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
 def check_morse_bott(
     p: Polynomial,
     subspace: Iterable[int] = (),
+    *,
     samples: int = 10_000,
 ) -> MorseBottReport:
     """Does the Hessian kernel at the origin equal the declared subspace?
 
     Verifies symbolically that the gradient vanishes identically on the
     subspace, computes the exact rational Hessian at the origin, and demands
-    that its kernel be exactly the span of the subspace coordinates.
+    that its kernel be exactly the span of the subspace coordinates; that
+    kernel test is condition (c) at order 2.  ``samples`` is ignored
+    (nothing is sampled); it is kept for existing callers.
     """
     d = len(p.variables)
     subspace = _checked_subspace(p, subspace)
     contains = _flat_to_order(p, subspace, 2)
-    heuristic_equal = _sampled_criticality_check(p, subspace, samples)
     hessian = _hessian_exact(p)
     kernel = _kernel_basis(hessian)
     rank = d - len(kernel)
@@ -193,9 +176,9 @@ def check_morse_bott(
         kind="morse-bott",
         critical_subspace=subspace,
         gradient_vanishes_on_subspace=contains,
-        is_critical_set_exactly_subspace=heuristic_equal,
         order=2 if verdict else None,
         condition_b_holds=contains,
+        condition_c_holds=kernel_is_subspace,
         coercivity_zeta=None,
         predicted_theta=Fraction(1, 2) if verdict else None,
         verdict=verdict,
@@ -246,49 +229,101 @@ def nth_derivative_form(p: Polynomial, order: int) -> Polynomial:
     return Polynomial(p.variables, terms).scale(math.factorial(order))
 
 
+def _amgm_floor(form: Polynomial, order: int) -> list[Fraction]:
+    """``b`` with ``form >= sum_i b_i v_i^N`` for a form of even degree ``N``.
+
+    Weighted AM-GM bounds ``|v^e|`` by ``sum_i (e_i/N) v_i^N`` (Reznick, Math.
+    Ann. 283, 1989), so ``b_i = a_i - sum_e |r_e| e_i/N``, where ``a_i`` is
+    the coefficient of ``v_i^N`` and the ``r_e`` are the others.
+    """
+    k = len(form.variables)
+    floor = [
+        form.terms.get(tuple(order if j == i else 0 for j in range(k)), Fraction(0))
+        for i in range(k)
+    ]
+    for e, c in form.terms.items():
+        if max(e) < order:
+            floor = [b - abs(c) * Fraction(n, order) for b, n in zip(floor, e)]
+    return floor
+
+
+def _condition_c(p: Polynomial, subspace: Sequence[int], order: int) -> bool | None:
+    """Is ``D^N p(0)[v^{N-1}]`` nonzero at every unit ``v`` normal to the
+    subspace?  Decided on the coefficients; ``None`` when undecided.
+
+    At ``N = 2`` this is ``check_morse_bott``'s kernel test.  Otherwise, given
+    (b), the form is ``(N-1)! grad F(v)`` with ``F`` the degree-``N`` part of
+    ``p`` on the normal coordinates; a definite ``F`` passes by Euler's
+    identity ``v . grad F = N F``.
+    """
+    if order == 2:
+        return check_morse_bott(p, subspace).condition_c_holds
+    normal = [i for i in range(len(p.variables)) if i not in set(subspace)]
+    form = Polynomial(
+        [p.variables[i] for i in normal],
+        {
+            tuple(e[i] for i in normal): c
+            for e, c in p.terms.items()
+            if sum(e) == order and not any(e[j] for j in subspace)
+        },
+    )
+    # A zero F fails everywhere; on a line any other F passes.
+    if len(normal) == 1 or form.is_zero:
+        return not form.is_zero
+    if len(normal) == 2:
+        # F, F_x and F_y by the coefficients of x^i y^(degree - i).
+        f = [form.terms.get((i, order - i), Fraction(0)) for i in range(order + 1)]
+        dx = [(i + 1) * f[i + 1] for i in range(order)]
+        dy = [(order - i) * f[i] for i in range(order)]
+        return not forms_share_real_zero(dx, dy)
+    if order % 2 == 0 and any(
+        min(_amgm_floor(signed, order)) > 0 for signed in (form, form.scale(-1))
+    ):
+        return True
+    return None
+
+
 def check_generalized_morse_bott(
     p: Polynomial,
     subspace: Iterable[int],
     order: int,
+    *,
     samples: int = 10_000,
 ) -> MorseBottReport:
     """Order-``N`` flatness along the subspace plus transverse coercivity.
 
     Condition (b): every mixed partial of total order ``1..N-1`` vanishes
     identically on the subspace (read exactly off the exponents).  Condition
-    (c): the N-th derivative form at 0 is bounded away from zero on the unit
-    sphere of the normal space.  The coercivity ``zeta`` is the sampled
-    minimum of ``|D^N p(0) v^N|`` over a deterministic mesh of that sphere,
-    not a certified bound; the cylinder constant ``C`` is the minimum over
-    the same mesh.
+    (c): ``D^N p(0)[v^{N-1}]`` has no zero on the unit sphere of the normal
+    space, decided exactly by ``_condition_c``; undecided gives no verdict.
+    The coercivity ``zeta``, the minimum of ``||D^N p(0)[v^{N-1}]||`` over a
+    deterministic mesh of that sphere, and the cylinder constant ``C`` read
+    off it are sampled, not certified.  ``samples`` is ignored (the mesh is
+    fixed); it is kept for existing callers.
     """
     if order < 2:
         raise MorseBottError("order must be at least 2")
     d = len(p.variables)
     subspace = _checked_subspace(p, subspace)
     contains = _flat_to_order(p, subspace, 2)
-    heuristic_equal = _sampled_criticality_check(p, subspace, samples)
-
     condition_b = _flat_to_order(p, subspace, order)
+    condition_c = _condition_c(p, subspace, order)
 
     form = nth_derivative_form(p, order)
     directions = _normal_directions(d, subspace, _NORMAL_MESH_SIZE)
-    values = np.abs(form.numeric()(directions))
-    zeta = float(values.min())
-    condition_c = zeta > COERCIVITY_FLOOR
     # Row v of the form's gradient over N is D^N(0) v^{N-1}.
     contracted = form.gradient_numeric()(directions) / order
-    norms = np.linalg.norm(contracted, axis=1)
-    inf_term = float(((2.0 / math.factorial(order)) * norms).min())
+    zeta = float(np.linalg.norm(contracted, axis=1).min())
+    inf_term = (2.0 / math.factorial(order)) * zeta
 
-    verdict = contains and condition_b and condition_c
+    verdict = contains and condition_b and condition_c is True
     return MorseBottReport(
         kind="generalized",
         critical_subspace=subspace,
         gradient_vanishes_on_subspace=contains,
-        is_critical_set_exactly_subspace=heuristic_equal,
         order=order,
         condition_b_holds=condition_b,
+        condition_c_holds=condition_c,
         coercivity_zeta=zeta,
         predicted_theta=Fraction(order - 1, order) if verdict else None,
         verdict=verdict,

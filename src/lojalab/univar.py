@@ -1,4 +1,5 @@
-"""Exact univariate helpers: rational roots and real-root counting.
+"""Exact univariate helpers: rational roots, real-root counting, and the
+common real zeros of two binary forms.
 
 Coefficient lists are ascending (index = power) with ``Fraction`` entries.
 Rational roots are found by the rational root test after clearing
@@ -10,7 +11,7 @@ unanalyzed) without approximating them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt
 
 from .poly import Polynomial
@@ -48,6 +49,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # Below this square root, trial division finishes sooner than the 13 tests.
 _MR_MIN_ROOT = 1 << 10
+# Differences multiplied together before each gcd in Pollard's rho.
+_RHO_BATCH = 128
 
 
 def _proven_prime(n: int) -> bool:
@@ -74,39 +77,93 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite ``n``: Brent's variant of Pollard's
+    rho on ``x^2 + c`` from 2, with ``c = 1, 2, ...`` until one splits ``n``.
+
+    The products of ``_RHO_BATCH`` differences share one gcd; when a batch
+    takes in all of ``n``, its steps are retried one gcd at a time.
+    """
+    for c in count(1):
+        y, power, product, factor = 2, 1, 1, 1
+        while factor == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and factor == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    product = product * abs(x - y) % n
+                factor = gcd(product, n)
+                done += _RHO_BATCH
+            power *= 2
+        if factor == n:
+            factor = 1
+            while factor == 1:
+                saved = (saved * saved + c) % n
+                factor = gcd(abs(x - saved), n)
+        if factor != n:
+            return factor
+
+
 def _search_limit(n: int) -> int:
-    """Largest trial divisor that can still split the cofactor ``n``."""
+    """Largest trial divisor still needed for the cofactor ``n``: 1 for a
+    proven prime, and at most ``_MR_MIN_ROOT`` for a composite below
+    ``_MR_LIMIT``, which Pollard's rho splits past that."""
     root = isqrt(n)
-    return 1 if root >= _MR_MIN_ROOT and _proven_prime(n) else root
+    if root < _MR_MIN_ROOT:
+        return root
+    if _proven_prime(n):
+        return 1
+    return root if n >= _MR_LIMIT else _MR_MIN_ROOT
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of ``n`` in ascending order, none for 0.
+def _factorization(n: int) -> dict[int, int]:
+    """The exponent of each prime factor of ``n >= 1``.
 
     Trial division divides out each prime as it is found, so it stops at the
     square root of the remaining cofactor rather than of ``n``, and at once
-    when that cofactor is a proven prime.  A cofactor at or above
-    ``_MR_LIMIT``, or one with two large prime factors, is still searched up
-    to its square root.
+    when that cofactor is a proven prime.  A composite cofactor below
+    ``_MR_LIMIT`` with no factor up to ``_MR_MIN_ROOT`` is split by Pollard's
+    rho and both parts factored again.  A cofactor at or above ``_MR_LIMIT``
+    cannot be proven prime, so it is still searched up to its square root.
     """
-    n = abs(n)
-    if n == 0:
-        return []
-    divisors = [1]
+    factors: dict[int, int] = {}
     limit = _search_limit(n)
     for prime in chain((2,), range(3, limit + 1, 2)):
         if prime > limit:
             break
         if n % prime:
             continue
-        exponent = 0
+        factors[prime] = 0
         while n % prime == 0:
             n //= prime
-            exponent += 1
-        divisors = [d * prime**k for d in divisors for k in range(exponent + 1)]
+            factors[prime] += 1
         limit = _search_limit(n)
-    if n > 1:
-        divisors += [d * n for d in divisors]
+    if limit < _MR_MIN_ROOT or n >= _MR_LIMIT:
+        if n > 1:
+            factors[n] = 1
+        return factors
+    factor = _rho_factor(n)
+    for part in (factor, n // factor):
+        for prime, exponent in _factorization(part).items():
+            factors[prime] = factors.get(prime, 0) + exponent
+    return factors
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of ``n`` in ascending order, none for 0."""
+    n = abs(n)
+    if n == 0:
+        return []
+    divisors = [1]
+    for prime, exponent in _factorization(n).items():
+        layer = divisors
+        for _ in range(exponent):
+            layer = [d * prime for d in layer]
+            divisors = divisors + layer
     return sorted(divisors)
 
 
@@ -230,3 +287,16 @@ def count_distinct_real_roots(c: Coeffs) -> int:
         return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
     return variations(False) - variations(True)
+
+
+def forms_share_real_zero(a: Coeffs, b: Coeffs) -> bool:
+    """Do two binary forms vanish together somewhere on the unit circle?
+
+    A form of degree ``n`` is its ``n + 1`` coefficients, ``a[i]`` that of
+    ``x^i y^(n-i)``.  A common zero with ``y = 0`` is ``(1, 0)``, where each
+    form is its ``x^n`` coefficient; one with ``y != 0`` scales to ``(t, 1)``,
+    a real root of the gcd of ``a(t, 1)`` and ``b(t, 1)``.
+    """
+    if a[-1] == 0 and b[-1] == 0:
+        return True
+    return count_distinct_real_roots(_gcd_poly(a, b)) > 0

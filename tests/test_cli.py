@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,17 @@ def test_resolve_with_a_large_prime_coefficient(tmp_path):
     report.pop("config")
     digest = hashlib.sha1(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == "d08abc170cea8dc03d1dd42183d8892ed43f6b62"
+
+
+def test_resolve_with_a_coefficient_of_two_large_primes(tmp_path):
+    # (10^9 + 7) * (10^9 + 9): trial division to the smaller prime did not
+    # finish in 20 s; Pollard's rho splits it in milliseconds.
+    start = time.perf_counter()
+    assert _run(["resolve", "x^2 - 1000000016000000063*y^2"], tmp_path) == 0
+    assert time.perf_counter() - start < 1.0
+    report = _report(tmp_path)
+    assert report["theta_interval"] == ["1/2", "1/2"]
+    assert report["unanalyzed_points"] == 4
 
 
 def test_flow_writes_trajectory(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 
 from lojalab.morse import (
     MorseBottError,
+    _amgm_floor,
+    _condition_c,
     _flat_to_order,
     _hessian_exact,
     _nth_derivative_tensor,
@@ -18,7 +20,7 @@ from lojalab.morse import (
 )
 from lojalab.poly import Polynomial, parse
 
-from oracles import shift, vanishes_on
+from oracles import evaluate_exact, shift, vanishes_on
 
 
 def test_round_quadratic_is_morse_bott():
@@ -187,7 +189,9 @@ def test_round_quadratic_coercivity_value():
 
 
 def test_gmb2_implies_morse_bott_on_corpus():
-    corpus = ["x^2 + y^2", "x^2 - y^3", "x^2 + y^4", "x^2*y^2", "x^2 - y^2"]
+    # One rule at order 2: the two checks give the same verdict.
+    corpus = ["x^2 + y^2", "x^2 - y^3", "x^2 + y^4", "x^2*y^2", "x^2 - y^2",
+              "x^2 - 2*y^2", "x^2 + y^2 - z^2"]
     for text in corpus:
         p = parse(text)
         for subspace in ((), (0,), (1,)):
@@ -196,8 +200,90 @@ def test_gmb2_implies_morse_bott_on_corpus():
                 mb = check_morse_bott(p, subspace)
             except MorseBottError:
                 continue
-            if gmb.verdict:
-                assert mb.verdict, (text, subspace)
+            assert gmb.verdict == mb.verdict, (text, subspace)
+            assert gmb.condition_c_holds == mb.condition_c_holds, (text, subspace)
+
+
+@pytest.mark.parametrize("text, order, c", [
+    # Zero lines x = +-sqrt(2) y of the contracted form, which the sampled
+    # coercivity missed: theta = 3/4 is false for the second.
+    ("(x^2 - 2*y^2)^2", 4, False),
+    ("x^4 - 4*x^2*y^2 + 4*y^4 + y^6", 4, False),
+    # The value form vanishes on rational or irrational lines, the
+    # contracted form nowhere; the sampled coercivity split this pair.
+    ("x^4 - y^4", 4, True),
+    ("x^4 - 3*y^4", 4, True),
+    ("2*x^6 + 3*y^6", 6, True),
+    ("x^4 + x^2*y^2 + y^4", 4, True),
+    ("x^2 - 2*y^2", 2, True),
+    ("x^4 + y^4 + z^4", 4, True),  # by the AM-GM certificate
+    ("x^4 + y^4 - z^4", 4, None),  # indefinite in three variables: undecided
+    ("x^3 + y^3 + z^3", 3, None),  # odd order in three variables: undecided
+])
+def test_condition_c_on_probe_inputs(text, order, c):
+    p = parse(text)
+    report = check_generalized_morse_bott(p, (), order)
+    assert report.condition_c_holds is c
+    assert report.to_json()["conditions"]["c"] is c
+    assert report.verdict is (c is True)
+    assert report.predicted_theta == (Fraction(order - 1, order) if c else None)
+    if not report.verdict:
+        with pytest.raises(MorseBottError, match="verdict is negative"):
+            verify_gmb_gradient_inequality(p, report)
+
+
+def test_condition_c_on_binary_forms_against_sympy():
+    # (c) in two normal variables fails exactly when the partials of F share
+    # a real zero on the circle; sympy's gcd and real roots are the oracle.
+    # Planted squared factors put that zero on irrational or rational lines.
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    rng = np.random.default_rng(23)
+
+    def form(degree):
+        coeffs = rng.integers(-3, 4, size=degree + 1)
+        return sympy.Poly.from_dict(
+            {(i, degree - i): int(c) for i, c in enumerate(coeffs)}, x, y, domain="QQ"
+        )
+
+    cases = [(order, form(order)) for order in rng.integers(3, 7, size=150)]
+    for order in rng.integers(4, 7, size=40):
+        c = sympy.Rational(*[(2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (7, 3)][rng.integers(6)])
+        cases.append((order, sympy.Poly(x**2 - c * y**2, x, y) ** 2 * form(order - 4)))
+    for order in rng.integers(3, 7, size=20):
+        a, b = (int(k) for k in rng.integers(-3, 4, size=2))
+        cases.append((order, sympy.Poly(a * x + b * y, x, y) ** 2 * form(order - 2)))
+    for order, f in cases:
+        gcd = f.diff(x).gcd(f.diff(y))
+        shared = gcd.is_zero or (
+            gcd.total_degree() > 0
+            and (gcd.eval(y, 0).is_zero or len(sympy.real_roots(gcd.eval(y, 1))) > 0)
+        )
+        terms = {e: Fraction(int(k.p), int(k.q)) for e, k in f.terms()}
+        p = Polynomial(("x", "y"), terms)
+        assert _condition_c(p, (), int(order)) is (not shared), (f, order)
+
+
+def test_amgm_floor_bounds_the_form_exactly():
+    # F >= sum b_i v_i^N at random rational points, in exact arithmetic.
+    rng = np.random.default_rng(29)
+    names = ("x", "y", "z", "w")
+    for _ in range(60):
+        k = int(rng.integers(2, 5))
+        order = int(rng.choice([2, 4, 6]))
+        terms = {
+            tuple(int(n) for n in rng.multinomial(order, [1 / k] * k)):
+            Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, 7)))
+        }
+        for i in range(k):
+            terms[tuple(order if j == i else 0 for j in range(k))] = int(rng.integers(-2, 20))
+        F = Polynomial(names[:k], terms)
+        floor = _amgm_floor(F, order)
+        for _ in range(10):
+            v = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(k)]
+            assert evaluate_exact(F, v) >= sum(b * t**order for b, t in zip(floor, v)), (str(F), v)
 
 
 def test_verdicts_invariant_under_permutation_and_scaling():
@@ -332,3 +418,10 @@ def test_report_json_shape():
     assert payload["theta"] == "1/2"
     assert set(payload["conditions"]) == {"a", "b", "c"}
     assert payload["pass"] is True
+    # zeta and C are mesh minima, and say so; the critical set is not probed.
+    assert payload["constants"] == "sampled"
+    assert "critical_set_equality_check" not in payload
+    assert check_morse_bott(parse("x^2 + y^2"), ()).to_json()["constants"] is None
+    undecided = check_generalized_morse_bott(parse("x^4 + y^4 - z^4"), (), 4).to_json()
+    assert undecided["conditions"]["c"] is None
+    assert undecided["theta"] is None and undecided["pass"] is False

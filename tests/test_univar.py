@@ -16,6 +16,7 @@ from lojalab.univar import (
     coeffs_from_poly,
     count_distinct_real_roots,
     evaluate,
+    forms_share_real_zero,
     rational_roots,
 )
 
@@ -95,7 +96,7 @@ def test_divisors_of_a_large_power_and_of_zero():
     10**9 + 7,
     4 * (2**61 - 1),  # prime cofactor after the small primes
     2 * 3**5 * 100_000_000_000_031,
-    10_007**2,  # prime squares are composite: found by trial division
+    10_007**2,  # prime squares are composite: split by Pollard's rho
     999_983**2,
     41**3,
     10**14,
@@ -104,6 +105,25 @@ def test_divisors_of_primes_prime_cofactors_and_prime_squares(n):
     import sympy
 
     assert _divisors(n) == sympy.divisors(n)
+
+
+def test_divisors_of_semiprimes_with_large_factors():
+    # Two primes of 25-40 bits: trial division runs to the smaller one,
+    # about 2**39 steps at worst; Pollard's rho needs about its square root.
+    import random
+
+    import sympy
+
+    rng = random.Random(20)
+    for _ in range(4):
+        p, q = (
+            sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            for bits in (rng.randint(25, 40), rng.randint(25, 40))
+        )
+        assert _divisors(p * q) == sympy.divisors(p * q), (p, q)
+    assert _divisors((10**9 + 7) * (10**9 + 9)) == [
+        1, 10**9 + 7, 10**9 + 9, (10**9 + 7) * (10**9 + 9)
+    ]
 
 
 @given(st.integers(0, 10**30))
@@ -123,6 +143,21 @@ def test_proven_prime_against_sympy(n):
 ])
 def test_proven_prime_rejects_strong_pseudoprimes(n):
     assert not _proven_prime(n)
+
+
+@pytest.mark.parametrize("a, b, shared", [
+    ([0, 1], [1, 0], False),  # x and y
+    ([0, 0, 1], [0, 1, 0], True),  # x^2 and x*y share (0, 1)
+    ([1, 0], [2, 0], True),  # y and 2*y share (1, 0)
+    ([1, 0, 1], [0, 1, 0], False),  # x^2 + y^2 has no real zero
+    ([-2, 0, 1], [0, -2, 0, 1], True),  # x^2 - 2*y^2 and x*(x^2 - 2*y^2)
+    ([0, 0, 0], [1, 0, 1], False),  # the zero form and x^2 + y^2
+    ([0, 0, 0], [-1, 0, 1], True),  # the zero form and x^2 - y^2
+])
+def test_forms_share_real_zero(a, b, shared):
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    assert forms_share_real_zero(a, b) == shared
+    assert forms_share_real_zero(b, a) == shared
 
 
 def _times(c, factor):
