@@ -13,9 +13,10 @@ to ``a^(i+j) b^j``.  A branch of the chart tree terminates once the pullback
 has simple normal crossings at the chart origin; that certificate is local
 to the chart origin, so exponent bounds extracted from a leaf are reported
 as origin-local, and the finitely many other exceptional-divisor points
-where the residual vanishes are handled by exact translation (rational
-points only; irrational residual roots are counted and reported as
-unanalyzed).
+where the residual vanishes are handled by exact translation.  Only rational
+points are translated, and a bound is read only where the translate is snc:
+the irrational residual roots and the non-snc translated points are counted
+and reported as unanalyzed.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ class ResolutionResult:
     """The blow-up tree plus the analysis of every snc leaf.
 
     ``translated_points`` holds the rational exceptional points off the snc
-    leaves' chart origins and ``unanalyzed_points`` counts the irrational
-    ones; ``theta_interval`` combines the bounds of the snc chart origins
-    and of the translated points.
+    leaves' chart origins.  ``unanalyzed_points`` counts the points without a
+    bound: the irrational ones, and the translated ones that are not snc.
+    ``theta_interval`` combines the bounds of the snc chart origins and of
+    the snc translated points.
     """
 
     tree: ChartTree
@@ -379,9 +381,10 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
     """SNC analysis at rational exceptional points off the chart origin.
 
     For each exceptional axis, restrict the residual to the axis, extract
-    its nonzero rational roots exactly, and recenter the total transform at
-    each root via ``along = t - gamma``.  Returns the per-point reports and
-    the number of unanalyzed (irrational) residual roots on the axes.
+    its rational roots exactly (none is 0: an snc leaf's residual has a
+    nonzero constant term), and recenter the total transform at each root
+    via ``along = t - gamma``.  Returns the per-point reports and the number
+    of unanalyzed points: irrational residual roots and non-snc translates.
     """
     variables = node.variables
     exceptional = node.exceptional_multiplicities
@@ -404,9 +407,8 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
             variables, {e: c for e, c in residual.terms.items() if e[i] == 0}
         )
         coeffs = univar.coeffs_from_poly(on_axis)
-        roots = [(t, m) for t, m in univar.rational_roots(coeffs) if t != 0]
-        distinct_real = univar.count_distinct_real_roots(coeffs)
-        unanalyzed += max(0, distinct_real - len(roots))
+        roots, irrational = univar.rational_roots(coeffs)
+        unanalyzed += irrational
         for t, _mult in roots:
             translated = _recenter(total, 1 - i, t, gamma)
             factorization = detect_snc(translated)
@@ -424,7 +426,7 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
                     snc=factorization.snc_at_origin,
                 )
             )
-    return reports, unanalyzed
+    return reports, unanalyzed + sum(not r.snc for r in reports)
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,18 @@
 common real zeros of two binary forms.
 
 Coefficient lists are ascending (index = power) with ``Fraction`` entries.
-Rational roots are found by the rational root test after clearing
-denominators; the number of distinct real roots comes from a Sturm chain on
-the squarefree part, so irrational roots can be detected (and reported as
-unanalyzed) without approximating them.
+One Sturm chain of the squarefree part counts the distinct real roots and
+isolates each; bisection below the width ``1/(2L^2)``, ``L`` the leading
+coefficient, and rounding then find the rational ones (Collins and Loos,
+"Real zeros of polynomials", in *Computer Algebra*, Springer 1983).  The
+irrational roots are counted without approximating them, and no
+coefficient is factored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from .poly import Polynomial
 
@@ -42,131 +43,6 @@ def _trim(c: Coeffs) -> Coeffs:
     return c
 
 
-# The first 13 primes are Miller-Rabin witnesses for every composite below
-# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
-# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-# Below this square root, trial division finishes sooner than the 13 tests.
-_MR_MIN_ROOT = 1 << 10
-# Differences multiplied together before each gcd in Pollard's rho.
-_RHO_BATCH = 128
-
-
-def _proven_prime(n: int) -> bool:
-    """True only for a prime ``n`` below ``_MR_LIMIT``; False at or above it."""
-    if n < 2 or n >= _MR_LIMIT:
-        return False
-    for prime in _MR_BASES:
-        if n % prime == 0:
-            return n == prime
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    for witness in _MR_BASES:
-        x = pow(witness, odd, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of the composite ``n``: Brent's variant of Pollard's
-    rho on ``x^2 + c`` from 2, with ``c = 1, 2, ...`` until one splits ``n``.
-
-    The products of ``_RHO_BATCH`` differences share one gcd; when a batch
-    takes in all of ``n``, its steps are retried one gcd at a time.
-    """
-    for c in count(1):
-        y, power, product, factor = 2, 1, 1, 1
-        while factor == 1:
-            x = y
-            for _ in range(power):
-                y = (y * y + c) % n
-            done = 0
-            while done < power and factor == 1:
-                saved = y
-                for _ in range(min(_RHO_BATCH, power - done)):
-                    y = (y * y + c) % n
-                    product = product * abs(x - y) % n
-                factor = gcd(product, n)
-                done += _RHO_BATCH
-            power *= 2
-        if factor == n:
-            factor = 1
-            while factor == 1:
-                saved = (saved * saved + c) % n
-                factor = gcd(abs(x - saved), n)
-        if factor != n:
-            return factor
-
-
-def _search_limit(n: int) -> int:
-    """Largest trial divisor still needed for the cofactor ``n``: 1 for a
-    proven prime, and at most ``_MR_MIN_ROOT`` for a composite below
-    ``_MR_LIMIT``, which Pollard's rho splits past that."""
-    root = isqrt(n)
-    if root < _MR_MIN_ROOT:
-        return root
-    if _proven_prime(n):
-        return 1
-    return root if n >= _MR_LIMIT else _MR_MIN_ROOT
-
-
-def _factorization(n: int) -> dict[int, int]:
-    """The exponent of each prime factor of ``n >= 1``.
-
-    Trial division divides out each prime as it is found, so it stops at the
-    square root of the remaining cofactor rather than of ``n``, and at once
-    when that cofactor is a proven prime.  A composite cofactor below
-    ``_MR_LIMIT`` with no factor up to ``_MR_MIN_ROOT`` is split by Pollard's
-    rho and both parts factored again.  A cofactor at or above ``_MR_LIMIT``
-    cannot be proven prime, so it is still searched up to its square root.
-    """
-    factors: dict[int, int] = {}
-    limit = _search_limit(n)
-    for prime in chain((2,), range(3, limit + 1, 2)):
-        if prime > limit:
-            break
-        if n % prime:
-            continue
-        factors[prime] = 0
-        while n % prime == 0:
-            n //= prime
-            factors[prime] += 1
-        limit = _search_limit(n)
-    if limit < _MR_MIN_ROOT or n >= _MR_LIMIT:
-        if n > 1:
-            factors[n] = 1
-        return factors
-    factor = _rho_factor(n)
-    for part in (factor, n // factor):
-        for prime, exponent in _factorization(part).items():
-            factors[prime] = factors.get(prime, 0) + exponent
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of ``n`` in ascending order, none for 0."""
-    n = abs(n)
-    if n == 0:
-        return []
-    divisors = [1]
-    for prime, exponent in _factorization(n).items():
-        layer = divisors
-        for _ in range(exponent):
-            layer = [d * prime for d in layer]
-            divisors = divisors + layer
-    return sorted(divisors)
-
-
 def evaluate(c: Coeffs, x: Fraction) -> Fraction:
     total = Fraction(0)
     for coeff in reversed(c):
@@ -182,50 +58,6 @@ def _deflate(c: Coeffs, root: Fraction) -> Coeffs:
         carry = c[i] + carry * root
         out[i - 1] = carry
     return out
-
-
-def rational_roots(c: Coeffs) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, exactly."""
-    c = _trim(list(c))
-    if len(c) <= 1:
-        return []
-    # Factor out x^k first.
-    zero_mult = 0
-    while c and c[0] == 0:
-        zero_mult += 1
-        c = c[1:]
-    roots: list[tuple[Fraction, int]] = []
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(c) <= 1:
-        return roots
-    denominator_lcm = 1
-    for coeff in c:
-        denominator_lcm = denominator_lcm * coeff.denominator // gcd(
-            denominator_lcm, coeff.denominator
-        )
-    ints = [int(coeff * denominator_lcm) for coeff in c]
-    # Candidates +-p/q come lazily, p ascending, then q, then the sign.  A
-    # value first appears in reduced form, since reducing divides p, so
-    # skipping the unreduced pairs keeps each value once, in first-seen order.
-    leading = _divisors(ints[-1])
-    candidates = (
-        Fraction(sign * p, q)
-        for p in _divisors(ints[0])
-        for q in leading
-        if gcd(p, q) == 1
-        for sign in (1, -1)
-    )
-    for cand in candidates:
-        mult = 0
-        while len(c) > 1 and evaluate(c, cand) == 0:
-            c = _deflate(c, cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-        if len(c) <= 1:
-            break
-    return roots
 
 
 def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -260,33 +92,104 @@ def _gcd_poly(a: Coeffs, b: Coeffs) -> Coeffs:
     return a
 
 
-def count_distinct_real_roots(c: Coeffs) -> int:
-    """Number of distinct real roots, via Sturm's theorem on (-inf, inf)."""
+def _integer_multiple(c: Coeffs) -> list[int]:
+    """The coprime integers that are a positive multiple of ``c``."""
+    scale = lcm(*(x.denominator for x in c))
+    ints = [x.numerator * (scale // x.denominator) for x in c]
+    content = gcd(*ints)
+    return [x // content for x in ints]
+
+
+def _sign_at(p: list[int], n: int, m: int) -> int:
+    """The sign of ``m^k p(n/m)``, by Horner on integers: that of ``p`` at
+    ``n/m`` for ``m > 0``, and at ``+-infinity`` for ``n = +-1, m = 0``."""
+    acc, scale = 0, 1
+    for a in reversed(p):
+        acc = acc * n + a * scale
+        scale *= m
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], n: int, m: int) -> int:
+    """Sign changes along the chain at ``n/m``, zeros skipped."""
+    signs = [sign > 0 for sign in (_sign_at(p, n, m) for p in chain) if sign]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm(c: Coeffs) -> tuple[list[list[int]], int]:
+    """The Sturm chain of the squarefree part of ``c``, each member scaled to
+    coprime integers, and the number of distinct real roots of ``c``."""
     c = _trim(list(c))
     if len(c) <= 1:
-        return 0
+        return [], 0
     square_free, _ = _poly_divmod(c, _gcd_poly(c, _derivative(c)))
     chain = [square_free, _derivative(square_free)]
-    while chain[-1]:
+    while True:
         _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-x for x in r])
+    chain = [_integer_multiple(p) for p in chain]
+    return chain, _variations(chain, -1, 0) - _variations(chain, 1, 0)
 
-    def variations(at_plus_infinity: bool) -> int:
-        signs = []
-        for poly in chain:
-            if not poly:
-                continue
-            lead = poly[-1]
-            degree = len(poly) - 1
-            s = 1 if lead > 0 else -1
-            if not at_plus_infinity and degree % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
-    return variations(False) - variations(True)
+def rational_roots(c: Coeffs) -> tuple[list[tuple[Fraction, int]], int]:
+    """All rational roots of ``c`` with multiplicities, exactly, and the
+    number of its distinct real roots that are irrational.
+
+    With ``s`` the squarefree part in coprime integers and ``L`` the size of
+    its leading coefficient, the Sturm chain splits the Cauchy interval until
+    each half-open ``(lo, hi]`` holds one root; ``V(lo) - V(hi)`` counts the
+    roots there even when an endpoint is one.  A rational root of ``s`` has a
+    denominator dividing ``L``, so two of them lie at least ``1/L^2`` apart.
+    Bisecting on the sign of ``s`` below the width ``1/(2L^2)`` therefore
+    leaves the root within ``1/(4L^2)`` of the midpoint and every other
+    fraction with denominator at most ``L`` farther off: the midpoint's
+    ``limit_denominator(L)`` is the one candidate, and an exact sign test
+    decides it.  Multiplicities come from deflating ``c``.  The roots are
+    ordered as the rational root test lists its candidates ``+-p/q``: by
+    ``p``, then ``q``, then the sign.
+    """
+    chain, count = _sturm(c)
+    if not count:
+        return [], 0
+    s = chain[0]
+    lead = abs(s[-1])
+    # Points are n / 2^k.  The bound is a power of two above the Cauchy bound
+    # 1 + max|s_i| / L, and (lo, hi, k) is the interval (lo / 2^k, hi / 2^k].
+    bound = 1 << (max(map(abs, s)) // lead + 1).bit_length()
+    pending = [(-bound, bound, 0, _variations(chain, -1, 0), _variations(chain, 1, 0))]
+    found = []
+    while pending:
+        lo, hi, k, v_lo, v_hi = pending.pop()
+        if v_lo - v_hi > 1:
+            mid, k = lo + hi, k + 1
+            v_mid = _variations(chain, mid, 1 << k)
+            pending += [(2 * lo, mid, k, v_lo, v_mid), (mid, 2 * hi, k, v_mid, v_hi)]
+        elif v_lo - v_hi == 1:
+            # The root is the only zero of s in (lo, hi], so s has the sign
+            # of s(hi) right of it and the opposite sign left of it; a
+            # midpoint that is the root becomes hi.
+            high = _sign_at(s, hi, 1 << k)
+            while (hi - lo) * 2 * lead * lead >= 1 << k:
+                lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
+                sign = _sign_at(s, mid, 1 << k)
+                if sign in (0, high):
+                    hi, high = mid, sign
+                else:
+                    lo = mid
+            root = Fraction(lo + hi, 2 << k).limit_denominator(lead)
+            n, m = root.numerator, root.denominator
+            if lo * m < n << k <= hi * m and not _sign_at(s, n, m):
+                found.append(root)
+    roots = []
+    for root in sorted(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0)):
+        mult = 0
+        while evaluate(c, root) == 0:
+            c = _deflate(c, root)
+            mult += 1
+        roots.append((root, mult))
+    return roots, count - len(roots)
 
 
 def forms_share_real_zero(a: Coeffs, b: Coeffs) -> bool:
@@ -299,4 +202,4 @@ def forms_share_real_zero(a: Coeffs, b: Coeffs) -> bool:
     """
     if a[-1] == 0 and b[-1] == 0:
         return True
-    return count_distinct_real_roots(_gcd_poly(a, b)) > 0
+    return _sturm(_gcd_poly(a, b))[1] > 0

@@ -157,6 +157,29 @@ def test_resolve_with_a_coefficient_of_two_large_primes(tmp_path):
     assert report["unanalyzed_points"] == 4
 
 
+def test_resolve_with_a_coefficient_of_two_larger_primes(tmp_path):
+    # (2^61 - 1) * (2^89 - 1): listing its divisors for the rational root
+    # test did not finish in 20 s; Sturm isolation never factors it.
+    start = time.perf_counter()
+    text = "x^2 - 1427247692705959880439315947500961989719490561*y^2"
+    assert _run(["resolve", text], tmp_path) == 0
+    assert time.perf_counter() - start < 1.0
+    report = _report(tmp_path)
+    assert report["theta_interval"] == ["1/2", "1/2"]
+    assert report["unanalyzed_points"] == 4
+
+
+def test_resolve_counts_non_snc_translated_points_as_unanalyzed(tmp_path):
+    # Six translated points of this curve are not snc and carry no bound, so
+    # the interval may miss the worst point and the result is not complete.
+    assert _run(["resolve", "x^2*y - y^3 + x^5"], tmp_path) == 0
+    report = _report(tmp_path)
+    assert sum(p["theta_bound"] is None for p in report["translated_points"]) == 6
+    assert report["unanalyzed_points"] == 6
+    assert report["complete"] is False
+    assert report["theta_interval"] == ["1/2", "8/9"]
+
+
 def test_flow_writes_trajectory(tmp_path):
     code = _run(
         ["flow", "x^2", "--point", "0.5", "--crit", "free:"],

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from lojalab.poly import parse
 from lojalab.univar import (
-    _MR_LIMIT,
-    _divisors,
-    _proven_prime,
     coeffs_from_poly,
-    count_distinct_real_roots,
     evaluate,
     forms_share_real_zero,
     rational_roots,
@@ -25,28 +21,33 @@ def _coeffs(text: str):
     return coeffs_from_poly(parse(text))
 
 
+def _count_distinct_real_roots(c):
+    roots, others = rational_roots(c)
+    return len(roots) + others
+
+
 def test_rational_roots_simple():
-    roots = dict(rational_roots(_coeffs("z^3 - z")))
+    roots = dict(rational_roots(_coeffs("z^3 - z"))[0])
     assert roots == {Fraction(0): 1, Fraction(1): 1, Fraction(-1): 1}
 
 
 def test_rational_roots_with_multiplicity():
     # (z - 1)^2 * (2z + 3)
-    roots = dict(rational_roots(_coeffs("(z - 1)*(z - 1)*(2*z + 3)")))
+    roots = dict(rational_roots(_coeffs("(z - 1)*(z - 1)*(2*z + 3)"))[0])
     assert roots == {Fraction(1): 2, Fraction(-3, 2): 1}
 
 
 def test_rational_roots_none_for_irreducible():
-    assert rational_roots(_coeffs("z^2 - 2")) == []
-    assert rational_roots(_coeffs("z^2 + 1")) == []
+    assert rational_roots(_coeffs("z^2 - 2")) == ([], 2)
+    assert rational_roots(_coeffs("z^2 + 1")) == ([], 0)
 
 
 def test_count_distinct_real_roots():
-    assert count_distinct_real_roots(_coeffs("z^2 - 2")) == 2
-    assert count_distinct_real_roots(_coeffs("z^2 + 1")) == 0
-    assert count_distinct_real_roots(_coeffs("z^3 - z")) == 3
+    assert _count_distinct_real_roots(_coeffs("z^2 - 2")) == 2
+    assert _count_distinct_real_roots(_coeffs("z^2 + 1")) == 0
+    assert _count_distinct_real_roots(_coeffs("z^3 - z")) == 3
     # Multiplicities collapse: (z-1)^2 has one distinct root.
-    assert count_distinct_real_roots(_coeffs("(z - 1)*(z - 1)")) == 1
+    assert _count_distinct_real_roots(_coeffs("(z - 1)*(z - 1)")) == 1
 
 
 def test_evaluate_horner():
@@ -56,8 +57,8 @@ def test_evaluate_horner():
 
 
 def test_constant_and_zero_edge_cases():
-    assert rational_roots(_coeffs("5")) == []
-    assert count_distinct_real_roots(_coeffs("5")) == 0
+    assert rational_roots(_coeffs("5")) == ([], 0)
+    assert _count_distinct_real_roots(_coeffs("5")) == 0
     assert coeffs_from_poly(parse("0")) == []
 
 
@@ -70,79 +71,7 @@ def test_rational_roots_of_a_coefficient_with_many_divisors():
     # 720720 has 240 divisors, so 115,200 root candidates, which a
     # list-membership dedupe compares pairwise for minutes.
     roots = rational_roots([Fraction(-720720), Fraction(0), Fraction(720720)])
-    assert roots == [(Fraction(1), 1), (Fraction(-1), 1)]
-
-
-@given(st.integers(2, 10**6), st.integers(2, 10**6))
-@settings(max_examples=100, deadline=None)
-def test_divisors_against_sympy(a, b):
-    import sympy
-
-    assert _divisors(a * b) == sympy.divisors(a * b)
-    assert _divisors(-a * b) == sympy.divisors(a * b)
-
-
-def test_divisors_of_a_large_power_and_of_zero():
-    import sympy
-
-    assert _divisors(10**14) == sympy.divisors(10**14)
-    assert _divisors(0) == []
-    assert _divisors(1) == [1]
-
-
-@pytest.mark.parametrize("n", [
-    2**61 - 1,  # prime: trial division to its root took 102 s
-    100_000_000_000_031,  # prime
-    10**9 + 7,
-    4 * (2**61 - 1),  # prime cofactor after the small primes
-    2 * 3**5 * 100_000_000_000_031,
-    10_007**2,  # prime squares are composite: split by Pollard's rho
-    999_983**2,
-    41**3,
-    10**14,
-])
-def test_divisors_of_primes_prime_cofactors_and_prime_squares(n):
-    import sympy
-
-    assert _divisors(n) == sympy.divisors(n)
-
-
-def test_divisors_of_semiprimes_with_large_factors():
-    # Two primes of 25-40 bits: trial division runs to the smaller one,
-    # about 2**39 steps at worst; Pollard's rho needs about its square root.
-    import random
-
-    import sympy
-
-    rng = random.Random(20)
-    for _ in range(4):
-        p, q = (
-            sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
-            for bits in (rng.randint(25, 40), rng.randint(25, 40))
-        )
-        assert _divisors(p * q) == sympy.divisors(p * q), (p, q)
-    assert _divisors((10**9 + 7) * (10**9 + 9)) == [
-        1, 10**9 + 7, 10**9 + 9, (10**9 + 7) * (10**9 + 9)
-    ]
-
-
-@given(st.integers(0, 10**30))
-@settings(max_examples=300, deadline=None)
-def test_proven_prime_against_sympy(n):
-    import sympy
-
-    assert _proven_prime(n) == (n < _MR_LIMIT and sympy.isprime(n))
-
-
-@pytest.mark.parametrize("n", [
-    # The least strong pseudoprimes to the first k prime bases (OEIS A014233).
-    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
-    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
-    _MR_LIMIT,
-])
-def test_proven_prime_rejects_strong_pseudoprimes(n):
-    assert not _proven_prime(n)
+    assert roots == ([(Fraction(1), 1), (Fraction(-1), 1)], 0)
 
 
 @pytest.mark.parametrize("a, b, shared", [
@@ -168,44 +97,75 @@ def _times(c, factor):
     return out
 
 
+def _straddled(r, m):
+    """(z - r)((z - r)^2 + m(z - r) - 1): the rational root r between two
+    irrational ones, about 1/m and m away; for large m the near one lies
+    closer to r than the rounding width."""
+    return _times([-r, Fraction(1)], [r * r - m * r - 1, m - 2 * r, Fraction(1)])
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# Dyadic roots, which the power-of-two bisection meets as midpoints
+# (0, +-1/2, +-bound/2, ...).
+_dyadic = st.builds(lambda k, j: k * Fraction(2) ** j, st.integers(-3, 3), st.integers(-3, 5))
+# Planted roots: small fractions, dyadic ones, and fractions with
+# denominators up to 10^12, which rounding must find below 1/(2L^2).
 _planted = st.dictionaries(
-    st.fractions(min_value=-6, max_value=6, max_denominator=5), st.integers(1, 3), max_size=3
+    st.one_of(
+        _small, _dyadic, st.fractions(min_value=-6, max_value=6, max_denominator=10**12)
+    ),
+    st.integers(1, 3),
+    max_size=3,
 )
-_quadratic = st.tuples(
-    st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6).filter(bool)
+# The cofactor: a quadratic c0 + c1*z + c2*z^2, or a straddled cubic.
+_cofactor = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6).filter(bool)).map(
+        lambda quadratic: [Fraction(k) for k in quadratic]
+    ),
+    st.builds(_straddled, st.one_of(_small, _dyadic), st.integers(-10**6, 10**6)),
 )
 
 
-@given(_planted, _quadratic)
+def _sympy_poly(c, z):
+    import sympy
+
+    return sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c)], z)
+
+
+@given(_planted, _cofactor)
 @settings(max_examples=60, deadline=None)
-def test_roots_against_sympy_on_planted_polynomials(planted, quadratic):
-    # sympy is the oracle: prod (z - r)^m times c0 + c1*z + c2*z^2.
+def test_roots_against_sympy_on_planted_polynomials(planted, cofactor):
+    # sympy is the oracle: prod (z - r)^m times the cofactor.
     import sympy
 
     z = sympy.Symbol("z")
-    c = [Fraction(k) for k in quadratic]
+    c = cofactor
     for root, mult in planted.items():
         for _ in range(mult):
             c = _times(c, [-root, Fraction(1)])
     expected = Counter(planted)
-    quad = sympy.Poly(list(reversed(quadratic)), z)
-    for root, mult in sympy.roots(quad).items():
+    for root, mult in sympy.roots(_sympy_poly(cofactor, z)).items():
         if root.is_rational:
             expected[Fraction(int(root.p), int(root.q))] += mult
-    found = rational_roots(c)
+    found, others = rational_roots(c)
     assert len({root for root, _ in found}) == len(found)
     assert dict(found) == dict(expected)
     # Nonzero roots come in the first-seen order of the candidates +-p/q,
-    # p over the divisors of the lowest coefficient, then q of the leading.
+    # p over the divisors of the lowest coefficient, then q of the leading,
+    # then the sign.  A value first appears in reduced form, since reducing
+    # divides p, so its place is that of its own p, q and sign.
     low = [x for x in c if x][0]
     scale = math.lcm(*(x.denominator for x in c))
-    order = list(dict.fromkeys(
-        Fraction(sign * p, q)
-        for p in sympy.divisors(abs(int(low * scale)))
-        for q in sympy.divisors(abs(int(c[-1] * scale)))
-        for sign in (1, -1)
-    ))
+    low_divisors = sympy.divisors(abs(int(low * scale)))
+    lead_divisors = sympy.divisors(abs(int(c[-1] * scale)))
+
+    def place(root):
+        return (
+            low_divisors.index(abs(root.numerator)),
+            lead_divisors.index(root.denominator),
+            root < 0,
+        )
+
     nonzero = [root for root, _ in found if root]
-    assert nonzero == sorted(nonzero, key=order.index)
-    full = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c)], z)
-    assert count_distinct_real_roots(c) == len(set(sympy.real_roots(full)))
+    assert nonzero == sorted(nonzero, key=place)
+    assert len(found) + others == len(set(sympy.real_roots(_sympy_poly(c, z))))
