@@ -22,9 +22,6 @@ from .snc import (
     compute_constants,
     detect_snc,
     exponent_from_snc,
-    generalized_young_gap,
-    generalized_young_holds_exact,
-    monomial_inequality_holds_exact,
     verify_gradient_inequality,
 )
 from .blowup import (

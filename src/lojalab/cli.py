@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,9 +81,15 @@ class RunConfig:
     format: str = "human"
 
     def to_json(self) -> dict:
-        own = {_field(option) for option in SUBCOMMANDS[self.command][2]}
-        own |= {"command", "polynomial_text", "output_path", "format"}
-        return {k: v for k, v in asdict(self).items() if k in own}
+        return {name: getattr(self, name) for name in _own_fields(self.command)}
+
+
+@functools.cache
+def _own_fields(command: str) -> tuple[str, ...]:
+    """The ``RunConfig`` fields a report of ``command`` records, in field order."""
+    own = {_field(option) for option in SUBCOMMANDS[command][2]}
+    own |= {"command", "polynomial_text", "output_path", "format"}
+    return tuple(f.name for f in fields(RunConfig) if f.name in own)
 
 
 def _field(option: str) -> str:

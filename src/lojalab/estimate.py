@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .poly import Function, Polynomial
-from .sampling import geometric_radii, sphere_directions
+from .sampling import _row_norms, geometric_radii, sphere_directions
 
 FAILURE_SLOPE = 0.98
 VALUE_DISCARD = 1e-300
@@ -106,7 +106,7 @@ def estimate_theta(
             return np.log(np.abs(fn.value(points) - value_at_star))
 
     def log_gradient_norm(points: np.ndarray) -> np.ndarray:
-        grads = np.linalg.norm(fn.gradient(points), axis=1)
+        grads = _row_norms(fn.gradient(points))
         return np.log(np.maximum(grads, VALUE_DISCARD))
 
     log_value = fn.log_abs_value or log_abs_value

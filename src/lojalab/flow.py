@@ -35,7 +35,7 @@ import numpy as np
 from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial
 from .reports import PREDICTED_SLACK, InequalityCheckReport, sampled_check
-from .sampling import _MAX_POINTS, ball_points
+from .sampling import _MAX_POINTS, _row_norms, ball_points
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -76,9 +76,7 @@ class CoordinateSubspace:
     def distances(self, points: np.ndarray) -> np.ndarray:
         d = points.shape[1]
         fixed = [i for i in range(d) if i not in set(self.free)]
-        if not fixed:
-            return np.zeros(points.shape[0])
-        return np.linalg.norm(points[:, fixed], axis=1)
+        return _row_norms(points[:, fixed])
 
     def project(self, x: np.ndarray) -> np.ndarray:
         out = np.array(x, dtype=float)
@@ -111,7 +109,7 @@ class CriticalSet:
         points = np.atleast_2d(points)
         candidates = [s.distances(points) for s in self.subspaces]
         for p in self.points:
-            candidates.append(np.linalg.norm(points - np.array(p), axis=1))
+            candidates.append(_row_norms(points - np.array(p)))
         return np.min(np.stack(candidates), axis=0)
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
@@ -295,7 +293,7 @@ def integrate_flow(
             times=np.array([0.0]),
             points=x0[None, :],
             energies=fn.value(x0[None, :]),
-            grad_norms=np.linalg.norm(f0[None, :-1], axis=1),
+            grad_norms=_row_norms(f0[None, :-1]),
             arc_lengths=np.array([0.0]),
             converged=True,
             stop_reason="gradient-below-tol",
@@ -327,7 +325,7 @@ def integrate_flow(
     points = states[:-1, :].T
     arcs = states[-1, :]
     energies = fn.value(points)
-    grads = np.linalg.norm(fn.gradient(points), axis=1)
+    grads = _row_norms(fn.gradient(points))
 
     limit, snap = _snap(points[-1].copy(), crit_set) if converged else (None, None)
     return Trajectory(
@@ -601,7 +599,8 @@ def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
     for k in range(1, len(powers)):
         np.multiply(powers[k - 1], x, out=powers[k])
     # One row per point, so each step's run is one contiguous block; the
-    # transpose is point-major, as scipy's result is.
+    # transpose is point-major, as scipy's result is.  The evaluators and the
+    # row norms give the same bits in either layout.
     states = np.empty((len(t), len(steps[0].y_old)))
     for k in np.flatnonzero(counts).tolist():
         lo, hi = bounds[k], bounds[k + 1]
@@ -641,7 +640,7 @@ def dqds_identity_error(
     fn = Function.of(E)
     _, pts, s = _dense_resample(traj, count)
     q = fn.value(pts)
-    g = np.linalg.norm(fn.gradient(pts), axis=1)
+    g = _row_norms(fn.gradient(pts))
     h0 = s[1:-1] - s[:-2]
     h1 = s[2:] - s[1:-1]
     ok = (h0 > 0) & (h1 > 0)
@@ -679,19 +678,17 @@ def speed_identity_error(traj: Trajectory) -> float | None:
 
 
 def _segment_lengths(points: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(np.diff(points, axis=0), axis=1)``, one coordinate at a time.
+    """The length of each step of a polyline, by the one row-norm rule.
 
-    Each coordinate's differences are squared and added in coordinate
-    order, which is how numpy's norm sums a row of fewer than eight entries;
-    below dimension 8 the bits are therefore numpy's, without its slow
-    reduction over a short inner axis.
+    The steps are differenced one coordinate at a time into the columns of
+    an F-ordered array: ``np.diff(points, axis=0)`` on the strided resample
+    runs its inner loop over the short coordinate axis and costs more than
+    the norm does.
     """
-    squares = np.zeros(len(points) - 1)
-    for row in points.T:
-        step = np.diff(row)
-        step *= step
-        squares += step
-    return np.sqrt(squares)
+    steps = np.empty((len(points) - 1, points.shape[1]), order="F")
+    for j, column in enumerate(points.T):
+        np.subtract(column[1:], column[:-1], out=steps[:, j])
+    return _row_norms(steps)
 
 
 # ----------------------------------------------------------------------
@@ -737,7 +734,7 @@ def verify_distance_inequalities(
     keep = dist > 1e-14 * delta
     pts, dist = pts[keep], dist[keep]
     values = E.numeric()(pts)
-    grads = np.linalg.norm(E.gradient_numeric()(pts), axis=1)
+    grads = _row_norms(E.gradient_numeric()(pts))
 
     # Both value inequalities need E >= 0.  The critical-distance one reads
     # E as a height above its minimum; the zero-distance one is measured

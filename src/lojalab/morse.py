@@ -36,7 +36,7 @@ import numpy as np
 
 from .poly import Polynomial
 from .reports import InequalityCheckReport, rational_str, sampled_check
-from .sampling import geometric_radii, sphere_directions, subspace_grid
+from .sampling import _row_norms, geometric_radii, sphere_directions, subspace_grid
 from .univar import forms_share_real_zero
 
 # Directions in the normal unit-sphere mesh that the order-N check reads
@@ -313,7 +313,7 @@ def check_generalized_morse_bott(
     directions = _normal_directions(d, subspace, _NORMAL_MESH_SIZE)
     # Row v of the form's gradient over N is D^N(0) v^{N-1}.
     contracted = form.gradient_numeric()(directions) / order
-    zeta = float(np.linalg.norm(contracted, axis=1).min())
+    zeta = float(_row_norms(contracted).min())
     inf_term = (2.0 / math.factorial(order)) * zeta
 
     verdict = contains and condition_b and condition_c is True
@@ -371,7 +371,7 @@ def verify_gmb_gradient_inequality(
 
     at_zero_vn, at_zero_vm = tensors(np.zeros((1, len(directions), d)))
     zero_vn_bound = np.abs(at_zero_vn) + 1e-12
-    zero_vm_bound = 0.5 * np.linalg.norm(at_zero_vm, axis=-1) + 1e-12
+    zero_vm_bound = 0.5 * _row_norms(at_zero_vm) + 1e-12
 
     radius, length = float(cylinder_radius), _CYLINDER_LENGTH
     for _ in range(_MAX_CYLINDER_HALVINGS + 1):
@@ -382,9 +382,7 @@ def verify_gmb_gradient_inequality(
         ).reshape(-1, len(directions), d)
         moved_vn, moved_vm = tensors(points)
         cond1 = np.all(np.abs(moved_vn - at_zero_vn) <= zero_vn_bound)
-        cond2 = np.all(
-            np.linalg.norm(moved_vm - at_zero_vm, axis=-1) <= zero_vm_bound
-        )
+        cond2 = np.all(_row_norms(moved_vm - at_zero_vm) <= zero_vm_bound)
         if cond1 and cond2:
             break
         radius *= 0.5
@@ -400,7 +398,7 @@ def verify_gmb_gradient_inequality(
     return sampled_check(
         "gradient",
         Fraction(order - 1, order),
-        np.linalg.norm(p.gradient_numeric()(check_points), axis=1),
+        _row_norms(p.gradient_numeric()(check_points)),
         np.abs(p.numeric()(check_points) - float(p.constant_term())),
         1.0 - 1.0 / order,
         (radius, length),

@@ -258,6 +258,13 @@ class Polynomial:
     def __pow__(self, power: int) -> Polynomial:
         if power < 0:
             raise ValueError("negative powers are not polynomials")
+        if len(self.terms) == 1:
+            # A power of one term is one term; its degrees are checked before
+            # its coefficient is raised.
+            [(exponent, coeff)] = self.terms.items()
+            exponent = tuple(k * power for k in exponent)
+            _check_limits({exponent: coeff})
+            return Polynomial._trusted(self.variables, {exponent: coeff**power})
         result = Polynomial.constant(1, self.variables)
         base = self
         n = power
@@ -636,11 +643,24 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: list[str], pinned: bool = False) -> None:
+    """Recursive descent over the token list.
+
+    Every number and variable is built over the final variable tuple, so
+    sums and products never re-align their operands.
+    """
+
+    def __init__(self, text: str, variables: Sequence[str] | None) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables = variables
-        self.pinned = pinned
+        if variables is None:
+            # Ordered by first appearance, as the descent meets them.
+            variables = dict.fromkeys(v for kind, v, _ in self.tokens if kind == _TOKEN_IDENT)
+        self.variables = tuple(variables)
+        self.zero = (0,) * len(self.variables)
+        self.monomials = {}
+        for i, v in enumerate(self.variables):
+            exponent = self.zero[:i] + (1,) + self.zero[i + 1:]
+            self.monomials[v] = Polynomial._trusted(self.variables, {exponent: Fraction(1)})
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -703,14 +723,12 @@ class _Parser:
         kind, value, position = self.advance()
         if kind == _TOKEN_NUMBER:
             assert isinstance(value, Fraction)
-            return Polynomial.constant(value)
+            return Polynomial._trusted(self.variables, {self.zero: value})
         if kind == _TOKEN_IDENT:
             assert isinstance(value, str)
-            if value not in self.variables:
-                if self.pinned:
-                    raise ParseError(f"undeclared variable {value!r}", position)
-                self.variables.append(value)
-            return Polynomial.variable(value)
+            if value not in self.monomials:
+                raise ParseError(f"undeclared variable {value!r}", position)
+            return self.monomials[value]
         if kind == _TOKEN_OP and value == "(":
             inner = self.parse_expression()
             self.expect_op(")")
@@ -726,11 +744,10 @@ def parse(text: str, variables: Sequence[str] | None = None) -> Polynomial:
     uses operators ``+ - * ^``, integer and ratio literals like ``3/4``, and
     parentheses; implicit multiplication is rejected.
     """
-    declared = list(variables) if variables is not None else []
-    parser = _Parser(text, declared, pinned=variables is not None)
+    parser = _Parser(text, variables)
     result = parser.parse_expression()
     kind, _, position = parser.peek()
     if kind != _TOKEN_END:
         raise ParseError("unexpected trailing input", position)
-    ordered = tuple(declared)
-    return result.with_variables(ordered) if ordered else result
+    _check_distinct(result.variables)
+    return result

@@ -38,6 +38,26 @@ def _check_count(count: int, what: str, limit: int) -> None:
         raise ValueError(f"{what} count {count} exceeds the limit {limit}")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``x``, taken over its last axis.
+
+    The squares are summed column by column in coordinate order from 0.0,
+    ``s = s + x[..., j] * x[..., j]``, and then square-rooted: the arithmetic
+    of ``flow._norm`` on a whole batch.  Below 8 columns that is also the
+    order of ``np.linalg.norm(x, axis=-1)``, so the bits are numpy's in any
+    memory layout, without numpy's slow reduction over a short inner axis.
+    From 8 columns up numpy sums C-ordered rows pairwise and F-ordered ones
+    in this order, so its bits there depend on the layout and these do not.
+    """
+    total = np.zeros(x.shape[:-1])
+    square = np.empty_like(total)
+    for j in range(x.shape[-1]):
+        column = x[..., j]
+        np.multiply(column, column, out=square)
+        total += square
+    return np.sqrt(total, out=total)
+
+
 def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
     """Points ``start, ..., start + count - 1`` of the Halton sequence in [0, 1)^dim.
 
@@ -109,10 +129,8 @@ def sphere_directions(dim: int, count: int) -> np.ndarray:
         pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
         return np.concatenate([pts, axes])
     cube = halton(3 * count, dim) * 2.0 - 1.0
-    norms = np.linalg.norm(cube, axis=1)
-    keep = norms > 0.2
-    pts = cube[keep][:count]
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = cube[_row_norms(cube) > 0.2][:count]
+    pts = pts / _row_norms(pts)[:, None]
     return np.concatenate([pts, axes])
 
 
@@ -155,7 +173,7 @@ def ball_points(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarra
         need = min(int((count - found) * ratio * 1.3) + 16, _MAX_CHUNK_ROWS)
         cube = halton(need, dim, start=start) * 2.0 - 1.0
         start += need
-        inside.append(cube[np.linalg.norm(cube, axis=1) <= 1.0])
+        inside.append(cube[_row_norms(cube) <= 1.0])
         found += len(inside[-1])
     pts = np.concatenate(inside)[:count] * radius
     return np.concatenate([np.array(anchors), pts])

@@ -17,8 +17,8 @@ of the inequality is the independent test of the constant.
 
 The elementary engine behind the multi-variable case is the generalized
 Young inequality ``(prod a_j)^r <= r * sum a_j^{p_j} / p_j`` for positive
-``a_j, p_j`` with ``sum 1/p_j = 1/r``; exact-arithmetic checkers for it and
-for the induced monomial inequality live here as well.
+``a_j, p_j`` with ``sum 1/p_j = 1/r``; the tests check it, and the induced
+monomial inequality, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .poly import Polynomial
 from .reports import InequalityCheckReport, rational_str, sampled_check
-from .sampling import ball_points
+from .sampling import _row_norms, ball_points
 
 DEFAULT_SIGMA = 0.5
 MAX_SIGMA_HALVINGS = 40
@@ -217,7 +216,7 @@ def verify_gradient_inequality(
     return sampled_check(
         "gradient",
         report.theta,
-        np.linalg.norm(p.gradient_numeric()(points), axis=1),
+        _row_norms(p.gradient_numeric()(points)),
         np.abs(p.numeric()(points)),
         float(report.theta),
         (report.ball_radius, report.ball_radius),
@@ -232,71 +231,3 @@ def analyze_report_json(
     payload["min_ratio"] = check.measured_constant
     payload["pass"] = check.passed
     return payload
-
-
-# ----------------------------------------------------------------------
-# elementary inequalities (exact checkers)
-# ----------------------------------------------------------------------
-
-
-def generalized_young_gap(a: Sequence[float], p: Sequence[float]) -> float:
-    """Float slack ``r*sum(a^p/p) - (prod a)^r`` with ``1/r = sum(1/p)``.
-
-    Nonnegative (up to roundoff) for positive inputs.
-    """
-    if len(a) != len(p) or not a:
-        raise ValueError("need matching nonempty weight and value tuples")
-    if any(x <= 0 for x in a) or any(x <= 0 for x in p):
-        raise ValueError("values and powers must be positive")
-    r = 1.0 / sum(1.0 / pj for pj in p)
-    lhs = math.prod(a) ** r
-    rhs = r * sum(aj**pj / pj for aj, pj in zip(a, p))
-    return rhs - lhs
-
-
-def generalized_young_holds_exact(
-    a: Sequence[Fraction], p: Sequence[int]
-) -> bool:
-    """Exact-arithmetic check of the generalized Young inequality.
-
-    Powers must be positive integers so both sides stay rational after
-    clearing the rational exponent: with ``r = u/v`` the inequality is
-    equivalent to ``(prod a)^u <= (r*sum(a^p/p))^v``.
-    """
-    if len(a) != len(p) or not a:
-        raise ValueError("need matching nonempty tuples")
-    a = [Fraction(x) for x in a]
-    p = [int(x) for x in p]
-    if any(x <= 0 for x in a) or any(x <= 0 for x in p):
-        raise ValueError("values and powers must be positive")
-    r = 1 / sum(Fraction(1, pj) for pj in p)
-    lhs_base = math.prod(a)
-    rhs = r * sum(aj**pj / pj for aj, pj in zip(a, p))
-    return lhs_base**r.numerator <= rhs**r.denominator
-
-
-def monomial_inequality_holds_exact(
-    x: Sequence[Fraction], exponents: Sequence[int]
-) -> bool:
-    """Exact check of ``prod x^(2n) * sum x_j^-2 >= (N/n)*(prod x^(2n))^theta``.
-
-    ``theta = 1 - 1/N`` with ``N`` the exponent total and ``n`` the largest
-    exponent; raising both (positive) sides to the ``N``-th power clears the
-    fractional exponent.
-    """
-    x = [Fraction(v) for v in x]
-    exponents = [int(n) for n in exponents]
-    if len(x) != len(exponents) or not x:
-        raise ValueError("need matching nonempty tuples")
-    if any(v == 0 for v in x):
-        raise ValueError("coordinates must be nonzero")
-    if any(n < 1 for n in exponents):
-        raise ValueError("exponents must be >= 1")
-    total = sum(exponents)
-    n_max = max(exponents)
-    product = math.prod(v ** (2 * n) for v, n in zip(x, exponents))
-    inverse_sum = sum(v**-2 for v in x)
-    lhs = product * inverse_sum
-    scale = Fraction(total, n_max)
-    # lhs >= scale * product^((N-1)/N)  <=>  lhs^N >= scale^N * product^(N-1)
-    return lhs**total >= scale**total * product ** (total - 1)

@@ -60,44 +60,55 @@ def _deflate(c: Coeffs, root: Fraction) -> Coeffs:
     return out
 
 
-def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, coeff in enumerate(b):
-            a[i + shift] -= factor * coeff
-        a = _trim(a)
-        if not a:
-            break
-    return _trim(q), _trim(a)
-
-
-def _derivative(c: Coeffs) -> Coeffs:
+def _derivative(c: list[int]) -> list[int]:
     return _trim([c[i] * i for i in range(1, len(c))])
-
-
-def _gcd_poly(a: Coeffs, b: Coeffs) -> Coeffs:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
 
 
 def _integer_multiple(c: Coeffs) -> list[int]:
     """The coprime integers that are a positive multiple of ``c``."""
+    c = _trim(list(c))
     scale = lcm(*(x.denominator for x in c))
-    ints = [x.numerator * (scale // x.denominator) for x in c]
-    content = gcd(*ints)
-    return [x // content for x in ints]
+    return _primitive([x.numerator * (scale // x.denominator) for x in c])
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """``c`` divided by the positive gcd of its entries; ``c`` is nonzero."""
+    content = gcd(*c)
+    return [x // content for x in c]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ``|lc b|^(deg a - deg b + 1) * a`` by ``b``:
+    positive multiples of those of ``a`` by ``b``, on integers."""
+    lead = b[-1]
+    scale = abs(lead)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        # a <- |lc b| a - t x^shift b and q <- |lc b| q + t x^shift, with
+        # t = lc a * sign(lc b), so the top of a vanishes.
+        top = a[-1] if lead > 0 else -a[-1]
+        q = [x * scale for x in q]
+        q[shift] = top
+        a = [x * scale for x in a[:-1]]
+        for i, coeff in enumerate(b[:-1]):
+            a[i + shift] -= top * coeff
+    return q, _trim(a)
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of two trimmed integer polynomials, primitive with a positive
+    leading entry, by a primitive pseudo-remainder sequence; ``[]`` when both
+    vanish."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _pseudo_divide(a, b)[1]
+        if b:
+            b = _primitive(b)
+    if not a:
+        return a
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-x for x in a]
 
 
 def _sign_at(p: list[int], n: int, m: int) -> int:
@@ -118,18 +129,23 @@ def _variations(chain: list[list[int]], n: int, m: int) -> int:
 
 def _sturm(c: Coeffs) -> tuple[list[list[int]], int]:
     """The Sturm chain of the squarefree part of ``c``, each member scaled to
-    coprime integers, and the number of distinct real roots of ``c``."""
+    coprime integers, and the number of distinct real roots of ``c``.
+
+    The chain stays on integers: each member is the primitive part of the
+    negated pseudo-remainder of the two before it.  Every step scales by a
+    positive factor, so each member is a positive multiple of the member of
+    the chain taken over the rationals, ``[s, s', -rem(s, s'), ...]``."""
     c = _trim(list(c))
     if len(c) <= 1:
         return [], 0
-    square_free, _ = _poly_divmod(c, _gcd_poly(c, _derivative(c)))
-    chain = [square_free, _derivative(square_free)]
+    c = _integer_multiple(c)
+    square_free = _primitive(_pseudo_divide(c, _gcd(c, _derivative(c)))[0])
+    chain = [square_free, _primitive(_derivative(square_free))]
     while True:
-        _, r = _poly_divmod(chain[-2], chain[-1])
+        _, r = _pseudo_divide(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-x for x in r])
-    chain = [_integer_multiple(p) for p in chain]
+        chain.append(_primitive([-x for x in r]))
     return chain, _variations(chain, -1, 0) - _variations(chain, 1, 0)
 
 
@@ -202,4 +218,4 @@ def forms_share_real_zero(a: Coeffs, b: Coeffs) -> bool:
     """
     if a[-1] == 0 and b[-1] == 0:
         return True
-    return _sturm(_gcd_poly(a, b))[1] > 0
+    return _sturm(_gcd(_integer_multiple(a), _integer_multiple(b)))[1] > 0

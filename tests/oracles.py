@@ -5,6 +5,7 @@ recomputes by a second route what the package computes by its own, in exact
 rational arithmetic or by a classical fixed-step method.
 """
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -96,3 +97,66 @@ def monomial_ratio_profile(
         keep = values > VALUE_DISCARD
         out.append(float((grads[keep] / values[keep] ** theta).min()))
     return out
+
+
+def generalized_young_gap(a: Sequence[float], p: Sequence[float]) -> float:
+    """Float slack ``r*sum(a^p/p) - (prod a)^r`` with ``1/r = sum(1/p)``.
+
+    Nonnegative (up to roundoff) for positive inputs.
+    """
+    if len(a) != len(p) or not a:
+        raise ValueError("need matching nonempty weight and value tuples")
+    if any(x <= 0 for x in a) or any(x <= 0 for x in p):
+        raise ValueError("values and powers must be positive")
+    r = 1.0 / sum(1.0 / pj for pj in p)
+    lhs = math.prod(a) ** r
+    rhs = r * sum(aj**pj / pj for aj, pj in zip(a, p))
+    return rhs - lhs
+
+
+def generalized_young_holds_exact(
+    a: Sequence[Fraction], p: Sequence[int]
+) -> bool:
+    """Exact-arithmetic check of the generalized Young inequality.
+
+    Powers must be positive integers so both sides stay rational after
+    clearing the rational exponent: with ``r = u/v`` the inequality is
+    equivalent to ``(prod a)^u <= (r*sum(a^p/p))^v``.
+    """
+    if len(a) != len(p) or not a:
+        raise ValueError("need matching nonempty tuples")
+    a = [Fraction(x) for x in a]
+    p = [int(x) for x in p]
+    if any(x <= 0 for x in a) or any(x <= 0 for x in p):
+        raise ValueError("values and powers must be positive")
+    r = 1 / sum(Fraction(1, pj) for pj in p)
+    lhs_base = math.prod(a)
+    rhs = r * sum(aj**pj / pj for aj, pj in zip(a, p))
+    return lhs_base**r.numerator <= rhs**r.denominator
+
+
+def monomial_inequality_holds_exact(
+    x: Sequence[Fraction], exponents: Sequence[int]
+) -> bool:
+    """Exact check of ``prod x^(2n) * sum x_j^-2 >= (N/n)*(prod x^(2n))^theta``.
+
+    ``theta = 1 - 1/N`` with ``N`` the exponent total and ``n`` the largest
+    exponent; raising both (positive) sides to the ``N``-th power clears the
+    fractional exponent.
+    """
+    x = [Fraction(v) for v in x]
+    exponents = [int(n) for n in exponents]
+    if len(x) != len(exponents) or not x:
+        raise ValueError("need matching nonempty tuples")
+    if any(v == 0 for v in x):
+        raise ValueError("coordinates must be nonzero")
+    if any(n < 1 for n in exponents):
+        raise ValueError("exponents must be >= 1")
+    total = sum(exponents)
+    n_max = max(exponents)
+    product = math.prod(v ** (2 * n) for v, n in zip(x, exponents))
+    inverse_sum = sum(v**-2 for v in x)
+    lhs = product * inverse_sum
+    scale = Fraction(total, n_max)
+    # lhs >= scale * product^((N-1)/N)  <=>  lhs^N >= scale^N * product^(N-1)
+    return lhs**total >= scale**total * product ** (total - 1)

@@ -33,9 +33,10 @@ from lojalab.snc import (
     compute_constants,
     detect_snc,
     exponent_from_snc,
-    generalized_young_holds_exact,
     verify_gradient_inequality,
 )
+
+from oracles import generalized_young_holds_exact
 
 RENAMES = {
     "root/1": {"u1": "u", "v1": "v"},

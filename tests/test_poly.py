@@ -76,6 +76,126 @@ def test_parse_rejects_undeclared_variable():
         parse("x + z", variables=["x", "y"])
 
 
+@pytest.mark.parametrize("text, variables, message", [
+    ("x + q", ["x"], "undeclared variable 'q' (at position 4)"),
+    ("x*(y + z)", ["x", "y"], "undeclared variable 'z' (at position 7)"),
+    ("x + * y", None, "expected number, variable, or '(' (at position 4)"),
+    ("", None, "expected number, variable, or '(' (at position 0)"),
+    ("x^y", None, "expected integer exponent after '^' (at position 2)"),
+    ("x^-1", None, "expected integer exponent after '^' (at position 2)"),
+    ("(x + 1", None, "expected ')' (at position 6)"),
+    ("x^1/2", None, "non-integer exponent 1/2 (at position 2)"),
+    ("x y", None, "unexpected trailing input (at position 2)"),
+    ("x + 1)", None, "unexpected trailing input (at position 5)"),
+    ("3x", None, "unexpected trailing input (at position 1)"),
+    ("x + q $", ["x"], "unknown character '$' (at position 6)"),
+])
+def test_parse_error_messages_and_positions(text, variables, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, variables)
+    assert str(err.value) == message
+
+
+# Expressions of the parser's grammar as trees: an expression is a leading
+# sign and signed terms, a term a list of factors, a factor a base with an
+# optional exponent, a base a number, a name or a parenthesized expression.
+# Parentheses nest one level, which keeps degrees under the cap.
+_NAMES = ("x", "y", "z1", "w_2")
+
+
+def _expressions(base):
+    factor = st.tuples(base, st.one_of(st.none(), st.integers(0, 3)))
+    term = st.lists(factor, min_size=1, max_size=2)
+    return st.tuples(
+        st.sampled_from(["", "-"]), term,
+        st.lists(st.tuples(st.sampled_from("+-"), term), max_size=3),
+    )
+
+
+_leaves = st.one_of(
+    st.tuples(st.just("number"), st.sampled_from(["0", "1", "2", "3/4", "12"])),
+    st.tuples(st.just("name"), st.sampled_from(_NAMES)),
+)
+_expression_trees = _expressions(
+    st.one_of(_leaves, st.tuples(st.just("paren"), _expressions(_leaves)))
+)
+
+
+def _render(tree):
+    lead, first, rest = tree
+
+    def term(factors):
+        return " * ".join(
+            (f"({_render(base[1])})" if base[0] == "paren" else base[1])
+            + ("" if k is None else f"^{k}")
+            for base, k in factors
+        )
+
+    return lead + term(first) + "".join(f" {sign} {term(t)}" for sign, t in rest)
+
+
+def _build(tree):
+    """The tree by ``Polynomial`` arithmetic, in the parser's order of
+    operations; a one-term power by repeated multiplication."""
+    lead, first, rest = tree
+
+    def factor(base, k):
+        kind, value = base
+        if kind == "number":
+            b = Polynomial.constant(Fraction(value))
+        elif kind == "name":
+            b = Polynomial.variable(value)
+        else:
+            b = _build(value)
+        if k is None:
+            return b
+        if len(b.terms) != 1:
+            return b**k
+        power = Polynomial.constant(1, b.variables)
+        for _ in range(k):
+            power = power * b
+        return power
+
+    def term(factors):
+        total = factor(*factors[0])
+        for f in factors[1:]:
+            total = total * factor(*f)
+        return total
+
+    total = term(first)
+    if lead:
+        total = -total
+    for sign, t in rest:
+        next_term = term(t)
+        total = total + (-next_term if sign == "-" else next_term)
+    return total
+
+
+@given(_expression_trees)
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_polynomial_arithmetic_term_for_term(tree):
+    # Same variables, and the same terms in the same insertion order, so the
+    # compiled kernels sum the same floats.
+    text = _render(tree)
+    built = _build(tree)
+    parsed = parse(text)
+    assert parsed.variables == built.variables
+    assert list(parsed.terms.items()) == list(built.terms.items())
+    pinned = parse(text, variables=_NAMES[::-1])
+    rebuilt = built.with_variables(_NAMES[::-1])
+    assert pinned.variables == rebuilt.variables
+    assert list(pinned.terms.items()) == list(rebuilt.terms.items())
+
+
+def test_power_of_one_term_is_one_term():
+    assert (Polynomial.constant(Fraction(-2, 3)) ** 5).terms == {(): Fraction(-32, 243)}
+    assert parse("(-3*x*y^2)^3").terms == {(3, 6): Fraction(-27)}
+    assert parse("(x*y)^0").terms == {(0, 0): Fraction(1)}
+    # The degree cap is checked before the coefficient is raised.
+    with pytest.raises(PolynomialLimitError, match="degree 130"):
+        parse("(7*x)^130")
+
+
 def test_parse_print_parse_is_idempotent():
     for text in ("x^2 - y^3", "3*x1*x2 + 1/2", "0", "x^4 - 2*x^2*y + y^2"):
         once = parse(text)

@@ -1,13 +1,17 @@
 """Halton and ball samplers against a scalar reference and pinned digests."""
 
+import ast
 import functools
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lojalab.sampling import _MAX_SEED, ball_points, halton, sphere_directions
+import lojalab
+from lojalab.flow import _norm
+from lojalab.sampling import _MAX_SEED, _row_norms, ball_points, halton, sphere_directions
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -211,15 +215,18 @@ def test_sphere_directions_are_unit_rows_with_the_exact_axes(dim):
 
 
 # SHA-1 of the float64 bytes of sphere_directions(dim, 500), the Halton-cube
-# mesh, captured from the per-digit divmod sampler.
+# mesh, captured from the per-digit divmod sampler.  Dimensions 8-10 were
+# re-pinned when the row norms moved to the column-order sum: numpy sums a
+# C-ordered row of 8 or more entries pairwise, and these are the digests of
+# the earlier sampler with numpy's norm taken on an F-ordered copy.
 SPHERE_DIGESTS = {
     4: "ccf590af939bd5ef6cd35ed660a4bd6fefd58241",
     5: "b3349a6ddf6d2066f8088bddf2866bbc4420618c",
     6: "80b0b62786402a1e874815665766ee4dbce69a69",
     7: "433f1b2b0b626a1de1277a8d73dfc8b967366e58",
-    8: "f89547e8ea0d38dcbea4261c4501f4f4522a4f7c",
-    9: "289f1a5603bc5aa1f58eba9b6615056b953a5d26",
-    10: "68fe2ec13274bc2ef63bd6ee6e570ca1e0b8f48b",
+    8: "44469e37b267747207474c2181dbf17bcac538a4",
+    9: "bfd780c8aa63735a17f240ab604052d03c45bcf0",
+    10: "b5f38e9776b862427bdd4b7baf3f34da4b0cdeb3",
 }
 
 
@@ -227,3 +234,72 @@ SPHERE_DIGESTS = {
 def test_sphere_directions_match_pinned_digests(dim):
     directions = sphere_directions(dim, 500)
     assert hashlib.sha1(directions.tobytes()).hexdigest() == SPHERE_DIGESTS[dim]
+
+
+# ----------------------------------------------------------------------
+# the row norm
+# ----------------------------------------------------------------------
+
+# Signed zeros, subnormals, infinities, nan, and entries whose squares
+# overflow or underflow.
+_SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, np.inf, -np.inf, np.nan, 1e200, -3e170, 1.5, -0.75]
+)
+
+
+def _batches(width):
+    """Rows of one width, ordinary and special, in several memory layouts."""
+    rng = np.random.default_rng(width)
+    plain = rng.standard_normal((600, width)) * np.logspace(0, -9, width)
+    special = rng.choice(_SPECIAL, size=(600, width))
+    for x in (plain, special):
+        yield x
+        yield np.asfortranarray(x)
+        yield x[::3]
+        yield np.repeat(x, 2, axis=1)[:, ::2]
+        yield x.reshape(60, 10, width)
+        yield x.reshape(60, 10, width).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_norms_are_numpys_below_eight_columns(width):
+    # numpy is the independent oracle here: below 8 columns it sums every
+    # row in coordinate order, whatever the layout.
+    for x in _batches(width):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("width", [*range(1, 11), 129])
+def test_row_norms_are_the_one_point_norm_row_by_row(width):
+    for x in _batches(width):
+        rows = x.reshape(-1, width)
+        expected = np.array([_norm(row) for row in rows.tolist()]).reshape(x.shape[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _row_norms(x).tobytes() == expected.tobytes()
+
+
+def test_row_norms_of_rows_without_columns_are_zero():
+    assert _row_norms(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+def _axis_norm_calls(package: Path) -> list[str]:
+    """``norm(..., axis=...)`` calls in the package's source, as file:line."""
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm"
+                and (any(k.arg == "axis" for k in node.keywords) or len(node.args) >= 3)
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_every_row_norm_goes_through_the_one_rule():
+    # np.linalg.norm(x, axis=...) sums a row of 8 or more entries in an
+    # order that depends on the memory layout; row norms of point batches
+    # take sampling._row_norms instead.
+    assert _axis_norm_calls(Path(lojalab.__file__).parent) == []

@@ -17,12 +17,14 @@ from lojalab.snc import (
     compute_constants,
     detect_snc,
     exponent_from_snc,
+    verify_gradient_inequality,
+)
+from oracles import (
+    evaluate_exact,
     generalized_young_gap,
     generalized_young_holds_exact,
     monomial_inequality_holds_exact,
-    verify_gradient_inequality,
 )
-from oracles import evaluate_exact
 
 # ----------------------------------------------------------------------
 # detection

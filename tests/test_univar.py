@@ -1,5 +1,6 @@
 """Exact univariate root extraction and real-root counting."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -169,3 +170,74 @@ def test_roots_against_sympy_on_planted_polynomials(planted, cofactor):
     nonzero = [root for root, _ in found if root]
     assert nonzero == sorted(nonzero, key=place)
     assert len(found) + others == len(set(sympy.real_roots(_sympy_poly(c, z))))
+
+
+# The curves of the resolve-curves benchmark: every x^a +- c*y^b with
+# 2 <= a < b <= 9 and c in {1, 2, 3, 1/2}, and every cusp template with
+# a, b in {1, 2}.
+CUSP_TEMPLATES = (
+    "(y^2 - {a}*x^3)*(y^2 - {b}*x^5)",
+    "(y^2 - {a}*x^3)*(y^2 - {b}*x^7)",
+    "(y^2 - {a}*x^3)^2 - {b}*x^5*y",
+    "(y^2 - {a}*x^3)^2 - {b}*x^7*y",
+    "(y^2 - {a}*x^3)*(x^2 - {b}*y^3)",
+    "(y^3 - {a}*x^4)*(y^2 - {b}*x^3)",
+)
+
+
+def _resolve_curves():
+    for a in range(2, 10):
+        for b in range(a + 1, 10):
+            for sign in "+-":
+                for coeff in ("", "2*", "3*", "1/2*"):
+                    yield f"x^{a} {sign} {coeff}y^{b}"
+    for template in CUSP_TEMPLATES:
+        for a in (1, 2):
+            for b in (1, 2):
+                yield template.format(a=a, b=b)
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=4), _cofactor)
+@settings(max_examples=60, deadline=None)
+def test_sturm_chain_against_sympy(roots, cofactor):
+    # sympy's Sturm sequence over QQ starts from the monic squarefree part;
+    # each member here is the coprime-integer positive multiple of sympy's
+    # times the sign of the leading coefficient.
+    import sympy
+
+    from lojalab.univar import _integer_multiple, _sturm
+
+    c = cofactor
+    for root in roots:
+        c = _times(c, [Fraction(-root), Fraction(1)])
+    z = sympy.Symbol("z")
+    expected = [
+        _integer_multiple([Fraction(int(x.p), int(x.q)) for x in reversed(member.all_coeffs())])
+        for member in sympy.sturm(_sympy_poly(c, z))
+    ]
+    if c[-1] < 0:
+        expected = [[-x for x in member] for member in expected]
+    chain, count = _sturm(c)
+    assert chain == expected
+    assert count == len(set(sympy.real_roots(_sympy_poly(c, z))))
+
+
+def test_sturm_chains_on_the_resolve_curves_pinned(monkeypatch):
+    # Every chain that resolve builds on these curves, member for member,
+    # with its root count; pinned from the chain built on Fraction and then
+    # scaled to coprime integers.
+    from lojalab import univar
+    from lojalab.blowup import resolve
+
+    sturm, calls = univar._sturm, []
+
+    def record(c):
+        chain, count = sturm(c)
+        calls.append(([str(x) for x in c], chain, count))
+        return chain, count
+
+    monkeypatch.setattr(univar, "_sturm", record)
+    for text in _resolve_curves():
+        resolve(parse(text))
+    digest = hashlib.sha1(b"".join(repr(call).encode() for call in calls)).hexdigest()
+    assert (len(calls), digest) == (2256, "d6526a9cb8651f7ad3c74a8220231ae4e2704f11")
