@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .poly import Polynomial
 from .reports import rational_str
-from .snc import MonomialFactorization, SncError, detect_snc, exponent_from_snc
+from .snc import MonomialFactorization, detect_snc
 from . import univar
 
 DEFAULT_MAX_DEPTH = 8
@@ -391,10 +391,6 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
     residual = node.factorization.residual
     total = node.total_transform
     chart_id = node.chart_id
-    gamma = "gamma"
-    while gamma in variables:
-        gamma = "_" + gamma
-
     reports: list[TranslatedPointReport] = []
     unanalyzed = 0
     for i, mult in enumerate(exceptional):
@@ -410,7 +406,8 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
         roots, irrational = univar.rational_roots(coeffs)
         unanalyzed += irrational
         for t, _mult in roots:
-            translated = _recenter(total, 1 - i, t, gamma)
+            # Exceptional axes lie below the root: no chart variable is "gamma".
+            translated = _recenter(total, 1 - i, t, "gamma")
             factorization = detect_snc(translated)
             reports.append(
                 TranslatedPointReport(
@@ -494,41 +491,34 @@ def _jacobian_sup(composite: tuple[Polynomial, Polynomial]) -> float:
 def exponent_upper_bound(p: Polynomial) -> tuple[Fraction, str] | None:
     """Best-effort exponent for ``p`` at the origin, with provenance.
 
-    Directly from the normal-crossing formula when ``p`` is snc at the
-    origin (any dimension); otherwise, for plane polynomials vanishing at
-    the origin, the weakest (largest) bound over all analyzed points of an
-    origin-stopped blow-up tree, tagged origin-local.  Returns ``None`` when
-    no route applies.
+    When ``p`` is snc at the origin (any dimension), the normal-crossing
+    bound ``1 - 1/N``, the rule every snc chart point uses.  Otherwise, for
+    plane polynomials, the weakest (largest) bound over all analyzed points
+    of an origin-stopped blow-up tree, tagged origin-local.  Returns
+    ``None`` when no route applies: the zero polynomial, a non-critical
+    origin (``N < 2``), more than two variables, or no analyzed point.
     """
-    try:
-        mf = detect_snc(p)
-    except SncError:
+    if p.is_zero:
         return None
+    mf = detect_snc(p)
     if mf.snc_at_origin:
-        try:
-            return exponent_from_snc(mf).theta, "snc"
-        except SncError:
-            return None
-    if len(p.variables) != 2 or p.constant_term() != 0:
+        bound = _snc_bound(mf)
+        return None if bound is None else (bound, "snc")
+    if len(p.variables) != 2:
         return None
-    try:
-        interval = resolve(p).theta_interval
-    except BlowupError:
-        return None
-    if interval is None:
-        return None
-    return interval[1], "resolution-origin-local"
+    # Not snc, so p vanishes at the origin and resolve accepts it.
+    interval = resolve(p).theta_interval
+    return None if interval is None else (interval[1], "resolution-origin-local")
 
 
-def pull_back_and_bound(p: Polynomial, result: ResolutionResult) -> PullbackBound:
+def pull_back_and_bound(result: ResolutionResult) -> PullbackBound:
     """Per-leaf exponent intervals and transported-constant factors.
 
-    Each chart-origin certificate yields ``theta in [1/2, 1 - 1/N]`` *at that
-    analyzed point*; the summary interval is the resolution's
-    ``theta_interval`` and is flagged origin-local.
+    Each chart-origin certificate of ``result`` yields ``theta in [1/2,
+    1 - 1/N]`` *at that analyzed point*; the summary interval is the
+    resolution's ``theta_interval``, flagged origin-local.  Raises
+    ``BlowupError`` when every leaf is depth-capped.
     """
-    if p != result.tree.root_polynomial:
-        raise BlowupError("resolution result was computed for a different polynomial")
     per_leaf: list[LeafBound] = []
     for leaf in result.snc_leaves():
         bound = leaf.theta_bound()

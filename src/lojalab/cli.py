@@ -212,7 +212,7 @@ def _resolve(config: RunConfig, text: str) -> tuple[dict, bool]:
     report = result.to_json()
     report["input"] = str(p)
     try:
-        report["pullback"] = blowup.pull_back_and_bound(p, result).to_json()
+        report["pullback"] = blowup.pull_back_and_bound(result).to_json()
     except blowup.BlowupError as exc:
         report["pullback"] = None
         report["note"] = str(exc)
@@ -264,19 +264,24 @@ def _flow(config: RunConfig, text: str) -> tuple[dict, bool]:
             report["length_bound_note"] = str(exc)
     if crit is not None:
         bound_theta = blowup.exponent_upper_bound(p)
-        theta = bound_theta[0] if bound_theta else Fraction(1, 2)
-        distance_reports = flow_mod.verify_distance_inequalities(
-            p,
-            crit,
-            theta,
-            ball=(config.sigma, config.delta),
-            samples=config.samples,
-            seed=config.seed,
-        )
-        report["distance_checks"] = [r.to_json() for r in distance_reports]
-        # A set that measured nothing is null and does not decide the verdict.
-        measured = [r.passed for r in distance_reports if not r.skipped]
-        checks["distance_checks"] = all(measured) if measured else None
+        if bound_theta is None:
+            # No exponent to check at: a guessed one could pass a false bound.
+            report["distance_checks"] = None
+            report["distance_checks_note"] = "no exponent bound derivable at the origin"
+            checks["distance_checks"] = None
+        else:
+            distance_reports = flow_mod.verify_distance_inequalities(
+                p,
+                crit,
+                bound_theta[0],
+                ball=(config.sigma, config.delta),
+                samples=config.samples,
+                seed=config.seed,
+            )
+            report["distance_checks"] = [r.to_json() for r in distance_reports]
+            # A set that measured nothing is null and does not decide the verdict.
+            measured = [r.passed for r in distance_reports if not r.skipped]
+            checks["distance_checks"] = all(measured) if measured else None
     report["checks"] = checks
     report["pass"] = all(bool(v) for v in checks.values() if v is not None)
     traj.write_csv(str(Path(config.output_path) / "trajectory.csv"))

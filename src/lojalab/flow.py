@@ -13,9 +13,9 @@ Under a verified gradient inequality with exponent ``theta`` and constant
 ((1-theta) * C)``; that bound and the induced distance inequalities
 
     E    >= C1 * dist(x, Crit)^alpha      alpha = 1/(1-theta)
-    |E|  >= C2 * dist(x, Zero)^beta       beta  = 1/(2(1-theta')), theta' for E^2
+    |E|  >= C2 * dist(x, Zero)^beta       beta  = 1/(2(1-theta')) = alpha, theta' for E^2
     ||grad E|| >= C3 * dist(x, Crit)^mu   mu    = theta/(1-theta)
-    ||grad E|| >= C4 * dist(x, Crit)^gamma  (via the beta route for ||grad E||^2)
+    ||grad E|| >= C4 * dist(x, Crit)^gamma  gamma = 1/(2(1-theta_G)), theta_G for ||grad E||^2
 
 are checked by sampling with exact distance oracles.  Supported critical-set
 descriptors are finite unions of coordinate subspaces and finite point
@@ -715,14 +715,14 @@ def verify_distance_inequalities(
     """Sampled distance inequalities with exact distance oracles.
 
     Exponents: ``alpha = 1/(1-theta)`` for the energy/critical-distance
-    inequality, ``beta = 1/(2(1-theta'))`` with ``theta' = (1+theta)/2`` the
-    induced exponent of ``E^2`` (so numerically ``beta = alpha``) for the
-    value/zero-distance inequality, ``mu = theta/(1-theta)`` for the
-    gradient/critical-distance inequality, and ``gamma`` from running the
-    beta route on ``||grad E||^2`` (falling back to ``mu`` when no exponent
-    for it is derivable).  Both value inequalities are reported as skipped
-    when E changes sign on the ball, and all four when no sample lies off
-    the critical set.
+    inequality; ``beta = alpha`` for the value/zero-distance inequality, as
+    ``E^2`` has exponent ``theta' = (1+theta)/2``; ``mu = theta/(1-theta)``
+    for the gradient/critical-distance inequality; and, from the exponent
+    bound ``theta_G`` of ``G = ||grad E||^2``, ``gamma = 1/(2(1-theta_G))``,
+    the beta route on ``G`` without squaring it (falling back to ``mu`` when
+    no bound for ``G`` is derivable).  Both value inequalities are reported
+    as skipped when E changes sign on the ball, and all four when no sample
+    lies off the critical set.
     """
     theta = Fraction(theta)
     if not (Fraction(1, 2) <= theta < 1):
@@ -747,22 +747,16 @@ def verify_distance_inequalities(
     if gradient_constant is not None and not sign_skip:
         predicted_alpha = (float(1 - theta) * gradient_constant) ** float(alpha)
 
-    # The zero-set inequality runs through E^2, whose exponent is
-    # theta' = (1 + theta)/2 exactly when E has exponent theta.
-    theta_sq = (1 + theta) / 2
-    beta = 1 / (2 * (1 - theta_sq))
-
+    beta = alpha  # E^2 has exponent (1 + theta)/2, and 1/(2(1 - (1 + theta)/2)) = alpha
     mu = theta / (1 - theta)
     predicted_mu = None
     if gradient_constant is not None and predicted_alpha:
         predicted_mu = gradient_constant * predicted_alpha ** float(theta)
 
-    grad_sq = _gradient_square_polynomial(E)
-    bound = exponent_upper_bound(grad_sq * grad_sq)
+    bound = exponent_upper_bound(_gradient_square_polynomial(E))
     if bound is not None:
-        theta_f2, provenance = bound
-        beta_f = 1 / (2 * (1 - theta_f2))
-        gamma = beta_f / 2
+        theta_g, provenance = bound
+        gamma = 1 / (2 * (1 - theta_g))
         notes = f"exponent via {provenance} for the squared-gradient route"
     else:
         gamma = mu

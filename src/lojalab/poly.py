@@ -15,7 +15,9 @@ zero coefficients and enforces the size caps.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -33,7 +35,7 @@ _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 class PolynomialLimitError(ArithmeticError):
-    """A result exceeded the per-variable degree cap or the term-count cap."""
+    """A result exceeded the per-variable degree, term-count or coefficient-size cap."""
 
 
 class ParseError(ValueError):
@@ -60,6 +62,18 @@ def _check_limits(terms: Mapping[Exponent, Fraction]) -> None:
                 raise PolynomialLimitError(
                     f"degree {e} exceeds per-variable cap {MAX_DEGREE_PER_VARIABLE}"
                 )
+
+
+def _check_coefficient(coeff: Fraction, power: int = 1) -> None:
+    """Refuse ``coeff**power`` when its numerator or denominator would have
+    more digits than ``sys.get_int_max_str_digits()`` (0: no limit), since
+    no report could print it.  ``n`` has more than ``limit`` digits exactly
+    when ``log10(n) >= limit``; the check never computes the power.
+    """
+    limit = sys.get_int_max_str_digits()
+    size = max(math.log10(abs(coeff.numerator)), math.log10(coeff.denominator))
+    if limit and power * size >= limit:
+        raise PolynomialLimitError(f"coefficient exceeds the {limit}-digit string limit")
 
 
 class Polynomial:
@@ -259,11 +273,12 @@ class Polynomial:
         if power < 0:
             raise ValueError("negative powers are not polynomials")
         if len(self.terms) == 1:
-            # A power of one term is one term; its degrees are checked before
-            # its coefficient is raised.
+            # A power of one term is one term; its degrees and coefficient
+            # size are checked before its coefficient is raised.
             [(exponent, coeff)] = self.terms.items()
             exponent = tuple(k * power for k in exponent)
             _check_limits({exponent: coeff})
+            _check_coefficient(coeff, power)
             return Polynomial._trusted(self.variables, {exponent: coeff**power})
         result = Polynomial.constant(1, self.variables)
         base = self
@@ -750,4 +765,6 @@ def parse(text: str, variables: Sequence[str] | None = None) -> Polynomial:
     if kind != _TOKEN_END:
         raise ParseError("unexpected trailing input", position)
     _check_distinct(result.variables)
+    for coeff in result.terms.values():
+        _check_coefficient(coeff)
     return result

@@ -1,8 +1,10 @@
 """Shared report records and JSON helpers.
 
 All machine-readable outputs carry ``"schema": "loja-lab/1"`` so golden
-files survive format evolution.  Rationals are serialized as exact strings
-like ``"7/8"``; floats pass through as JSON numbers.
+files survive format evolution.  Every record serializes itself: its
+``to_json`` writes rationals as exact strings like ``"7/8"`` (through
+``rational_str``) and floats as JSON numbers, so ``dump_report`` takes
+JSON values only.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 
@@ -28,28 +29,10 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert report values into JSON-encodable data."""
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return value.item()
-        except Exception:
-            return value
-    return value
-
-
 def dump_report(payload: dict, path: str | None = None) -> str:
     body = dict(payload)
     body.setdefault("schema", SCHEMA)
-    text = json.dumps(jsonable(body), indent=2, sort_keys=True)
+    text = json.dumps(body, indent=2, sort_keys=True)
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

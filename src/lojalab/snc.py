@@ -53,10 +53,6 @@ class MonomialFactorization:
     residual: Polynomial
     snc_at_origin: bool
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.residual.variables
-
 
 @dataclass(frozen=True)
 class ExponentReport:

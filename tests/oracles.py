@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from lojalab.blowup import exponent_upper_bound
 from lojalab.estimate import VALUE_DISCARD
 from lojalab.poly import Function, Polynomial, Substitution
 from lojalab.sampling import sphere_directions
@@ -160,3 +161,21 @@ def monomial_inequality_holds_exact(
     scale = Fraction(total, n_max)
     # lhs >= scale * product^((N-1)/N)  <=>  lhs^N >= scale^N * product^(N-1)
     return lhs**total >= scale**total * product ** (total - 1)
+
+
+def squared_gradient_gamma(E: Polynomial) -> tuple[Fraction, str] | None:
+    """``gamma`` by squaring, with its provenance: ``1/(4(1 - theta))`` from
+    the exponent bound ``theta`` of ``G^2``, ``G = ||grad E||^2``.
+
+    ``G^2`` has the exponent ``(1 + theta_G)/2``, so this is the package's
+    ``1/(2(1 - theta_G))``, read from a polynomial of twice ``G``'s degrees.
+    ``None`` when ``G^2`` has no bound.
+    """
+    G = Polynomial.zero(E.variables)
+    for g in E.gradient():
+        G = G + g * g
+    bound = exponent_upper_bound(G * G)
+    if bound is None:
+        return None
+    theta, provenance = bound
+    return 1 / (4 * (1 - theta)), provenance

@@ -22,8 +22,10 @@ from lojalab.blowup import (
 )
 from lojalab.poly import Polynomial, PolynomialLimitError, Substitution, parse
 from lojalab.sampling import ball_points
+from lojalab.snc import SncError, detect_snc, exponent_from_snc
 
 from oracles import evaluate_exact
+from test_cli import ANALYZE_CORPUS
 from test_poly import assert_equals_validated_rebuild, polynomials
 
 CUSP = parse("x^2 - y^3")
@@ -232,6 +234,19 @@ def test_roundtrip_composite_reproduces_total_transform():
             assert sub.apply(root) == node.total_transform, (str(root), node.chart_id)
 
 
+def test_chart_names_avoid_the_input_names():
+    # Chart 1 of the first blow-up would be named (u1, v1), the input's names.
+    p = parse("u1^2 - v1^3")
+    result = resolve(p)
+    assert result.tree.node("root/1").variables == ("_u1", "_v1")
+    for node in result.tree.nodes.values():
+        if node.depth:
+            assert not set(node.variables) & set(p.variables), node.chart_id
+            sub = Substitution(dict(zip(p.variables, node.composite)))
+            assert sub.apply(p) == node.total_transform, node.chart_id
+    assert result.theta_interval == resolve(CUSP).theta_interval
+
+
 def test_resolve_does_not_multiply_polynomials(monkeypatch):
     curves = [parse(text) for text in ("x^2 - y^3", "(y^2 - 2*x^3)^2 - x^7*y")]
 
@@ -243,7 +258,7 @@ def test_resolve_does_not_multiply_polynomials(monkeypatch):
     for p in curves:
         result = resolve(p)
         assert result.translated_points
-        pull_back_and_bound(p, result)
+        pull_back_and_bound(result)
 
 
 def test_composite_injective_off_exceptional_set():
@@ -366,14 +381,14 @@ def test_translated_analysis_counts_irrational_points():
 def test_pull_back_and_bound_cross_is_tight():
     p = parse("x1*x2")
     result = resolve(p)
-    bound = pull_back_and_bound(p, result)
+    bound = pull_back_and_bound(result)
     assert bound.interval == (Fraction(1, 2), Fraction(1, 2))
     assert bound.per_leaf[0].jacobian_sup >= 1.0
 
 
 def test_pull_back_and_bound_cusp_leaves():
     result = resolve(CUSP, max_depth=3)
-    bound = pull_back_and_bound(CUSP, result)
+    bound = pull_back_and_bound(result)
     intervals = {b.chart_id: b.interval for b in bound.per_leaf}
     assert intervals["root/1/2/2"] == (Fraction(1, 2), Fraction(7, 8))
     assert all(b.constant_factor > 0 for b in bound.per_leaf)
@@ -404,7 +419,7 @@ def _sampled_spectral_sup(composite, points):
 )
 def test_jacobian_bound_closed_forms(text, chart_id, square):
     p = parse(text)
-    bound = {b.chart_id: b for b in pull_back_and_bound(p, resolve(p)).per_leaf}[chart_id]
+    bound = {b.chart_id: b for b in pull_back_and_bound(resolve(p)).per_leaf}[chart_id]
     # The least float whose square is at least the exact rational.
     assert Fraction(bound.jacobian_sup) ** 2 >= square
     assert Fraction(math.nextafter(bound.jacobian_sup, 0.0)) ** 2 < square
@@ -416,7 +431,7 @@ def test_jacobian_bound_is_above_the_sampled_spectral_norm():
     leaves = 0
     for text in [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES:
         result = _resolved(text)
-        per_leaf = pull_back_and_bound(result.tree.root_polynomial, result).per_leaf
+        per_leaf = pull_back_and_bound(result).per_leaf
         bounds = {b.chart_id: b.jacobian_sup for b in per_leaf}
         for leaf in result.snc_leaves():
             if leaf.chart_id not in bounds:
@@ -431,15 +446,30 @@ def test_jacobian_bound_is_above_the_sampled_spectral_norm():
 
 
 def test_pullback_evaluates_no_polynomial(monkeypatch):
-    results = [(p, resolve(p)) for p in (CUSP, parse("(y^2 - 2*x^3)^2 - x^7*y"))]
+    results = [resolve(p) for p in (CUSP, parse("(y^2 - 2*x^3)^2 - x^7*y"))]
 
     def refuse(*args, **kwargs):
         raise AssertionError("pull_back_and_bound differentiated or evaluated a polynomial")
 
     for name in ("numeric", "gradient_numeric", "derivative"):
         monkeypatch.setattr(Polynomial, name, refuse)
-    for p, result in results:
-        assert pull_back_and_bound(p, result).per_leaf
+    for result in results:
+        assert pull_back_and_bound(result).per_leaf
+
+
+def test_exponent_upper_bound_is_the_snc_exponent_at_snc_origins():
+    # The analyze corpus, plus snc inputs whose origin is a unit, a simple
+    # zero or a normal crossing of two simple zeros.
+    texts = list(ANALYZE_CORPUS) + ["x + 1", "x", "x1*(1 + x2)", "3", "x1*x2*(2 - x1)"]
+    for text in texts:
+        mf = detect_snc(parse(text))
+        assert mf.snc_at_origin, text
+        try:
+            expected = (exponent_from_snc(mf).theta, "snc")
+        except SncError:
+            expected = None
+        assert exponent_upper_bound(parse(text)) == expected, text
+    assert exponent_upper_bound(parse("0", variables=["x", "y"])) is None
 
 
 def test_exponent_upper_bound_routes():
@@ -470,7 +500,7 @@ def test_interval_agrees_with_upper_bound_and_pullback():
         assert _resolved(text).theta_interval[1] == exponent_upper_bound(parse(text))[0], text
     for text in texts:
         result = _resolved(text)
-        bound = pull_back_and_bound(result.tree.root_polynomial, result)
+        bound = pull_back_and_bound(result)
         assert bound.interval == result.theta_interval, text
 
 

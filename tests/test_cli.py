@@ -42,6 +42,19 @@ def test_analyze_non_snc_exits_two(tmp_path):
     assert report["snc"] is False
 
 
+@pytest.mark.parametrize(
+    "text, note",
+    [
+        ("x + 1", "no monomial factor: the origin is not a zero"),
+        ("x", "single exponent 1: origin is not a critical point"),
+    ],
+)
+def test_analyze_non_critical_origin_exits_two(tmp_path, text, note):
+    assert _run(["analyze", text], tmp_path) == 2
+    report = _report(tmp_path)
+    assert (report["snc"], report["pass"], report["note"]) == (True, False, note)
+
+
 def test_analyze_haraux_exits_two(tmp_path):
     assert _run(["analyze", "haraux"], tmp_path) == 2
     report = _report(tmp_path)
@@ -180,6 +193,13 @@ def test_resolve_counts_non_snc_translated_points_as_unanalyzed(tmp_path):
     assert report["theta_interval"] == ["1/2", "8/9"]
 
 
+def test_resolve_with_every_leaf_depth_capped_exits_two(tmp_path):
+    assert _run(["resolve", "x^2 - y^3", "--max-depth", "0"], tmp_path) == 2
+    report = _report(tmp_path)
+    assert report["pullback"] is None
+    assert report["note"] == "all leaves are depth-capped; no bounds available"
+
+
 def test_flow_writes_trajectory(tmp_path):
     code = _run(
         ["flow", "x^2", "--point", "0.5", "--crit", "free:"],
@@ -218,6 +238,29 @@ def test_flow_with_every_sample_critical_skips_every_distance_check(tmp_path):
         assert check["notes"].startswith("skipped:")
     # A set that measured nothing is neither passed nor failed.
     assert _report(tmp_path)["checks"]["distance_checks"] is None
+
+
+def test_flow_gamma_reads_the_gradient_square_below_the_degree_cap(tmp_path):
+    # ||grad E||^2 has degree 34 in x; its square, which gamma used to be
+    # read from, passes the cap of 64 and made this run exit 1.
+    argv = ["flow", "x^18 + y^2", "--point", "0.1,0.1", "--crit", "origin", "--tol", "1e-6"]
+    assert _run(argv, tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["checks"]["distance_checks"] is True
+    gamma = report["distance_checks"][3]
+    assert (gamma["inequality"], gamma["exponent"]) == ("gradient-distance-analytic", "15")
+
+
+def test_flow_without_an_exponent_bound_skips_the_distance_checks(tmp_path):
+    # E ~ r^4 has exponent 3/4 but no derivable bound; a guessed 1/2 used
+    # to pass E >= C*dist^2, which is false near 0.
+    argv = ["flow", "x^4 + y^4 + z^4", "--point", "0.1,0.1,0.1", "--crit", "origin",
+            "--tol", "1e-6"]
+    assert _run(argv, tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["distance_checks"] is None
+    assert report["distance_checks_note"] == "no exponent bound derivable at the origin"
+    assert report["checks"]["distance_checks"] is None
 
 
 def test_flow_over_rhs_budget_exits_one(tmp_path, monkeypatch, capsys):
@@ -390,6 +433,13 @@ def test_reports_are_deterministic(tmp_path):
 def test_polynomial_over_the_limits_exits_one(tmp_path, capsys):
     assert _run(["resolve", "x^30 - y^31"], tmp_path) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_coefficient_over_the_string_limit_exits_one(tmp_path, capsys):
+    assert _run(["analyze", "3^400000*x^2 + y^2"], tmp_path) == 1
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: coefficient exceeds the {limit}-digit string limit\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_reused_parser_gives_the_same_reports(tmp_path):

@@ -28,9 +28,10 @@ from lojalab.flow import (
     verify_distance_inequalities,
     verify_length_bound,
 )
-from lojalab.poly import Function, parse
+from lojalab.poly import Function, PolynomialLimitError, parse
 
-from oracles import rk4_fixed_step
+from oracles import rk4_fixed_step, squared_gradient_gamma
+from test_blowup import BRIESKORN_PHAM, CUSP_TEMPLATES
 
 TIGHT = dict(rtol=1e-12, atol=1e-12)
 
@@ -688,3 +689,46 @@ def test_distance_reports_for_sign_changing_functions_pinned_digest():
         )
         sha.update(json.dumps([r.to_json() for r in reports], sort_keys=True).encode())
     assert sha.hexdigest() == "29209604dd4aa0aa20c42771f211df05753d19de"
+
+
+# Inputs beyond the resolve-curves curves on which gamma is compared with
+# the squared-gradient route.
+GAMMA_INPUTS = [
+    "x^2 - y^3", "x^2 + y^4", "x^2*y^2", "x^3 - 2*y^5", "x^2*y - y^3 + x^5",
+    "(y^2 - x^3)*(y^2 - x^5)", "x^4 + y^4", "x^2 + y^2", "x1^2*x2^2*x3^2",
+    "x^17 + y^2", "x^5 - y^7", "x^2 - 2*y^2",
+]
+
+
+def test_gamma_equals_the_squared_gradient_route():
+    compared = fallbacks = 0
+    for text in [text for text, _ in BRIESKORN_PHAM] + CUSP_TEMPLATES + GAMMA_INPUTS:
+        E = parse(text)
+        try:
+            expected = squared_gradient_gamma(E)
+        except PolynomialLimitError:
+            continue  # the square passes the degree cap
+        reports = verify_distance_inequalities(
+            E, CriticalSet.origin(len(E.variables)), Fraction(1, 2), samples=64
+        )
+        mu, gamma = reports[2], reports[3]
+        if expected is None:
+            assert gamma.exponent == mu.exponent and gamma.notes.startswith("fallback"), text
+            fallbacks += 1
+        else:
+            assert gamma.exponent == expected[0], text
+            assert gamma.notes == f"exponent via {expected[1]} for the squared-gradient route"
+        compared += 1
+    assert (compared, fallbacks) == (136, 1)
+
+
+def test_gamma_falls_back_to_mu_without_a_bound_for_the_squared_gradient():
+    # ||grad E||^2 = 4(x^2 + y^2 + z^2) is not snc and has three variables.
+    reports = verify_distance_inequalities(
+        parse("x^2 + y^2 + z^2"), CriticalSet.origin(3), Fraction(1, 2)
+    )
+    by_id = {r.inequality_id: r for r in reports}
+    gamma = by_id["gradient-distance-analytic"]
+    assert gamma.exponent == by_id["gradient-distance"].exponent == Fraction(1)
+    assert gamma.notes == "fallback: no exponent derivable for the squared gradient; using mu"
+    assert by_id["distance-zero"].exponent == by_id["distance-critical"].exponent

@@ -12,6 +12,7 @@ from lojalab.morse import (
     _condition_c,
     _flat_to_order,
     _hessian_exact,
+    _kernel_basis,
     _nth_derivative_tensor,
     check_generalized_morse_bott,
     check_morse_bott,
@@ -37,6 +38,25 @@ def test_cusp_is_not_morse_bott():
     # Hessian diag(2, 0): kernel is the y-axis.
     assert report.hessian_rank == 1
     assert report.hessian_kernel_basis == ((Fraction(0), Fraction(1)),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^2 + 2*x*y + y^2",
+        "(x + y - z)^2",
+        "x*y + y*z",
+        "(x - 2*y)^2 + (y + 3*z)^2",
+        "x^2 + 2*x*y + y^2 - 4*y*z + 4*z^2 + 2*x*z",
+    ],
+)
+def test_kernel_basis_with_off_diagonal_entries_matches_sympy(text):
+    import sympy
+
+    hessian = _hessian_exact(parse(text))
+    expected = [tuple(Fraction(int(v.p), int(v.q)) for v in column)
+                for column in sympy.Matrix(hessian).nullspace()]
+    assert _kernel_basis(hessian) == expected
 
 
 def test_cylinder_parabola_is_morse_bott_along_axis():

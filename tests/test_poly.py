@@ -1,5 +1,7 @@
 """Exact polynomial engine: parsing, arithmetic, substitution, content."""
 
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +196,27 @@ def test_power_of_one_term_is_one_term():
     # The degree cap is checked before the coefficient is raised.
     with pytest.raises(PolynomialLimitError, match="degree 130"):
         parse("(7*x)^130")
+
+
+def test_coefficient_cap_is_the_integer_string_limit():
+    # 3^9000 has 4,295 digits and 3^9020 has 4,304, against the default 4,300.
+    assert sys.get_int_max_str_digits() == 4300
+    assert len(str(parse("3^9000*x^2 + y^2").terms[(2, 0)])) == 4295
+    for text in ("3^9020*x^2 + y^2", "3^4000000*x^2 + y^2", "(1/3)^9020*x", "3^5000*3^5000*x"):
+        start = time.perf_counter()
+        with pytest.raises(PolynomialLimitError, match="4300-digit"):
+            parse(text)
+        # No power past the limit is computed: 3^4000000 alone takes about 0.7 s.
+        assert time.perf_counter() - start < 0.1, text
+
+
+def test_coefficient_cap_is_off_with_the_string_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse("3^9020*x^2 + y^2").terms[(2, 0)] == 3**9020
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_print_parse_is_idempotent():

@@ -1,10 +1,13 @@
-"""The one rule that turns sampled arrays into an inequality check report."""
+"""The one rule that turns sampled arrays into an inequality check report,
+and the JSON dump of a report."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from lojalab.reports import ZERO_SKIP, sampled_check
+from lojalab.reports import SCHEMA, ZERO_SKIP, dump_report, sampled_check
 
 
 def test_sampled_check_measures_the_minimum_over_kept_samples():
@@ -46,3 +49,15 @@ def test_sampled_check_with_no_kept_sample_is_skipped():
         assert report.predicted_constant is None
         assert report.sample_count == 0
         assert report.notes.startswith("skipped:")
+
+
+def test_dump_report_dumps_the_payload_as_given(tmp_path):
+    check = sampled_check("gradient", Fraction(7, 8), np.ones(2), np.ones(2), 0.875, (0.5, 0.5))
+    payload = {"schema": SCHEMA, "check": check.to_json(), "rows": [[1, 2.5]], "ok": True}
+    text = dump_report(payload, str(tmp_path / "report.json"))
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert (tmp_path / "report.json").read_text() == text + "\n"
+    assert json.loads(dump_report({"n": 1}))["schema"] == SCHEMA
+    # Records serialize their own rationals; a raw one is not JSON.
+    with pytest.raises(TypeError):
+        dump_report({"theta": Fraction(7, 8)})
