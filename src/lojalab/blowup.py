@@ -517,7 +517,8 @@ def pull_back_and_bound(result: ResolutionResult) -> PullbackBound:
     Each chart-origin certificate of ``result`` yields ``theta in [1/2,
     1 - 1/N]`` *at that analyzed point*; the summary interval is the
     resolution's ``theta_interval``, flagged origin-local.  Raises
-    ``BlowupError`` when every leaf is depth-capped.
+    ``BlowupError`` when no leaf gives a bound: every leaf is depth-capped,
+    or no snc leaf has ``N >= 2``, as when the origin is not critical.
     """
     per_leaf: list[LeafBound] = []
     for leaf in result.snc_leaves():
@@ -535,5 +536,9 @@ def pull_back_and_bound(result: ResolutionResult) -> PullbackBound:
             )
         )
     if not per_leaf:
-        raise BlowupError("all leaves are depth-capped; no bounds available")
+        if not result.snc_leaves():
+            raise BlowupError("all leaves are depth-capped; no bounds available")
+        raise BlowupError(
+            "no snc leaf has N >= 2: the origin is not a critical point; no bounds available"
+        )
     return PullbackBound(per_leaf=per_leaf, interval=result.theta_interval)

@@ -125,9 +125,8 @@ def _parse_crit(text: str | None, dim: int) -> flow_mod.CriticalSet | None:
             points.append((0.0,) * dim)
         elif part.startswith("free:"):
             indices = tuple(int(i) for i in part[len("free:") :].split(",") if i != "")
-            if any(not 0 <= i < dim for i in indices):
-                raise ParseError(f"free index out of range [0, {dim}) in {part!r}", 0)
             subspaces.append(flow_mod.CoordinateSubspace(indices))
+            subspaces[-1].normal(dim)  # raises for a free index outside [0, dim)
         elif part.startswith("points:"):
             for chunk in part[len("points:") :].split(";"):
                 points.append(_parse_point(chunk, dim))

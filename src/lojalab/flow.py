@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .blowup import exponent_upper_bound
-from .poly import Function, Polynomial
+from .poly import Function, Polynomial, PolynomialLimitError
 from .reports import PREDICTED_SLACK, InequalityCheckReport, sampled_check
-from .sampling import _MAX_POINTS, _row_norms, ball_points
+from .sampling import _MAX_POINTS, CoordinateSubspace, _row_norms, ball_points
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -68,27 +68,14 @@ class FlowError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoordinateSubspace:
-    """The subspace where every coordinate outside ``free`` vanishes."""
-
-    free: tuple[int, ...]
-
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        d = points.shape[1]
-        fixed = [i for i in range(d) if i not in set(self.free)]
-        return _row_norms(points[:, fixed])
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        out = np.array(x, dtype=float)
-        for i in range(len(out)):
-            if i not in set(self.free):
-                out[i] = 0.0
-        return out
-
-
-@dataclass(frozen=True)
 class CriticalSet:
-    """Finite union of coordinate subspaces and isolated points."""
+    """Finite union of coordinate subspaces and isolated points.
+
+    The dimension comes from the points measured against the set.  A member
+    that does not fit it, a free index outside ``[0, d)`` or a point without
+    ``d`` coordinates, raises ``ValueError`` there rather than measuring the
+    distance to some other set.
+    """
 
     subspaces: tuple[CoordinateSubspace, ...] = ()
     points: tuple[tuple[float, ...], ...] = ()
@@ -105,28 +92,21 @@ class CriticalSet:
     def subspace(cls, free: Sequence[int]) -> CriticalSet:
         return cls(subspaces=(CoordinateSubspace(tuple(free)),))
 
+    def _point_arrays(self, dim: int) -> list[np.ndarray]:
+        if any(len(p) != dim for p in self.points):
+            raise FlowError(f"critical points {self.points} need {dim} coordinates each")
+        return [np.array(p) for p in self.points]
+
     def distances(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
         candidates = [s.distances(points) for s in self.subspaces]
-        for p in self.points:
-            candidates.append(_row_norms(points - np.array(p)))
+        candidates += [_row_norms(points - p) for p in self._point_arrays(points.shape[1])]
         return np.min(np.stack(candidates), axis=0)
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        best, best_dist = None, math.inf
-        for s in self.subspaces:
-            proj = s.project(x)
-            dist = float(np.linalg.norm(x - proj))
-            if dist < best_dist:
-                best, best_dist = proj, dist
-        for p in self.points:
-            arr = np.array(p)
-            dist = float(np.linalg.norm(x - arr))
-            if dist < best_dist:
-                best, best_dist = arr, dist
-        assert best is not None
-        return best
+        candidates = [s.project(x) for s in self.subspaces] + self._point_arrays(len(x))
+        return min(candidates, key=lambda c: float(np.linalg.norm(x - c)))
 
 
 # ----------------------------------------------------------------------
@@ -719,10 +699,12 @@ def verify_distance_inequalities(
     ``E^2`` has exponent ``theta' = (1+theta)/2``; ``mu = theta/(1-theta)``
     for the gradient/critical-distance inequality; and, from the exponent
     bound ``theta_G`` of ``G = ||grad E||^2``, ``gamma = 1/(2(1-theta_G))``,
-    the beta route on ``G`` without squaring it (falling back to ``mu`` when
-    no bound for ``G`` is derivable).  Both value inequalities are reported
-    as skipped when E changes sign on the ball, and all four when no sample
-    lies off the critical set.
+    the beta route on ``G`` without squaring it (falling back to ``mu``, with
+    a note, when no bound for ``G`` is derivable or building or resolving
+    ``G`` passes the size cap).  Both value inequalities are reported as
+    skipped when E changes sign on the ball, and all four when no sample
+    lies off the critical set.  A ``crit_set`` that does not fit E's ``R^d``
+    raises ``ValueError``.
     """
     theta = Fraction(theta)
     if not (Fraction(1, 2) <= theta < 1):
@@ -753,14 +735,21 @@ def verify_distance_inequalities(
     if gradient_constant is not None and predicted_alpha:
         predicted_mu = gradient_constant * predicted_alpha ** float(theta)
 
-    bound = exponent_upper_bound(_gradient_square_polynomial(E))
+    fallback = "no exponent derivable for the squared gradient"
+    try:
+        bound = exponent_upper_bound(_gradient_square_polynomial(E))
+    except PolynomialLimitError as exc:
+        # G has about twice E's degrees, and its charts more, so G can pass
+        # the size cap where E does not.
+        bound = None
+        fallback = f"building or resolving the squared gradient passes the size cap ({exc})"
     if bound is not None:
         theta_g, provenance = bound
         gamma = 1 / (2 * (1 - theta_g))
         notes = f"exponent via {provenance} for the squared-gradient route"
     else:
         gamma = mu
-        notes = "fallback: no exponent derivable for the squared gradient; using mu"
+        notes = f"fallback: {fallback}; using mu"
     return [
         sampled_check("distance-critical", alpha, heights, dist, float(alpha), ball,
                       predicted_alpha, skip=sign_skip),

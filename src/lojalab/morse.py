@@ -36,7 +36,9 @@ import numpy as np
 
 from .poly import Polynomial
 from .reports import InequalityCheckReport, rational_str, sampled_check
-from .sampling import _row_norms, geometric_radii, sphere_directions, subspace_grid
+from .sampling import (
+    CoordinateSubspace, _row_norms, geometric_radii, sphere_directions, subspace_grid,
+)
 from .univar import forms_share_real_zero
 
 # Directions in the normal unit-sphere mesh that the order-N check reads
@@ -92,7 +94,7 @@ def _flat_to_order(p: Polynomial, subspace: Sequence[int], order: int) -> bool:
     Partials keep distinct terms distinct, so one survives exactly at a
     non-constant term of normal degree below ``order``: it takes all of that
     term's normal exponents, or one subspace exponent when there are none."""
-    normal = [i for i in range(len(p.variables)) if i not in set(subspace)]
+    normal = CoordinateSubspace(tuple(subspace)).normal(len(p.variables))
     return all(sum(e[i] for i in normal) >= order for e in p.terms if any(e))
 
 
@@ -100,10 +102,11 @@ def _checked_subspace(p: Polynomial, subspace: Iterable[int]) -> tuple[int, ...]
     """The sorted subspace; the origin must be critical and the indices in range."""
     if any(sum(e) == 1 for e in p.terms):
         raise MorseBottError("origin is not a critical point")
-    d = len(p.variables)
     subspace = tuple(sorted(set(subspace)))
-    if any(i < 0 or i >= d for i in subspace):
-        raise MorseBottError(f"subspace indices {subspace} out of range for d={d}")
+    try:
+        CoordinateSubspace(subspace).normal(len(p.variables))
+    except ValueError as exc:
+        raise MorseBottError(str(exc)) from None
     return subspace
 
 
@@ -213,14 +216,10 @@ def _nth_derivative_tensor(p: Polynomial, order: int) -> Polynomial:
 
 
 def _normal_directions(d: int, subspace: Sequence[int], count: int) -> np.ndarray:
-    normal = [i for i in range(d) if i not in set(subspace)]
+    normal = CoordinateSubspace(tuple(subspace)).normal(d)
     if not normal:
         raise MorseBottError("subspace is the whole space; no normal directions")
-    block = sphere_directions(len(normal), count)
-    out = np.zeros((block.shape[0], d))
-    for j, idx in enumerate(normal):
-        out[:, idx] = block[:, j]
-    return out
+    return CoordinateSubspace(tuple(normal)).embed(sphere_directions(len(normal), count), d)
 
 
 def nth_derivative_form(p: Polynomial, order: int) -> Polynomial:
@@ -258,7 +257,7 @@ def _condition_c(p: Polynomial, subspace: Sequence[int], order: int) -> bool | N
     """
     if order == 2:
         return check_morse_bott(p, subspace).condition_c_holds
-    normal = [i for i in range(len(p.variables)) if i not in set(subspace)]
+    normal = CoordinateSubspace(tuple(subspace)).normal(len(p.variables))
     form = Polynomial(
         [p.variables[i] for i in normal],
         {

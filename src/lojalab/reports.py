@@ -113,7 +113,10 @@ def sampled_check(
         return InequalityCheckReport(
             inequality_id, exponent, 0.0, None, kept, ball_radii, notes=skip, skipped=True
         )
-    measured = float((lhs[keep] / base[keep] ** power).min())
+    # A kept base can still underflow to 0 under a large power; its ratio is
+    # then +inf, which cannot lower the minimum.  A 0/0 still warns.
+    with np.errstate(divide="ignore"):
+        measured = float((lhs[keep] / base[keep] ** power).min())
     return InequalityCheckReport(
         inequality_id, exponent, measured, predicted, kept, ball_radii, notes=notes
     )

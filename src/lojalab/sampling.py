@@ -9,11 +9,18 @@ Direction meshes deliberately include the coordinate axis directions: for
 products of coordinate powers those are exactly the degenerate directions
 where gradient/value ratios are extremal, and a uniformly random mesh would
 need O(1/r) points to find them at radius r.
+
+The geometry of coordinate subspaces lives here too, in
+:class:`CoordinateSubspace`: the Morse-Bott checks and the flow's distance
+oracles declare their critical set as one, and it alone decides which
+coordinates are normal to it, checks its indices against the dimension,
+measures distances, projects, and embeds sampled blocks into R^d.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -189,13 +196,37 @@ def geometric_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(r_max), math.log(r_min), count))
 
 
+@dataclass(frozen=True)
+class CoordinateSubspace:
+    """The subspace where every coordinate outside ``free`` vanishes."""
+
+    free: tuple[int, ...]
+
+    def normal(self, dim: int) -> list[int]:
+        """The normal coordinates in R^dim; a free index outside [0, dim) raises ValueError."""
+        if any(not 0 <= i < dim for i in self.free):
+            raise ValueError(f"free index out of range [0, {dim}) in {self.free}")
+        return [i for i in range(dim) if i not in self.free]
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        return _row_norms(points[:, self.normal(points.shape[1])])
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        out = np.array(x, dtype=float)
+        out[self.normal(len(out))] = 0.0
+        return out
+
+    def embed(self, block: np.ndarray, dim: int) -> np.ndarray:
+        """``block`` in R^dim: column j at the j-th free coordinate, zeros elsewhere."""
+        self.normal(dim)  # raises for a free index outside [0, dim)
+        out = np.zeros((block.shape[0], dim))
+        out[:, list(self.free)] = block
+        return out
+
+
 def subspace_grid(indices: Iterable[int], dim: int, count: int, radius: float) -> np.ndarray:
     """Quasi-uniform points of a coordinate subspace ball, embedded in R^dim."""
-    indices = list(indices)
-    if not indices:
+    space = CoordinateSubspace(tuple(indices))
+    if not space.free:
         return np.zeros((1, dim))
-    block = ball_points(len(indices), count, radius)
-    out = np.zeros((block.shape[0], dim))
-    for j, idx in enumerate(indices):
-        out[:, idx] = block[:, j]
-    return out
+    return space.embed(ball_points(len(space.free), count, radius), dim)

@@ -179,3 +179,27 @@ def squared_gradient_gamma(E: Polynomial) -> tuple[Fraction, str] | None:
         return None
     theta, provenance = bound
     return 1 / (4 * (1 - theta)), provenance
+
+
+def subspace_distance(point: Sequence[float], free: Sequence[int]) -> float:
+    """Distance from ``point`` to the coordinate subspace with free coordinates
+    ``free``: the root of the squares of the other coordinates, summed from 0
+    in index order."""
+    total = 0.0
+    for i, x in enumerate(point):
+        if i not in free:
+            total = total + x * x
+    return math.sqrt(total)
+
+
+def subspace_projection(point: Sequence[float], free: Sequence[int]) -> list[float]:
+    """``point`` with every coordinate outside ``free`` set to 0."""
+    return [float(x) if i in free else 0.0 for i, x in enumerate(point)]
+
+
+def subspace_embedding(row: Sequence[float], free: Sequence[int], dim: int) -> list[float]:
+    """The point of R^dim whose ``free[j]``-th coordinate is ``row[j]``, 0 elsewhere."""
+    out = [0.0] * dim
+    for j, i in enumerate(free):
+        out[i] = float(row[j])
+    return out

@@ -200,6 +200,45 @@ def test_resolve_with_every_leaf_depth_capped_exits_two(tmp_path):
     assert report["note"] == "all leaves are depth-capped; no bounds available"
 
 
+def test_resolve_of_a_noncritical_origin_names_the_cause(tmp_path):
+    # The root x*(1 + y) is snc with N = 1: no leaf is depth-capped.
+    assert _run(["resolve", "x + x*y"], tmp_path) == 2
+    report = _report(tmp_path)
+    assert report["pullback"] is None
+    assert report["depth_capped"] is False
+    assert report["note"] == (
+        "no snc leaf has N >= 2: the origin is not a critical point; no bounds available"
+    )
+
+
+def test_flow_from_a_noncritical_origin_notes_the_missing_length_bound(tmp_path):
+    assert _run(["flow", "x^2 - x", "--point", "0.25", "--tol", "1e-6"], tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["converged"] is True
+    assert report["limit_point"][0] == pytest.approx(0.5, abs=1e-6)
+    assert report["length_bound"] is None
+    assert report["length_bound_note"] == "single exponent 1: origin is not a critical point"
+
+
+# x^8 + y^9 changes sign, so its value checks are skipped; its closest
+# samples underflow to 0 under the power 116, which must not warn.
+CAPPED_FLOWS = [
+    ("x^6 + y^8", ["40", "40", "39", "39"], ["pass"] * 4),
+    ("x^8 + y^9", ["117", "117", "116", "116"], ["skipped", "skipped", "pass", "pass"]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, exponents, statuses", CAPPED_FLOWS)
+def test_flow_at_the_squared_gradient_cap_falls_back_to_mu(tmp_path, text, exponents, statuses):
+    argv = ["flow", text, "--point", "0.1,0.1", "--crit", "origin", "--tol", "1e-5"]
+    assert _run(argv, tmp_path) == 0
+    checks = _report(tmp_path)["distance_checks"]
+    assert [c["exponent"] for c in checks] == exponents
+    assert [c["status"] for c in checks] == statuses
+    assert checks[3]["notes"].startswith("fallback: building or resolving the squared gradient passes")
+
+
 def test_flow_writes_trajectory(tmp_path):
     code = _run(
         ["flow", "x^2", "--point", "0.5", "--crit", "free:"],

@@ -236,3 +236,19 @@ def test_envelope_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "radius,min_ratio"
     assert len(lines) == len(est.radii) + 1
+
+
+def test_radius_that_keeps_no_sample_is_left_out_of_the_fit():
+    # x^2 underflows to 0 at |x| < 1e-162 in every direction, so the last
+    # radii of this grid keep no sample and give no ratio.
+    est = estimate_theta(parse("x^2"), [0.0], (1e-200, 1e-1, 26))
+    assert est.kept_counts[0] > 0 and est.kept_counts[-1] == 0
+    for kept, ratio, point in zip(est.kept_counts, est.per_radius_ratio, est.envelope_points):
+        assert (kept == 0) == (ratio is None) == (point is None)
+    assert est.band[0] <= 0.5 <= est.band[1]
+    assert est.to_json()["envelope"][-1] is None
+
+
+def test_radii_that_keep_no_sample_at_all_raise():
+    with pytest.raises(EstimateError, match="all samples discarded at every radius"):
+        estimate_theta(parse("x^2"), [0.0], (1e-250, 1e-200, 5))

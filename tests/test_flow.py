@@ -28,6 +28,7 @@ from lojalab.flow import (
     verify_distance_inequalities,
     verify_length_bound,
 )
+from lojalab.blowup import exponent_upper_bound
 from lojalab.poly import Function, PolynomialLimitError, parse
 
 from oracles import rk4_fixed_step, squared_gradient_gamma
@@ -584,6 +585,41 @@ def test_critical_set_rejects_empty():
         CriticalSet()
 
 
+# Descriptors that do not fit R^2; each used to measure the distance to
+# another set: the first two to the origin, the last to the point (1, 1).
+MISFIT_DESCRIPTORS = {
+    "free-index-past-d": CriticalSet.subspace((5,)),
+    "negative-free-index": CriticalSet.subspace((-1,)),
+    "point-of-R1": CriticalSet(points=((1.0,),)),
+    "point-of-R1-beside-an-axis": CriticalSet(
+        subspaces=(CoordinateSubspace((0,)),), points=((1.0,),)
+    ),
+}
+
+
+@pytest.mark.parametrize("crit", MISFIT_DESCRIPTORS.values(), ids=MISFIT_DESCRIPTORS.keys())
+def test_critical_set_that_does_not_fit_the_space_raises(crit):
+    E = parse("x^2 + y^2")
+    with pytest.raises(ValueError):
+        crit.distances(np.array([[0.3, 0.4]]))
+    with pytest.raises(ValueError):
+        crit.nearest(np.array([0.3, 0.4]))
+    with pytest.raises(ValueError):
+        integrate_flow(E, [0.3, 0.4], tol=1e-6, crit_set=crit)
+    with pytest.raises(ValueError):
+        verify_distance_inequalities(E, crit, Fraction(1, 2), samples=64)
+
+
+def test_nearest_member_takes_the_first_on_a_tie():
+    crit = CriticalSet(
+        subspaces=(CoordinateSubspace((0,)), CoordinateSubspace((1,))), points=((0.5, 0.5),)
+    )
+    # (0.5, 0.5) is 0.5 from both axes and 0 from the point.
+    assert crit.nearest(np.array([0.5, 0.5])).tolist() == [0.5, 0.5]
+    # (0.1, 0.1) is 0.1 from both axes: the x-axis, listed first, wins.
+    assert crit.nearest(np.array([0.1, 0.1])).tolist() == [0.1, 0.0]
+
+
 def test_trajectory_csv_columns(tmp_path):
     traj = integrate_flow(parse("x^2 + y^2"), [0.3, 0.4], tol=1e-8)
     path = tmp_path / "trajectory.csv"
@@ -720,6 +756,41 @@ def test_gamma_equals_the_squared_gradient_route():
             assert gamma.notes == f"exponent via {expected[1]} for the squared-gradient route"
         compared += 1
     assert (compared, fallbacks) == (136, 1)
+
+
+# The curves x^a +- c*y^b, 2 <= a < b <= 9, whose squared gradient passes
+# the per-variable degree cap when it is resolved.
+CAPPED_GRADIENT_CURVES = [
+    f"x^{a} {sign} {c}*y^{b}"
+    for a, b in ((6, 8), (6, 9), (7, 8), (8, 9))
+    for sign in "+-"
+    for c in ("1", "2", "3", "1/2")
+]
+
+
+def test_gamma_falls_back_to_mu_when_the_squared_gradient_passes_the_cap():
+    for text in CAPPED_GRADIENT_CURVES:
+        E = parse(text)
+        with pytest.raises(PolynomialLimitError):
+            exponent_upper_bound(flow._gradient_square_polynomial(E))
+        theta, _ = exponent_upper_bound(E)
+        reports = verify_distance_inequalities(E, CriticalSet.origin(2), theta, samples=64)
+        mu, gamma = reports[2], reports[3]
+        assert gamma.exponent == mu.exponent == theta / (1 - theta), text
+        assert gamma.notes.startswith(
+            "fallback: building or resolving the squared gradient passes the size cap (degree "
+        ), text
+        assert gamma.notes.endswith("exceeds per-variable cap 64); using mu"), text
+    assert len(CAPPED_GRADIENT_CURVES) == 32
+    # Here G = 1600*x^78 + 4*y^2 passes the cap as soon as it is built.
+    reports = verify_distance_inequalities(
+        parse("x^40 + y^2"), CriticalSet.origin(2), Fraction(39, 40), samples=64
+    )
+    assert reports[3].exponent == reports[2].exponent == 39
+    assert reports[3].notes == (
+        "fallback: building or resolving the squared gradient passes the size cap "
+        "(degree 78 exceeds per-variable cap 64); using mu"
+    )
 
 
 def test_gamma_falls_back_to_mu_without_a_bound_for_the_squared_gradient():

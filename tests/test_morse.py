@@ -445,3 +445,12 @@ def test_report_json_shape():
     undecided = check_generalized_morse_bott(parse("x^4 + y^4 - z^4"), (), 4).to_json()
     assert undecided["conditions"]["c"] is None
     assert undecided["theta"] is None and undecided["pass"] is False
+
+
+@pytest.mark.parametrize("subspace", [(2,), (-1,), (0, 5)])
+def test_subspace_index_outside_the_space_raises(subspace):
+    p = parse("x^2 + y^2")
+    with pytest.raises(MorseBottError, match=r"free index out of range \[0, 2\)"):
+        check_morse_bott(p, subspace)
+    with pytest.raises(MorseBottError, match=r"free index out of range \[0, 2\)"):
+        check_generalized_morse_bott(p, subspace, 2)

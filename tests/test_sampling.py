@@ -11,7 +11,18 @@ import pytest
 
 import lojalab
 from lojalab.flow import _norm
-from lojalab.sampling import _MAX_SEED, _row_norms, ball_points, halton, sphere_directions
+from lojalab.morse import _normal_directions
+from lojalab.sampling import (
+    _MAX_SEED,
+    CoordinateSubspace,
+    _row_norms,
+    ball_points,
+    halton,
+    sphere_directions,
+    subspace_grid,
+)
+
+from oracles import subspace_distance, subspace_embedding, subspace_projection
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -303,3 +314,57 @@ def test_every_row_norm_goes_through_the_one_rule():
     # order that depends on the memory layout; row norms of point batches
     # take sampling._row_norms instead.
     assert _axis_norm_calls(Path(lojalab.__file__).parent) == []
+
+
+def _random_free_sets(rng, dim, count):
+    """``count`` random subsets of ``range(dim)``, as sorted tuples."""
+    return [tuple(np.flatnonzero(rng.random(dim) < 0.5).tolist()) for _ in range(count)]
+
+
+def test_coordinate_subspace_matches_the_coordinate_loops():
+    rng = np.random.default_rng(24)
+    for dim in range(1, 6):
+        for free in _random_free_sets(rng, dim, 12):
+            space = CoordinateSubspace(free)
+            points = rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-3, 4, size=(30, 1))
+            expected = [subspace_distance(x, free) for x in points.tolist()]
+            assert space.distances(points).tolist() == expected, (dim, free)
+            for x in points:
+                assert space.project(x).tolist() == subspace_projection(x.tolist(), free)
+            block = rng.normal(size=(7, len(free)))
+            embedded = [subspace_embedding(row, free, dim) for row in block.tolist()]
+            assert space.embed(block, dim).tolist() == embedded, (dim, free)
+
+
+def test_subspace_grid_and_normal_directions_embed_the_sampled_block():
+    rng = np.random.default_rng(7)
+    for dim in range(1, 6):
+        for free in _random_free_sets(rng, dim, 6):
+            grid = subspace_grid(free, dim, 40, 0.3)
+            if free:
+                block = ball_points(len(free), 40, 0.3)
+                assert grid.tolist() == [subspace_embedding(r, free, dim) for r in block.tolist()]
+            else:
+                assert grid.tolist() == [[0.0] * dim]
+            normal = [i for i in range(dim) if i not in free]
+            if normal:
+                directions = _normal_directions(dim, free, 40)
+                block = sphere_directions(len(normal), 40)
+                expected = [subspace_embedding(r, normal, dim) for r in block.tolist()]
+                assert directions.tolist() == expected, (dim, free)
+
+
+@pytest.mark.parametrize("free", [(5,), (-1,), (0, 2)])
+def test_coordinate_subspace_that_does_not_fit_the_space_raises(free):
+    space = CoordinateSubspace(free)
+    match = r"free index out of range \[0, 2\)"
+    with pytest.raises(ValueError, match=match):
+        space.normal(2)
+    with pytest.raises(ValueError, match=match):
+        space.distances(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=match):
+        space.project(np.zeros(2))
+    with pytest.raises(ValueError, match=match):
+        space.embed(np.zeros((3, len(free))), 2)
+    with pytest.raises(ValueError, match=match):
+        subspace_grid(free, 2, 10, 0.5)
