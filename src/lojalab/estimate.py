@@ -13,6 +13,14 @@ counterexamples drift to 1 while polynomial inputs stay at ``1 - 1/N``.
 Counterexample built-ins expose exact log-value and log-gradient callables;
 without them, double-precision underflow would cap the observable ratio
 strictly below the 0.98 threshold.
+
+The sphere points are evaluated one block of whole radii at a time, about
+``_BLOCK_ROWS`` rows per call, and reduced one radius at a time.  The
+polynomial kernel gives a point the same bits in any batch, so a block gives
+the bits of one evaluation per radius; a polynomial's value and partials
+come from one kernel call, which raises each point to its powers once.
+Blocks, rather than one batch of the whole grid, keep the transient arrays
+small.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ FAILURE_SLOPE = 0.98
 VALUE_DISCARD = 1e-300
 # Samples with |E| above this are outside the asymptotic regime and skipped.
 VALUE_CEILING = 0.5
+# Rows of sphere points evaluated in one call: whole radii, at least one.
+_BLOCK_ROWS = 2048
 
 
 class EstimateError(ValueError):
@@ -87,56 +97,84 @@ def estimate_theta(
     r_min, r_max, count = radii
     radius_grid = geometric_radii(r_min, r_max, count)  # descending
     x_star = np.asarray(x_star, dtype=float)
-    fn = Function.of(E)
-    if x_star.shape != (fn.dimension,):
+    if isinstance(E, Polynomial):
+        dimension, name = len(E.variables), str(E)
+        value_gradient = E._value_gradient()
+    else:
+        dimension, name = E.dimension, E.name
+
+        def value_gradient(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return E.value(points), E.gradient(points)
+
+    if x_star.shape != (dimension,):
         raise EstimateError(
-            f"point has shape {x_star.shape}, expected ({fn.dimension},)"
+            f"point has shape {x_star.shape}, expected ({dimension},)"
         )
     if not np.isfinite(x_star).all():
         raise EstimateError(f"x_star {x_star} is not finite")
-    grad_norm_at_star = float(np.linalg.norm(fn.gradient(x_star[None, :])[0]))
+    star_values, star_gradients = value_gradient(x_star[None, :])
+    grad_norm_at_star = float(np.linalg.norm(star_gradients[0]))
     if grad_norm_at_star > 1e-12:
         raise EstimateError(
             f"x_star is not critical: ||grad|| = {grad_norm_at_star:.3e}"
         )
-    value_at_star = fn.value(x_star[None, :])[0]
+    value_at_star = star_values[0]
 
-    def log_abs_value(points: np.ndarray) -> np.ndarray:
+    def log_value(values: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(fn.value(points) - value_at_star))
+            return np.log(np.abs(values - value_at_star))
 
-    def log_gradient_norm(points: np.ndarray) -> np.ndarray:
-        grads = _row_norms(fn.gradient(points))
-        return np.log(np.maximum(grads, VALUE_DISCARD))
+    def log_gradient(gradients: np.ndarray) -> np.ndarray:
+        return np.log(np.maximum(_row_norms(gradients), VALUE_DISCARD))
 
-    log_value = fn.log_abs_value or log_abs_value
-    log_gradient = fn.log_gradient_norm or log_gradient_norm
-    directions = sphere_directions(fn.dimension, samples_per_radius)
+    def log_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log|E - E(x_star)|`` and ``log||grad E||`` at every point: a
+        polynomial's from one kernel call, a Function's from its own log
+        callables where it has them."""
+        if isinstance(E, Polynomial):
+            values, gradients = value_gradient(points)
+            return log_value(values), log_gradient(gradients)
+        return (
+            E.log_abs_value(points) if E.log_abs_value else log_value(E.value(points)),
+            E.log_gradient_norm(points)
+            if E.log_gradient_norm
+            else log_gradient(E.gradient(points)),
+        )
+
+    directions = sphere_directions(dimension, samples_per_radius)
+    n = len(directions)
     per_radius: list[float | None] = []
     envelope: list[tuple[float, float] | None] = []
     kept_counts: list[int] = []
     mean_log_values: list[float] = []
-    for r in radius_grid:
-        points = x_star[None, :] + r * directions
-        log_vals, log_grads = log_value(points), log_gradient(points)
-        keep = (
-            np.isfinite(log_vals)
-            & np.isfinite(log_grads)
-            & (log_vals < math.log(VALUE_CEILING))
-        )
-        kept_counts.append(int(keep.sum()))
-        if not np.any(keep):
-            per_radius.append(None)
-            envelope.append(None)
-            mean_log_values.append(math.nan)
-            continue
-        ratios = log_grads[keep] / log_vals[keep]
-        best = int(np.argmax(ratios))
-        per_radius.append(float(ratios[best]))
-        envelope.append(
-            (float(log_vals[keep][best]), float(log_grads[keep][best]))
-        )
-        mean_log_values.append(float(log_vals[keep].mean()))
+    block = max(1, _BLOCK_ROWS // n)
+    for first in range(0, len(radius_grid), block):
+        # One evaluation for a block of whole radii; each radius's rows are
+        # the bits a one-radius batch gives, so the reductions below match.
+        block_radii = radius_grid[first:first + block]
+        points = (x_star + block_radii[:, None, None] * directions).reshape(-1, dimension)
+        block_log_vals, block_log_grads = log_pairs(points)
+        for start in range(0, len(points), n):
+            log_vals = block_log_vals[start:start + n]
+            log_grads = block_log_grads[start:start + n]
+            keep = (
+                np.isfinite(log_vals)
+                & np.isfinite(log_grads)
+                & (log_vals < math.log(VALUE_CEILING))
+            )
+            kept_counts.append(int(keep.sum()))
+            if not np.any(keep):
+                per_radius.append(None)
+                envelope.append(None)
+                mean_log_values.append(math.nan)
+                continue
+            ratios = log_grads[keep] / log_vals[keep]
+            best = int(np.argmax(ratios))
+            per_radius.append(float(ratios[best]))
+            envelope.append(
+                (float(log_vals[keep][best]), float(log_grads[keep][best]))
+            )
+            mean_log_values.append(float(log_vals[keep].mean()))
 
     with_data = [
         (float(r), ratio)
@@ -150,7 +188,13 @@ def estimate_theta(
     quartile_len = max(1, math.ceil(len(with_data) / 4))
     tail = with_data[-quartile_len:]  # smallest radii with data
     tail_ratios = sorted(ratio for _, ratio in tail)
-    theta_hat = float(np.median(tail_ratios))
+    # The bits of np.median, whose first call imports numpy.ma: 10 ms or
+    # more and 1 MB in every process that estimates.
+    middle = len(tail_ratios) // 2
+    if len(tail_ratios) % 2:
+        theta_hat = tail_ratios[middle]
+    else:
+        theta_hat = (tail_ratios[middle - 1] + tail_ratios[middle]) / 2
     smallest_radius = tail[-1][0]
     resolution = 1.0 / abs(math.log(smallest_radius))
     band = (tail_ratios[0] - resolution, tail_ratios[-1] + resolution)
@@ -176,7 +220,7 @@ def estimate_theta(
         failure_detected=theta_hat >= FAILURE_SLOPE,
         kept_counts=kept_counts,
         value_monotone_in_radius=monotone,
-        name=fn.name,
+        name=name,
     )
 
 

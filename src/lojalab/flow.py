@@ -218,8 +218,9 @@ def integrate_flow(
     ball of radius ``sigma`` (recorded, not fatal).  Arc length rides along
     as an extra state component.  When a critical-set descriptor is given,
     the limit point is snapped to its nearest point and the snap distance
-    recorded.  Raises ``FlowError`` once the right-hand side has been called
-    more than ``MAX_RHS_CALLS`` times.
+    recorded; a descriptor that does not fit ``R^d`` raises ``ValueError``
+    before the first right-hand-side call.  Raises ``FlowError`` once the
+    right-hand side has been called more than ``MAX_RHS_CALLS`` times.
     """
     fn = Function.of(E)
     x0 = np.asarray(x0, dtype=float)
@@ -227,6 +228,8 @@ def integrate_flow(
         raise FlowError(f"start point has shape {x0.shape}, expected ({fn.dimension},)")
     if not np.isfinite(x0).all():
         raise FlowError(f"start point {x0} is not finite")
+    if crit_set is not None:
+        crit_set.distances(x0[None, :])  # raises for a set that does not fit R^d
     if not all(math.isfinite(v) for v in (tol, rtol, atol)):
         raise FlowError(f"tolerances must be finite, got tol={tol}, rtol={rtol}, atol={atol}")
     if tol <= 0:

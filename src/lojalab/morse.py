@@ -357,16 +357,16 @@ def verify_gmb_gradient_inequality(
     n_kappa = max(1, samples // (n_dirs * n_radii))
     directions = _normal_directions(d, subspace, n_dirs)
     tensor = _nth_derivative_tensor(p, order)
-    tensor_value, tensor_gradient = tensor.numeric(), tensor.gradient_numeric()
+    # The value and the v-gradient, the d partials in the direction variables.
+    tensor_value_gradient = tensor._value_gradient(tensor.variables[d:])
 
     def tensors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """D^N p(x) v^N and D^N p(x) v^{N-1} for a (blocks, n_dirs, d) array
         of points x, each block paired row by row with the directions v."""
         blocks = points.shape[0]
         rows = np.hstack([points.reshape(-1, d), np.tile(directions, (blocks, 1))])
-        vn = tensor_value(rows).reshape(points.shape[:2])
-        vm = tensor_gradient(rows)[:, d:].reshape(points.shape) / order
-        return vn, vm
+        values, partials = tensor_value_gradient(rows)
+        return values.reshape(points.shape[:2]), partials.reshape(points.shape) / order
 
     at_zero_vn, at_zero_vm = tensors(np.zeros((1, len(directions), d)))
     zero_vn_bound = np.abs(at_zero_vn) + 1e-12
@@ -394,11 +394,12 @@ def verify_gmb_gradient_inequality(
     check_points = points.reshape(-1, d)
     if extra_points is not None:
         check_points = np.concatenate([check_points, np.atleast_2d(extra_points)])
+    values, gradients = p._value_gradient()(check_points)
     return sampled_check(
         "gradient",
         Fraction(order - 1, order),
-        _row_norms(p.gradient_numeric()(check_points)),
-        np.abs(p.numeric()(check_points) - float(p.constant_term())),
+        _row_norms(gradients),
+        np.abs(values - float(p.constant_term())),
         1.0 - 1.0 / order,
         (radius, length),
         predicted=report.cylinder_constant,

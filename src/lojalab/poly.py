@@ -338,6 +338,28 @@ class Polynomial:
         """One kernel whose groups are the d partials, in variable order."""
         return _MonomialKernel([g.terms for g in self.gradient()], len(self.variables))
 
+    def _value_gradient(
+        self, wrt: Sequence[str] | None = None
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Value and partials from one kernel: (m, d) points to ``(values, partials)``.
+
+        The groups are the polynomial and its partial in each variable of
+        ``wrt`` (default: all of them, in variable order), so a call builds one
+        power table.  ``partials`` is the (m, len(wrt)) transposed view of the
+        partial sums; each group's bits are those of ``numeric()`` and of the
+        matching ``gradient_numeric()`` column.
+        """
+        names = self.variables if wrt is None else wrt
+        kernel = _MonomialKernel(
+            [self.terms, *(self.derivative(v).terms for v in names)], len(self.variables)
+        )
+
+        def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            sums = kernel(points)
+            return sums[0], sums[1:].T
+
+        return evaluate
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -400,8 +422,9 @@ class _MonomialKernel:
     """Sums of monomial terms, with one arithmetic for batches and points.
 
     A kernel is compiled from groups of terms over d variables: a polynomial
-    is one group, its gradient one group per partial.  Every evaluation
-    follows two rules.
+    is one group, its gradient one group per partial, and a polynomial with
+    its partials is both, so value and partials come from one power table.
+    Every evaluation follows two rules.
 
     - Powers: ``x^0 = 1`` and ``x^k = x^(k-1) * x``, one multiplication
       chain per variable up to its largest exponent.  A monomial is the
@@ -412,10 +435,13 @@ class _MonomialKernel:
     Both rules use IEEE multiplication and addition alone, which are
     correctly rounded on every host and which numpy never fuses, in an order
     that does not depend on the batch.  A point therefore gets the same bits
-    in any batch, in any memory layout and on any host, and
-    :meth:`at_point`, which runs the same operations on Python floats, gives
-    the bits of a one-row batch.  A chain of ``e - 1`` multiplications has a
-    relative error of at most about ``(e - 1) * 2^-53``.
+    in any batch, in any memory layout and on any host: one pass over the
+    sphere points of a block of radii gives the bits of one pass per radius.
+    A group's bits do not depend on the other groups compiled with it, since
+    a longer power chain only adds rows.  :meth:`at_point`, which runs the
+    same operations on Python floats, gives the bits of a one-row batch.  A
+    chain of ``e - 1`` multiplications has a relative error of at most about
+    ``(e - 1) * 2^-53``.
     """
 
     __slots__ = ("tops", "first", "rows", "coeffs", "bounds")

@@ -1,19 +1,24 @@
 """Empirical exponent estimation and counterexample detection."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lojalab.estimate import (
+    VALUE_CEILING,
+    VALUE_DISCARD,
     EstimateError,
     builtin_function,
     compare_with_resolution_bound,
     estimate_theta,
     haraux_counterexample_check,
 )
-from lojalab.poly import parse
+from lojalab.poly import Function, parse
+from lojalab.sampling import _row_norms, geometric_radii, sphere_directions
 
 from oracles import monomial_ratio_profile
 
@@ -252,3 +257,123 @@ def test_radius_that_keeps_no_sample_is_left_out_of_the_fit():
 def test_radii_that_keep_no_sample_at_all_raise():
     with pytest.raises(EstimateError, match="all samples discarded at every radius"):
         estimate_theta(parse("x^2"), [0.0], (1e-250, 1e-200, 5))
+
+
+# ----------------------------------------------------------------------
+# blocked evaluation: the bits of one evaluation per radius
+# ----------------------------------------------------------------------
+
+
+def _per_radius_reference(E, x_star, radii, samples_per_radius):
+    """The estimator with one value and one gradient evaluation per radius,
+    as ``to_json`` reports it."""
+    fn = Function.of(E)
+    x_star = np.asarray(x_star, dtype=float)
+    value_at_star = fn.value(x_star[None, :])[0]
+    radius_grid = geometric_radii(*radii)
+    directions = sphere_directions(fn.dimension, samples_per_radius)
+    per_radius, envelope, kept_counts, means = [], [], [], []
+    for r in radius_grid:
+        points = x_star[None, :] + r * directions
+        if fn.log_abs_value:
+            log_vals = fn.log_abs_value(points)
+        else:
+            with np.errstate(divide="ignore"):
+                log_vals = np.log(np.abs(fn.value(points) - value_at_star))
+        if fn.log_gradient_norm:
+            log_grads = fn.log_gradient_norm(points)
+        else:
+            log_grads = np.log(np.maximum(_row_norms(fn.gradient(points)), VALUE_DISCARD))
+        keep = np.isfinite(log_vals) & np.isfinite(log_grads) & (log_vals < math.log(VALUE_CEILING))
+        kept_counts.append(int(keep.sum()))
+        if not np.any(keep):
+            per_radius.append(None)
+            envelope.append(None)
+            means.append(math.nan)
+            continue
+        ratios = log_grads[keep] / log_vals[keep]
+        best = int(np.argmax(ratios))
+        per_radius.append(float(ratios[best]))
+        envelope.append([float(log_vals[keep][best]), float(log_grads[keep][best])])
+        means.append(float(log_vals[keep].mean()))
+    with_data = [(float(r), x) for r, x in zip(radius_grid, per_radius) if x is not None]
+    tail = with_data[-max(1, math.ceil(len(with_data) / 4)):]
+    tail_ratios = sorted(x for _, x in tail)
+    theta_hat = float(np.median(tail_ratios))
+    resolution = 1.0 / abs(math.log(tail[-1][0]))
+    finite = [m for m in means if not math.isnan(m)]
+    inversions = sum(1 for m1, m2 in zip(finite, finite[1:]) if m2 > m1)
+    return {
+        "theta_hat": theta_hat,
+        "band": [tail_ratios[0] - resolution, tail_ratios[-1] + resolution],
+        "radii": [float(r) for r in radius_grid],
+        "envelope": envelope,
+        "per_radius_ratio": per_radius,
+        "failure_detected": theta_hat >= 0.98,
+        "kept_counts": kept_counts,
+        "value_monotone_in_radius": inversions <= len(finite) // 10,
+        "input": fn.name,
+    }
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so that ``==``
+    compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+BLOCK_INPUTS = {
+    "d1": (lambda: parse("x^4 - 1/3*x^5"), (0.0,)),
+    "d2": (lambda: parse("(y^2 - 2*x^3)*(y^2 - 2*x^7)"), (0.0, 0.0)),
+    "d3": (lambda: parse("x^2*y^2 + z^4 - x*y*z^2"), (0.0, 0.0, 0.0)),
+    "d4": (lambda: parse("x1*x2^2*x3*x4^3*(1 - 1/4*x1*x3 + 2*x4)"), (0.0,) * 4),
+    "off-origin": (lambda: parse("(x - 1/2)^2*y^2 + 1/3"), (0.5, 0.0)),
+    "no-log-function": (lambda: Function.of(parse("x^2*y^4 - x^5")), (0.0, 0.0)),
+    "one-log-callable": (
+        lambda: dataclasses.replace(builtin_function("haraux"), log_gradient_norm=None),
+        (0.0, 0.0),
+    ),
+    "haraux": (lambda: builtin_function("haraux"), (0.0, 0.0)),
+    "delellis": (lambda: builtin_function("delellis"), (0.0,)),
+}
+
+
+@pytest.mark.parametrize("samples", [400, 3000])
+@pytest.mark.parametrize("count", [1, 5, 6, 26, 27])
+@pytest.mark.parametrize("key", BLOCK_INPUTS)
+def test_blocked_estimate_matches_per_radius_reference_bit_for_bit(key, count, samples):
+    # Blocks hold max(1, 2048 // directions) radii: counts 5, 6, 26 and 27
+    # end on a full or a partial block, and 3000 samples give one radius
+    # per block.
+    make, x_star = BLOCK_INPUTS[key]
+    radii = (1e-6, 1e-1, count)
+    est = estimate_theta(make(), x_star, radii, samples)
+    assert _bits(est.to_json()) == _bits(_per_radius_reference(make(), x_star, radii, samples))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", [
+    "(y^2 - 2*x^3)*(y^2 - 2*x^7)",
+    "x^8 - 3*y^9",
+    "x1*x2^2*x3*x4^3*(1 - 1/4*x1*x3 + 2*x4)",
+])
+def test_default_estimate_peak_memory_stays_under_one_megabyte(text):
+    # Blocks of about 2048 rows keep the transient flat; one batch of the
+    # whole 26-radius grid peaks at 1.0-2.2 MB on these inputs.
+    p = parse(text)
+    peak = _peak_bytes(lambda: estimate_theta(p, (0.0,) * len(p.variables)))
+    assert peak < 1_000_000, peak

@@ -610,6 +610,23 @@ def test_critical_set_that_does_not_fit_the_space_raises(crit):
         verify_distance_inequalities(E, crit, Fraction(1, 2), samples=64)
 
 
+@pytest.mark.parametrize("crit", MISFIT_DESCRIPTORS.values(), ids=MISFIT_DESCRIPTORS.keys())
+def test_misfit_critical_set_raises_before_the_first_rhs_call(crit):
+    # x^2 + y^4 from (0.2, 0.2) takes 3176 RHS calls; none may run before
+    # the descriptor is found not to fit R^2.
+    fn = Function.of(parse("x^2 + y^4"))
+    calls = []
+
+    def gradient(points):
+        calls.append(len(points))
+        return fn.gradient(points)
+
+    counted = Function(dimension=2, value=fn.value, gradient=gradient)
+    with pytest.raises(ValueError):
+        integrate_flow(counted, [0.2, 0.2], tol=1e-5, crit_set=crit)
+    assert calls == []
+
+
 def test_nearest_member_takes_the_first_on_a_tie():
     crit = CriticalSet(
         subspaces=(CoordinateSubspace((0,)), CoordinateSubspace((1,))), points=((0.5, 0.5),)

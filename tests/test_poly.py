@@ -1,5 +1,6 @@
 """Exact polynomial engine: parsing, arithmetic, substitution, content."""
 
+import itertools
 import sys
 import time
 from fractions import Fraction
@@ -349,6 +350,32 @@ def test_one_point_gradient_matches_batch_rows_bit_for_bit():
             assert grads.flags.c_contiguous
             for row, expected in zip(base, grads):
                 assert _same_bits(gradient_at(row.tolist()), expected), (str(p), row)
+
+
+def test_value_gradient_matches_numeric_and_gradient_columns_bit_for_bit():
+    # One kernel for the value and any subset of the partials gives the
+    # bits of numeric() and of the matching gradient_numeric() columns, in
+    # every memory layout.
+    rng = np.random.default_rng(13)
+    for p in _kernel_polynomials(rng):
+        d = len(p.variables)
+        value, gradient = p.numeric(), p.gradient_numeric()
+        base = _kernel_points(rng, 40, d)
+        subsets = [s for k in range(d + 1) for s in itertools.combinations(range(d), k)]
+        for subset in subsets:
+            evaluate = p._value_gradient([p.variables[j] for j in subset])
+            for layout in ("C", "F", "rows"):
+                pts = base if layout == "C" else _in_layout(base, layout)
+                with np.errstate(all="ignore"):
+                    values, partials = evaluate(pts)
+                    expected_values, expected_grads = value(base), gradient(base)
+                assert _same_bits(values, expected_values), (str(p), subset, layout)
+                assert _same_bits(partials, expected_grads[:, list(subset)]), (
+                    str(p), subset, layout,
+                )
+        # The default is every variable, in variable order.
+        with np.errstate(all="ignore"):
+            assert _same_bits(p._value_gradient()(base)[1], gradient(base)), str(p)
 
 
 def _rounding_bound(p, point):
