@@ -24,11 +24,13 @@ lists; anything else is rejected so the distance computation stays exact.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +50,12 @@ _STORED_SAMPLES = 4000
 _GRAD_FLOOR_FACTOR = 1e3
 # Points of the dense resampling that speed_identity_error measures along.
 _SPEED_SAMPLES = 50_000
+# Points of the dense output evaluated at once, in runs of whole steps, and
+# rows of the checks' value-and-gradient evaluation at once: each block's
+# transient stays in the allocator's reused memory instead of faulting in
+# fresh pages.
+_DENSE_BLOCK_POINTS = 8192
+_EVAL_BLOCK_ROWS = 2048
 # Right-hand-side calls one integration may make before it fails.  RK45 makes
 # about seven per step and keeps about 0.8 KB of dense output per step; the
 # stiff x^2 + y^4 flow from (0.2, 0.2) at the default tol 1e-10, which used to
@@ -173,6 +181,11 @@ class DenseSolution:
     steps: int
     rejected_steps: int
     stop_reason: str
+
+    @cached_property
+    def _stacked(self) -> _DenseSteps:
+        """The interpolants' steps, stacked once for block evaluation."""
+        return _DenseSteps(self.sol)
 
 
 # Dormand-Prince 5(4) step control, as scipy's RK45 sets it.
@@ -552,55 +565,108 @@ def energy_monotonicity_violation(traj: Trajectory) -> float:
     return float(diffs.max()) if len(diffs) else 0.0
 
 
-def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
-    """``sol(t)`` for an RK45 dense output and ascending ``t``, bit for bit.
+class _DenseSteps:
+    """An RK45 dense output's steps, gathered once for evaluation in blocks:
+    ``t_old``, ``h`` and ``y_old`` stacked into arrays, and each step's ``Q``
+    as its interpolant holds it.
 
-    Points are assigned to steps as ``OdeSolution`` does (left side, clamped
-    to the first and last step), but step-major: one ``searchsorted`` of the
-    inner step ends in ``t`` gives each step's run of points, and
-    ``np.repeat`` spreads each step's ``t_old``, ``h`` and ``y_old`` over
-    its run.  Each point then gets scipy's arithmetic: powers of
-    ``x = (t - t_old) / h`` by repeated multiplication, then
-    ``h * (Q @ p) + y_old``.  Only the product ``Q @ p`` is per step, as
-    scipy's one ``np.dot`` per step: its bits are the BLAS kernel's, and a
-    single contraction over all steps rounds differently.  The powers, the
-    scaling by ``h`` and the shift by ``y_old`` are elementwise, so doing
-    them for all points at once keeps every bit.  ``h`` comes from each
-    interpolant: a terminal event shortens the last step in ``sol.ts`` but
-    not its interpolant.
+    ``blocks`` evaluates ``sol(t)`` for ascending ``t``, bit for bit.  Points
+    are assigned to steps as ``OdeSolution`` does (left side, clamped to the
+    first and last step), but step-major: one ``searchsorted`` of the inner
+    step ends in ``t`` gives each step's run of points.  A block is a run of
+    whole steps, as many as fit in ``size`` points, or one step when its own
+    run is longer.  ``np.repeat`` spreads each step's ``t_old``, ``h`` and
+    ``y_old`` over the block's points, and each point gets scipy's
+    arithmetic: powers of ``x = (t - t_old) / h`` by repeated
+    multiplication, then ``h * (Q @ p) + y_old``.  Only the product
+    ``Q @ p`` is per step, as scipy's one ``np.dot`` per step: its bits are
+    the BLAS kernel's, and a single contraction over several steps rounds
+    differently.  The powers, the scaling by ``h`` and the shift by
+    ``y_old`` are elementwise, so doing them for a block at once keeps every
+    bit.  ``h`` comes from each interpolant: a terminal event shortens the
+    last step in ``sol.ts`` but not its interpolant.
     """
-    steps = sol.interpolants
-    # Step k takes the points in (ts[k], ts[k + 1]]; the first step also
-    # takes those before it and the last those after it.
-    ends = np.searchsorted(t, sol.ts[1:len(steps)], side="right")
-    bounds = [0, *ends.tolist(), len(t)]
-    counts = np.diff(bounds)
-    h = np.repeat([step.h for step in steps], counts)
-    x = (t - np.repeat([step.t_old for step in steps], counts)) / h
-    powers = np.empty((steps[0].order + 1, len(t)))
-    powers[0] = x
-    for k in range(1, len(powers)):
-        np.multiply(powers[k - 1], x, out=powers[k])
-    # One row per point, so each step's run is one contiguous block; the
-    # transpose is point-major, as scipy's result is.  The evaluators and the
-    # row norms give the same bits in either layout.
-    states = np.empty((len(t), len(steps[0].y_old)))
-    for k in np.flatnonzero(counts).tolist():
-        lo, hi = bounds[k], bounds[k + 1]
-        states[lo:hi] = np.dot(steps[k].Q, powers[:, lo:hi]).T
-    states *= h[:, None]
-    states += np.repeat([step.y_old for step in steps], counts, axis=0)
+
+    def __init__(self, sol: OdeSolution) -> None:
+        steps = sol.interpolants
+        self.ends = sol.ts[1:len(steps)]
+        self.t_old = np.array([step.t_old for step in steps])
+        self.h = np.array([step.h for step in steps])
+        self.Q = [step.Q for step in steps]
+        self.y_old = np.array([step.y_old for step in steps])
+        self.order = steps[0].order
+
+    def blocks(self, t: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, states)`` per block: row i of ``states`` is ``sol(t[lo + i])``."""
+        # Step k takes the points in (ts[k], ts[k + 1]]; the first step also
+        # takes those before it and the last those after it.
+        edges = [0, *np.searchsorted(t, self.ends, side="right").tolist(), len(t)]
+        first = 0
+        while first < len(self.Q):
+            last = max(first + 1, bisect.bisect_right(edges, edges[first] + size) - 1)
+            yield edges[first], self._run(t, edges, first, last)
+            first = last
+
+    def _run(self, t: np.ndarray, edges: list[int], first: int, last: int) -> np.ndarray:
+        """The states at the points of steps ``first`` to ``last - 1``, one row each."""
+        lo, hi = edges[first], edges[last]
+        counts = np.diff(edges[first:last + 1])
+        h = np.repeat(self.h[first:last], counts)
+        powers = np.empty((self.order + 1, hi - lo))
+        x = powers[0]
+        np.subtract(t[lo:hi], np.repeat(self.t_old[first:last], counts), out=x)
+        x /= h
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        # Each step's run of points is a contiguous run of rows.
+        states = np.empty((hi - lo, self.y_old.shape[1]))
+        for k in range(first, last):
+            a, b = edges[k] - lo, edges[k + 1] - lo
+            if a < b:
+                states[a:b] = self.Q[k].dot(powers[:, a:b]).T
+        states *= h[:, None]
+        states += np.repeat(self.y_old[first:last], counts, axis=0)
+        return states
+
+
+def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
+    """``sol(t)`` for an RK45 dense output and ascending ``t``, bit for bit
+    and in scipy's layout: the evaluator's one-block case."""
+    [(_, states)] = _DenseSteps(sol).blocks(t, len(t))
     return states.T
 
 
-def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if traj.dense is None:
-        raise FlowError("trajectory lacks dense output")
+def _resample_grid(traj: Trajectory, count: int) -> np.ndarray:
+    """``count`` geometrically spaced times over the trajectory, from a
+    thousandth of its first kept step (at least ``1e-12`` of its end)."""
     t_end = float(traj.times[-1])
     t_start = max(t_end * 1e-12, float(traj.times[1]) * 1e-3 if len(traj.times) > 1 else 1e-12)
-    grid = np.geomspace(t_start, t_end, count)
-    states = _dense_states(traj.dense.sol, grid)
-    return grid, states[:-1, :].T, states[-1, :]
+    return np.geomspace(t_start, t_end, count)
+
+
+def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resampling grid, the points and the arc lengths there, in one block."""
+    grid = _resample_grid(traj, count)
+    [(_, states)] = traj.dense._stacked.blocks(grid, count)
+    return grid, states[:, :-1], states[:, -1]
+
+
+def _evaluate_rows(
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    points: np.ndarray,
+    values: np.ndarray,
+    norms: np.ndarray,
+) -> None:
+    """Write each point's value and gradient norm into ``values`` and ``norms``.
+
+    ``evaluate`` maps rows to their values and gradients and runs on at most
+    ``_EVAL_BLOCK_ROWS`` rows at a time.  The evaluators are row by row, so
+    every row has the bits of one whole-batch call.
+    """
+    for lo in range(0, len(points), _EVAL_BLOCK_ROWS):
+        hi = lo + _EVAL_BLOCK_ROWS
+        values[lo:hi], gradients = evaluate(points[lo:hi])
+        norms[lo:hi] = _row_norms(gradients)
 
 
 def dqds_identity_error(
@@ -615,15 +681,27 @@ def dqds_identity_error(
     Non-uniform three-point differences on a geometric resampling keep the
     truncation error well under the 1e-6 target.  ``count`` resampled points
     give ``count - 2`` differences, so it must lie in ``[3, _MAX_POINTS]``.
-    Returns ``None`` when no difference is measured: no interior point
-    clears the gradient floor, or no pair of steps has positive length.
+    The dense output is read in blocks of whole steps, and a polynomial's
+    value and gradient come from one kernel, in row blocks.
+    Returns ``None`` when no difference is measured: the trajectory is at
+    rest (it has no dense output), no interior point clears the gradient
+    floor, or no pair of steps has positive length.
     """
     if not 3 <= count <= _MAX_POINTS:
         raise FlowError(f"identity resample count must lie in [3, {_MAX_POINTS}], got {count}")
-    fn = Function.of(E)
-    _, pts, s = _dense_resample(traj, count)
-    q = fn.value(pts)
-    g = _row_norms(fn.gradient(pts))
+    if traj.dense is None:
+        return None
+    if isinstance(E, Polynomial):
+        evaluate = E._value_gradient()
+    else:
+        def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return E.value(points), E.gradient(points)
+    grid = _resample_grid(traj, count)
+    q, g, s = np.empty(count), np.empty(count), np.empty(count)
+    for lo, states in traj.dense._stacked.blocks(grid, _DENSE_BLOCK_POINTS):
+        hi = lo + len(states)
+        s[lo:hi] = states[:, -1]
+        _evaluate_rows(evaluate, states[:, :-1], q[lo:hi], g[lo:hi])
     h0 = s[1:-1] - s[:-2]
     h1 = s[2:] - s[1:-1]
     ok = (h0 > 0) & (h1 > 0)
@@ -649,15 +727,28 @@ def speed_identity_error(traj: Trajectory) -> float | None:
     length carried by the integrator over the same range; agreement means
     the reparameterized path has speed one.  (Pointwise difference quotients
     at sub-step resolution would measure interpolant-derivative noise, so
-    the check is a global one.)  Returns ``None`` when the resampled range
-    carries no arc length, so there is no speed to measure.
+    the check is a global one.)  The resampling is read in blocks of whole
+    steps into one array of segment lengths, summed once.  Returns ``None``
+    when the trajectory is at rest (it has no dense output) or the resampled
+    range carries no arc length, so there is no speed to measure.
     """
-    _, pts, s = _dense_resample(traj, _SPEED_SAMPLES)
-    ds_total = float(s[-1] - s[0])
+    if traj.dense is None:
+        return None
+    grid = _resample_grid(traj, _SPEED_SAMPLES)
+    lengths = np.empty(len(grid) - 1)
+    for lo, states in traj.dense._stacked.blocks(grid, _DENSE_BLOCK_POINTS):
+        points = states[:, :-1]
+        if lo:
+            # The segment from the previous block's last point.
+            lengths[lo - 1] = _norm((points[0] - previous).tolist())
+        else:
+            s_start = float(states[0, -1])
+        lengths[lo:lo + len(points) - 1] = _segment_lengths(points)
+        previous, s_end = points[-1], float(states[-1, -1])
+    ds_total = s_end - s_start
     if ds_total <= 0:
         return None
-    polyline = float(_segment_lengths(pts).sum())
-    return abs(polyline / ds_total - 1.0)
+    return abs(float(lengths.sum()) / ds_total - 1.0)
 
 
 def _segment_lengths(points: np.ndarray) -> np.ndarray:

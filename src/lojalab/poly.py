@@ -438,10 +438,10 @@ class _MonomialKernel:
     in any batch, in any memory layout and on any host: one pass over the
     sphere points of a block of radii gives the bits of one pass per radius.
     A group's bits do not depend on the other groups compiled with it, since
-    a longer power chain only adds rows.  :meth:`at_point`, which runs the
-    same operations on Python floats, gives the bits of a one-row batch.  A
-    chain of ``e - 1`` multiplications has a relative error of at most about
-    ``(e - 1) * 2^-53``.
+    a longer power chain only adds rows.  :meth:`at_point` compiles the
+    same operations on Python floats into straight-line code, which gives
+    the bits of a one-row batch.  A chain of ``e - 1`` multiplications has a
+    relative error of at most about ``(e - 1) * 2^-53``.
     """
 
     __slots__ = ("tops", "first", "rows", "coeffs", "bounds")
@@ -488,36 +488,37 @@ class _MonomialKernel:
         return self(points).T.copy()
 
     def at_point(self) -> Callable[[Sequence[float]], list[float]]:
-        """A closure mapping d Python floats to the group sums at that point.
+        """A function mapping d Python floats to the group sums at that point.
 
-        It skips the products by an exact 1, which change no bit.
+        The sums are compiled once into straight-line code: one statement per
+        power, ``p = p_prev * x``, then one per term, ``s = s + m * c`` in term
+        order from ``0.0``, where ``m`` is the left-to-right product of the
+        term's powers.  It skips the products by an exact 1, which change no
+        bit.  No statement nests another term, so a kernel of any size
+        compiles.
         """
-        tops = self.tops
-        terms = [
-            (tuple(int(rows[k]) for rows in self.rows if rows[k]), float(c))
-            for k, c in enumerate(self.coeffs)
-        ]
-        groups = [terms[start:stop] for start, stop in zip(self.bounds, self.bounds[1:])]
-
-        def sums(point: Sequence[float]) -> list[float]:
-            powers = [1.0]
-            for x, top in zip(point, tops):
-                power = 1.0
-                for _ in range(top):
-                    power = power * x
-                    powers.append(power)
-            out = []
-            for group in groups:
-                acc = 0.0
-                for factors, c in group:
-                    monomial = 1.0
-                    for row in factors:
-                        monomial = monomial * powers[row]
-                    acc = acc + monomial * c
-                out.append(acc)
-            return out
-
-        return sums
+        # Row 0 of the power table is the 1 that the terms skip.
+        names = [""] + [f"p{j}_{k}" for j, top in enumerate(self.tops) for k in range(1, top + 1)]
+        lines = ["def sums(point):"]
+        if self.tops:
+            targets = [f"p{j}_1" if top else "_" for j, top in enumerate(self.tops)]
+            lines.append(f"    {', '.join(targets)}, = point")
+        for j, top in enumerate(self.tops):
+            lines += [f"    p{j}_{k} = p{j}_{k - 1} * p{j}_1" for k in range(2, top + 1)]
+        rows = [r.tolist() for r in self.rows]
+        coeffs = self.coeffs.tolist()
+        for g, (start, stop) in enumerate(zip(self.bounds, self.bounds[1:])):
+            if start == stop:
+                lines.append(f"    s{g} = 0.0")
+            for k in range(start, stop):
+                factors = [names[r[k]] for r in rows if r[k]]
+                term = " * ".join([*factors, repr(coeffs[k])])
+                lines.append(f"    s{g} = {'0.0' if k == start else f's{g}'} + {term}")
+        groups = ", ".join(f"s{g}" for g in range(len(self.bounds) - 1))
+        lines.append(f"    return [{groups}]")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<monomial kernel>", "exec"), namespace)
+        return namespace["sums"]
 
 
 @dataclass(frozen=True)
@@ -533,9 +534,9 @@ class Function:
 
     ``gradient_at`` maps one point, d Python floats, to the d entries of the
     gradient there.  Left out, it is ``gradient`` on a one-row batch; for a
-    polynomial, ``of`` takes it and ``gradient`` from one compiled kernel, so
-    it runs plain-float arithmetic that gives the bits of that row without a
-    numpy call.
+    polynomial, ``of`` takes it and ``gradient`` from one kernel and compiles
+    ``gradient_at`` once, into straight-line plain-float code that gives the
+    bits of that row without a numpy call or a loop over the terms.
     """
 
     dimension: int

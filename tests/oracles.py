@@ -7,13 +7,14 @@ rational arithmetic or by a classical fixed-step method.
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from lojalab.blowup import exponent_upper_bound
 from lojalab.estimate import VALUE_DISCARD
-from lojalab.poly import Function, Polynomial, Substitution
+from lojalab.flow import Trajectory, _resample_grid
+from lojalab.poly import Function, Polynomial, Substitution, _MonomialKernel
 from lojalab.sampling import sphere_directions
 
 
@@ -30,6 +31,41 @@ def evaluate_exact(p: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
                 acc *= x**k
         total += acc
     return total
+
+
+def kernel_sums_at_point(kernel: _MonomialKernel) -> Callable[[Sequence[float]], list[float]]:
+    """A monomial kernel's group sums at one point, by a loop over its terms.
+
+    Each variable's powers are ``x^k = x^(k-1) * x`` from 1, each term is
+    ``acc = acc + m * c`` from ``acc = 0.0`` with ``m`` the left-to-right
+    product of its powers from 1.0, skipping the power-table row 0 (the 1).
+    """
+    tops = kernel.tops
+    terms = [
+        (tuple(int(rows[k]) for rows in kernel.rows if rows[k]), float(c))
+        for k, c in enumerate(kernel.coeffs)
+    ]
+    groups = [terms[start:stop] for start, stop in zip(kernel.bounds, kernel.bounds[1:])]
+
+    def sums(point: Sequence[float]) -> list[float]:
+        powers = [1.0]
+        for x, top in zip(point, tops):
+            power = 1.0
+            for _ in range(top):
+                power = power * x
+                powers.append(power)
+        out = []
+        for group in groups:
+            acc = 0.0
+            for factors, c in group:
+                monomial = 1.0
+                for row in factors:
+                    monomial = monomial * powers[row]
+                acc = acc + monomial * c
+            out.append(acc)
+        return out
+
+    return sums
 
 
 def shift(p: Polynomial, assignments: Mapping[str, Fraction | int]) -> Polynomial:
@@ -203,3 +239,43 @@ def subspace_embedding(row: Sequence[float], free: Sequence[int], dim: int) -> l
     for j, i in enumerate(free):
         out[i] = float(row[j])
     return out
+
+
+def dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The identity checks' resampling of a trajectory in one piece: their
+    grid of ``count`` times and scipy's ``sol(grid)`` there."""
+    grid = _resample_grid(traj, count)
+    states = traj.dense.sol(grid)
+    return grid, states[:-1].T, states[-1]
+
+
+def dqds_identity_reference(traj: Trajectory, E: Polynomial, count: int) -> float | None:
+    """``dqds_identity_error`` on the whole grid at once: separate value and
+    gradient evaluators, ``np.linalg.norm`` row norms (d < 8), the same
+    three-point difference and gradient floor."""
+    fn = Function.of(E)
+    _, points, s = dense_resample(traj, count)
+    q = fn.value(points)
+    g = np.linalg.norm(fn.gradient(points), axis=1)
+    h0, h1 = s[1:-1] - s[:-2], s[2:] - s[1:-1]
+    ok = (h0 > 0) & (h1 > 0)
+    h0, h1 = h0[ok], h1[ok]
+    deriv = (
+        h0**2 * q[2:][ok] + (h1**2 - h0**2) * q[1:-1][ok] - h1**2 * q[:-2][ok]
+    ) / (h0 * h1 * (h0 + h1))
+    target = -g[1:-1][ok]
+    mask = g[1:-1][ok] > 1e3 * max(1e-300, float(g.min()))
+    if not np.any(mask):
+        return None
+    return float((np.abs(deriv[mask] - target[mask]) / np.abs(target[mask])).max())
+
+
+def speed_identity_reference(traj: Trajectory, count: int) -> float | None:
+    """``speed_identity_error`` on the whole grid at once: the polyline of
+    ``np.linalg.norm`` step lengths (d < 8) against the carried arc length."""
+    _, points, s = dense_resample(traj, count)
+    ds_total = float(s[-1] - s[0])
+    if ds_total <= 0:
+        return None
+    lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return abs(float(lengths.sum()) / ds_total - 1.0)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,12 @@ from lojalab.flow import (
 from lojalab.blowup import exponent_upper_bound
 from lojalab.poly import Function, PolynomialLimitError, parse
 
-from oracles import rk4_fixed_step, squared_gradient_gamma
+from oracles import (
+    dqds_identity_reference,
+    rk4_fixed_step,
+    speed_identity_reference,
+    squared_gradient_gamma,
+)
 from test_blowup import BRIESKORN_PHAM, CUSP_TEMPLATES
 
 TIGHT = dict(rtol=1e-12, atol=1e-12)
@@ -479,7 +485,8 @@ def test_dqds_identity_rejects_counts_outside_the_range(monkeypatch, count):
     def no_resample(*args):
         raise AssertionError("resampled")
 
-    monkeypatch.setattr(flow, "_dense_resample", no_resample)
+    monkeypatch.setattr(flow, "_resample_grid", no_resample)
+    monkeypatch.setattr(flow._DenseSteps, "blocks", no_resample)
     with pytest.raises(FlowError, match=rf"must lie in \[3, 1000000\], got {count}$"):
         dqds_identity_error(traj, p, count=count)
 
@@ -499,11 +506,105 @@ def test_identity_errors_are_none_when_nothing_is_measured(monkeypatch):
     assert speed_identity_error(traj) < 1e-6
     # A resampled range that carries no arc length has no speed to compare.
     monkeypatch.setattr(
-        flow,
-        "_dense_resample",
-        lambda traj, count: (np.zeros(count), np.zeros((count, 1)), np.full(count, 0.25)),
+        flow._DenseSteps,
+        "blocks",
+        lambda self, t, size: iter([(0, np.tile([0.0, 0.25], (len(t), 1)))]),
     )
     assert speed_identity_error(traj) is None
+
+
+def test_identity_errors_are_none_on_an_at_rest_trajectory():
+    # A start below the gradient tolerance is a one-sample trajectory with
+    # no dense output: nothing is measured, and that is not an error.
+    p = parse("x^2 + y^2")
+    traj = integrate_flow(p, [1e-9, 0.0], tol=1e-6)
+    assert traj.dense is None
+    assert dqds_identity_error(traj, p) is None
+    assert speed_identity_error(traj) is None
+    with pytest.raises(FlowError, match="must lie in"):
+        dqds_identity_error(traj, p, count=2)
+
+
+def _assert_identity_errors_match_the_whole_grid(traj, p):
+    # The blocked checks against scipy's sol(grid) on the whole grid at once.
+    assert dqds_identity_error(traj, p, count=4000) == dqds_identity_reference(traj, p, 4000)
+    assert dqds_identity_error(traj, p) == dqds_identity_reference(traj, p, 20_000)
+    assert speed_identity_error(traj) == speed_identity_reference(traj, flow._SPEED_SAMPLES)
+
+
+def _step_edges(traj, count):
+    # Where each inner step end falls in the resampling grid of ``count``.
+    grid = flow._resample_grid(traj, count)
+    sol = traj.dense.sol
+    return grid, np.searchsorted(grid, sol.ts[1:len(sol.interpolants)], side="right")
+
+
+def _check_blocks(traj, grid, edges, size):
+    # The blocks tile the grid in runs of whole steps, at most ``size``
+    # points unless one step's run is longer, and hold sol(grid).
+    starts = {0, *edges.tolist(), len(grid)}
+    blocks = list(traj.dense._stacked.blocks(grid, size))
+    assert [lo for lo, _ in blocks] == sorted({lo for lo, _ in blocks})
+    for (lo, states), (hi, _) in zip(blocks, blocks[1:] + [(len(grid), None)]):
+        assert lo in starts and hi in starts and len(states) == hi - lo
+        assert len(states) <= size or np.count_nonzero((edges > lo) & (edges < hi)) == 0
+    stacked = np.concatenate([states for _, states in blocks])
+    assert np.array_equal(stacked, traj.dense.sol(grid).T)
+    return blocks
+
+
+def test_identity_blocks_that_end_on_a_step_end(monkeypatch):
+    # A block size equal to the points up to some step end: the first block
+    # is full and ends exactly there, and the next starts on the next step.
+    p = parse("x^2 + y^4")
+    traj = integrate_flow(p, [0.2, 0.2], tol=1e-5)
+    for count in (4000, 20_000, flow._SPEED_SAMPLES):
+        grid, edges = _step_edges(traj, count)
+        size = int(edges[len(edges) // 2])
+        blocks = _check_blocks(traj, grid, edges, size)
+        assert len(blocks[0][1]) == size and blocks[1][0] == size
+        monkeypatch.setattr(flow, "_DENSE_BLOCK_POINTS", size)
+        _assert_identity_errors_match_the_whole_grid(traj, p)
+
+
+def test_identity_blocks_keep_a_step_longer_than_a_block_whole(monkeypatch):
+    # The first step takes every grid point before its end, thousands of
+    # them; with 100-point blocks it is a block of its own, and every other
+    # block stays within 100 points.
+    p = parse("x^2*y^2")
+    traj = integrate_flow(p, [0.3, 0.2], tol=1e-5)
+    grid, edges = _step_edges(traj, flow._SPEED_SAMPLES)
+    assert edges[0] > 100
+    blocks = _check_blocks(traj, grid, edges, 100)
+    assert blocks[1][0] == edges[0]
+    monkeypatch.setattr(flow, "_DENSE_BLOCK_POINTS", 100)
+    _assert_identity_errors_match_the_whole_grid(traj, p)
+
+
+def test_identity_errors_match_the_whole_grid_on_one_step_and_on_a_thinned_record():
+    # One step, where every grid point is on it; and a trajectory of more
+    # steps than the record keeps, whose grid starts from the kept samples.
+    short = integrate_flow(parse("x^2"), [0.5], tol=1e-10, t_max=1e-7)
+    assert len(short.dense.sol.interpolants) == 1
+    _assert_identity_errors_match_the_whole_grid(short, parse("x^2"))
+    p = parse("x^2 + y^4")
+    thinned = integrate_flow(p, [0.2, 0.2], tol=3e-7)
+    assert len(thinned.times) < len(thinned.dense.t)
+    _assert_identity_errors_match_the_whole_grid(thinned, p)
+
+
+@pytest.mark.parametrize("text, x0", [(text, x0) for text, x0, _, _ in TRAJECTORY_PINS])
+def test_speed_identity_memory_stays_within_blocks(text, x0):
+    # Whole-grid temporaries of the 50,000-point resampling peaked at 5.2 to
+    # 6.0 MB; blocks of whole steps keep the peak well under that.
+    traj = integrate_flow(parse(text), x0, tol=1e-5)
+    tracemalloc.start()
+    try:
+        speed_identity_error(traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_stopping_event_reuses_rhs_gradient():

@@ -16,10 +16,11 @@ from lojalab.poly import (
     Polynomial,
     PolynomialLimitError,
     Substitution,
+    _MonomialKernel,
     parse,
 )
 
-from oracles import evaluate_exact
+from oracles import evaluate_exact, kernel_sums_at_point
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +351,68 @@ def test_one_point_gradient_matches_batch_rows_bit_for_bit():
             assert grads.flags.c_contiguous
             for row, expected in zip(base, grads):
                 assert _same_bits(gradient_at(row.tolist()), expected), (str(p), row)
+
+
+def _hex(values):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [float(v).hex() for v in values]
+
+
+def _at_point_points(rng, d, count):
+    # Signed zeros, and magnitudes around 1e+-150 whose products overflow to
+    # inf or underflow to subnormals and zeros, among plain coordinates.
+    pts = rng.uniform(-1.5, 1.5, size=(count, d))
+    special = rng.random(pts.shape) < 0.3
+    magnitudes = [0.0, -0.0, 1e150, -3e149, 2e-150, -1e-151, 1e300, 5e-324]
+    pts[special] = rng.choice(magnitudes, size=int(special.sum()))
+    return [row.tolist() for row in pts]
+
+
+def test_at_point_matches_the_term_loop_bit_for_bit():
+    # The straight-line sums against the loop over the terms, in d = 1..10,
+    # on a constant (whose partials are empty groups) and with a variable in
+    # no term; value and partials compiled together, as _value_gradient does.
+    rng = np.random.default_rng(17)
+    cases = [parse("5", variables=["x", "y"]), parse("-x^2", variables=["x", "y", "z"])]
+    for d in range(1, 11):
+        for _ in range(4):
+            terms = {}
+            for _ in range(int(rng.integers(1, 13))):
+                exponent = tuple(int(e) for e in rng.integers(0, 7, size=d))
+                terms[exponent] = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5)))
+            cases.append(Polynomial([f"x{i}" for i in range(d)], terms))
+    for p in cases:
+        d = len(p.variables)
+        kernel = _MonomialKernel([p.terms, *(g.terms for g in p.gradient())], d)
+        compiled, reference = kernel.at_point(), kernel_sums_at_point(kernel)
+        for point in _at_point_points(rng, d, 25):
+            assert _hex(compiled(point)) == _hex(reference(point)), (str(p), point)
+
+
+def test_at_point_of_a_constant_and_of_signed_zeros():
+    constant = parse("5", variables=["x", "y"])._gradient_kernel().at_point()
+    assert _hex(constant([1.0, 2.0])) == _hex([0.0, 0.0])
+    # -x^3 at -0.0: (-0.0)^3 * -1.0 = 0.0, and 0.0 + 0.0 stays 0.0; the sum
+    # from 0.0 turns a lone -0.0 term into 0.0.
+    cube = _MonomialKernel([parse("-x^3").terms], 1).at_point()
+    assert _hex(cube([-0.0])) == _hex([0.0])
+    assert _hex(cube([0.0])) == _hex([0.0])
+
+
+def test_at_point_compiles_a_kernel_of_thousands_of_terms():
+    # One statement per term: a single nested sum of this many terms is
+    # deeper than the compiler takes.
+    rng = np.random.default_rng(19)
+    exponents = set()
+    while len(exponents) < 4500:
+        exponents.add(tuple(int(e) for e in rng.integers(0, 9, size=4)))
+    p = Polynomial(["w", "x", "y", "z"], {
+        e: Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 9))) for e in exponents
+    })
+    kernel = _MonomialKernel([p.terms], 4)
+    compiled, reference = kernel.at_point(), kernel_sums_at_point(kernel)
+    for point in _at_point_points(rng, 4, 20):
+        assert _hex(compiled(point)) == _hex(reference(point)), point
 
 
 def test_value_gradient_matches_numeric_and_gradient_columns_bit_for_bit():
