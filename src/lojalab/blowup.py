@@ -452,7 +452,6 @@ class LeafBound:
 class PullbackBound:
     per_leaf: list[LeafBound]
     interval: tuple[Fraction, Fraction] | None
-    origin_local: bool = True
 
     def to_json(self) -> dict:
         return {

@@ -4,10 +4,11 @@ The flow ``dx/dt = -grad E`` is integrated with an adaptive embedded
 Runge-Kutta 4(5) pair with arc length carried as an extra state variable, so
 the trajectory record has exact (to integrator tolerance) cumulative length.
 The step loop is loja-lab's own Dormand-Prince driver on scipy's RK45
-coefficients and interpolants; given the same right-hand side, its
-trajectories are bit for bit those of ``scipy.integrate.solve_ivp(method="RK45")``
-with the same events.  The right-hand side is the one-point gradient
-``Function.gradient_at`` and its norm summed left to right.
+coefficients, and it records each step's interpolant itself; given the same
+right-hand side, its trajectories and dense output are bit for bit those of
+``scipy.integrate.solve_ivp(method="RK45")`` with the same events.  The
+right-hand side is the one-point gradient ``Function.gradient_at`` and its
+norm summed left to right.
 Under a verified gradient inequality with exponent ``theta`` and constant
 ``C``, the whole trajectory length is bounded by ``E(x0)^(1-theta) /
 ((1-theta) * C)``; that bound and the induced distance inequalities
@@ -29,8 +30,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .blowup import exponent_upper_bound
 from .poly import Function, Polynomial, PolynomialLimitError
 from .reports import PREDICTED_SLACK, InequalityCheckReport, sampled_check
 from .sampling import _MAX_POINTS, CoordinateSubspace, _row_norms, ball_points
-
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
 
 DEFAULT_GRAD_TOL = 1e-10
 DEFAULT_STEP_CONTROL = 1e-9
@@ -168,7 +165,9 @@ class DenseSolution:
 
     ``t`` holds the step times and ``y`` the states there, one column per
     time; a terminal event replaces the last step's end by the event time.
-    ``sol`` evaluates the trajectory anywhere in between.  ``nfev`` counts
+    Step ``k`` starts at ``t[k]`` from ``y[:, k]``, is ``h[k]`` long and has
+    the interpolant coefficients ``Q[k]`` (``len(Q) == len(t) - 1``).  ``h``
+    is the whole step, so an event does not shorten it.  ``nfev`` counts
     right-hand-side calls, ``steps`` accepted steps (a step whose event
     falls on its start still counts) and ``rejected_steps`` step attempts
     whose error estimate failed, so ``nfev == 2 + 6 * (steps + rejected_steps)``.
@@ -176,16 +175,70 @@ class DenseSolution:
 
     t: np.ndarray
     y: np.ndarray
-    sol: OdeSolution
+    h: np.ndarray
+    Q: list[np.ndarray]
     nfev: int
     steps: int
     rejected_steps: int
     stop_reason: str
 
-    @cached_property
-    def _stacked(self) -> _DenseSteps:
-        """The interpolants' steps, stacked once for block evaluation."""
-        return _DenseSteps(self.sol)
+    def blocks(self, t: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, states)`` per block for ascending ``t``: row i of ``states``
+        is the trajectory at ``t[lo + i]``, with the bits of ``solve_ivp``'s
+        dense output over the same steps.
+
+        Points go to steps as scipy assigns them (left side, clamped to the
+        first and last step), but step-major: one ``searchsorted`` of the
+        inner step ends in ``t`` gives each step's run of points.  A block is
+        a run of whole steps, as many as fit in ``size`` points, or one step
+        when its own run is longer.
+        """
+        # Step k takes the points in (t[k], t[k + 1]]; the first step also
+        # takes those before it and the last those after it.
+        edges = [0, *np.searchsorted(t, self.t[1:len(self.Q)], side="right").tolist(), len(t)]
+        first = 0
+        while first < len(self.Q):
+            last = max(first + 1, bisect.bisect_right(edges, edges[first] + size) - 1)
+            yield edges[first], self._run(t, edges, first, last)
+            first = last
+
+    def _run(self, t: np.ndarray, edges: list[int], first: int, last: int) -> np.ndarray:
+        """The states at the points of steps ``first`` to ``last - 1``, one row each.
+
+        ``np.repeat`` spreads each step's start, length and state over the
+        block's points, and each point gets scipy's arithmetic: powers of
+        ``x = (t - t_old) / h`` by repeated multiplication, then
+        ``h * (Q @ p) + y_old``.  Only the product ``Q @ p`` is per step, as
+        scipy's one ``np.dot`` per step: its bits are the BLAS kernel's, and
+        a single contraction over several steps rounds differently.  The
+        powers, the scaling by ``h`` and the shift by ``y_old`` are
+        elementwise, so doing them for a block at once keeps every bit.
+        """
+        lo, hi = edges[first], edges[last]
+        counts = np.diff(edges[first:last + 1])
+        h = np.repeat(self.h[first:last], counts)
+        powers = np.empty((self.Q[0].shape[1], hi - lo))
+        x = powers[0]
+        np.subtract(t[lo:hi], np.repeat(self.t[first:last], counts), out=x)
+        x /= h
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        # Each step's run of points is a contiguous run of rows.
+        states = np.empty((hi - lo, len(self.y)))
+        for k in range(first, last):
+            a, b = edges[k] - lo, edges[k + 1] - lo
+            if a < b:
+                states[a:b] = self.Q[k].dot(powers[:, a:b]).T
+        states *= h[:, None]
+        states += np.repeat(self.y[:, first:last].T, counts, axis=0)
+        return states
+
+
+def _interpolate(s: float, t_old: float, h: float, y_old: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The state at ``s`` on one step, in the arithmetic of scipy's RK
+    interpolant at a scalar time."""
+    p = np.cumprod(np.full(Q.shape[1], (s - t_old) / h))
+    return h * Q.dot(p) + y_old
 
 
 # Dormand-Prince 5(4) step control, as scipy's RK45 sets it.
@@ -358,10 +411,10 @@ def _dormand_prince(
     dense_output=True, events=...)`` operation for operation, on the
     tableau ``scipy.integrate.RK45`` holds: the initial step of Hairer,
     Norsett and Wanner II.4; the stages, the step, the error estimate and
-    each step's ``RkDenseOutput``; the step-size rule; and event roots from
-    ``brentq`` on the step's interpolant.  Trajectories and right-hand-side
-    counts are therefore bit for bit those of ``solve_ivp`` on the same
-    right-hand side.
+    each step's interpolant coefficients ``Q``; the step-size rule; and
+    event roots from ``brentq`` on the step's interpolant.  Trajectories,
+    interpolants and right-hand-side counts are therefore bit for bit those
+    of ``solve_ivp`` on the same right-hand side.
 
     Every contraction is the ``np.dot`` scipy makes, on the same operands
     (called as ``ndarray.dot``, the same C routine without ``np.dot``'s
@@ -373,8 +426,8 @@ def _dormand_prince(
     scipy's operation order: IEEE ``+ - * /``, ``abs`` and ``max`` are
     correctly rounded, so each entry has numpy's bits on any host, without
     numpy's per-call cost on rows of two to four entries.  The accepted
-    state becomes an array once per step, for the recorded states, the
-    interpolant and the ball event.
+    state becomes an array once per step, for the recorded states and the
+    ball event.
 
     ``rhs(t, y, out)`` takes the state as a list of floats, writes the
     derivative there into ``out`` and returns the gradient norm, so the
@@ -387,8 +440,7 @@ def _dormand_prince(
     """
     # Imported on first use: scipy.integrate adds about 50 MB of resident
     # memory and 0.3 s to start-up, and only the flow needs it.
-    from scipy.integrate import RK45, OdeSolution
-    from scipy.integrate._ivp.rk import RkDenseOutput
+    from scipy.integrate import RK45
     from scipy.optimize import brentq
 
     A, B, C, E, P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
@@ -421,7 +473,7 @@ def _dormand_prince(
 
     # The accepted state, as floats and as the array scipy keeps.
     t, y, y_array = 0.0, y0.tolist(), y0
-    ts, ys, interpolants = [t], [y_array], []
+    ts, ys, hs, Qs = [t], [y_array], [], []
     gap = f0[-1] - tol
     ball = ball_gap(y_array) if ball_gap is not None else 0.0
     steps = rejected = 0
@@ -466,9 +518,11 @@ def _dormand_prince(
             step_rejected = True
             rejected += 1
         steps += 1
-        interpolant = RkDenseOutput(t, t_new, y_array, KT.dot(P))
-        interpolants.append(interpolant)
-        t_old, t, y, y_array = t, t_new, y_new, np.array(y_new)
+        Q = KT.dot(P)
+        hs.append(h)
+        Qs.append(Q)
+        t_old, y_old = t, y_array
+        t, y, y_array = t_new, y_new, np.array(y_new)
         K[0] = f_new
 
         gap_new = norm_new - tol
@@ -482,17 +536,18 @@ def _dormand_prince(
             t_event = math.inf
             for reason, event_gap in hits:
                 root = brentq(
-                    lambda s: event_gap(interpolant(s)),
+                    lambda s: event_gap(_interpolate(s, t_old, h, y_old, Q)),
                     t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
                 )
                 if root < t_event:
                     t_event, stop_reason = root, reason
             if len(ts) > 1 and ts[-1] == t_event:
                 # The event sits on the previous step's end, which is kept.
-                interpolants.pop()
+                hs.pop()
+                Qs.pop()
             else:
                 ts.append(t_event)
-                ys.append(interpolant(t_event))
+                ys.append(_interpolate(t_event, t_old, h, y_old, Q))
             break
         ts.append(t)
         ys.append(y_array)
@@ -500,11 +555,11 @@ def _dormand_prince(
             break
         gap, ball = gap_new, ball_new
 
-    times = np.array(ts)
     return DenseSolution(
-        t=times,
+        t=np.array(ts),
         y=np.vstack(ys).T,
-        sol=OdeSolution(times, interpolants),
+        h=np.array(hs),
+        Q=Qs,
         nfev=2 + 6 * (steps + rejected),
         steps=steps,
         rejected_steps=rejected,
@@ -565,90 +620,12 @@ def energy_monotonicity_violation(traj: Trajectory) -> float:
     return float(diffs.max()) if len(diffs) else 0.0
 
 
-class _DenseSteps:
-    """An RK45 dense output's steps, gathered once for evaluation in blocks:
-    ``t_old``, ``h`` and ``y_old`` stacked into arrays, and each step's ``Q``
-    as its interpolant holds it.
-
-    ``blocks`` evaluates ``sol(t)`` for ascending ``t``, bit for bit.  Points
-    are assigned to steps as ``OdeSolution`` does (left side, clamped to the
-    first and last step), but step-major: one ``searchsorted`` of the inner
-    step ends in ``t`` gives each step's run of points.  A block is a run of
-    whole steps, as many as fit in ``size`` points, or one step when its own
-    run is longer.  ``np.repeat`` spreads each step's ``t_old``, ``h`` and
-    ``y_old`` over the block's points, and each point gets scipy's
-    arithmetic: powers of ``x = (t - t_old) / h`` by repeated
-    multiplication, then ``h * (Q @ p) + y_old``.  Only the product
-    ``Q @ p`` is per step, as scipy's one ``np.dot`` per step: its bits are
-    the BLAS kernel's, and a single contraction over several steps rounds
-    differently.  The powers, the scaling by ``h`` and the shift by
-    ``y_old`` are elementwise, so doing them for a block at once keeps every
-    bit.  ``h`` comes from each interpolant: a terminal event shortens the
-    last step in ``sol.ts`` but not its interpolant.
-    """
-
-    def __init__(self, sol: OdeSolution) -> None:
-        steps = sol.interpolants
-        self.ends = sol.ts[1:len(steps)]
-        self.t_old = np.array([step.t_old for step in steps])
-        self.h = np.array([step.h for step in steps])
-        self.Q = [step.Q for step in steps]
-        self.y_old = np.array([step.y_old for step in steps])
-        self.order = steps[0].order
-
-    def blocks(self, t: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(lo, states)`` per block: row i of ``states`` is ``sol(t[lo + i])``."""
-        # Step k takes the points in (ts[k], ts[k + 1]]; the first step also
-        # takes those before it and the last those after it.
-        edges = [0, *np.searchsorted(t, self.ends, side="right").tolist(), len(t)]
-        first = 0
-        while first < len(self.Q):
-            last = max(first + 1, bisect.bisect_right(edges, edges[first] + size) - 1)
-            yield edges[first], self._run(t, edges, first, last)
-            first = last
-
-    def _run(self, t: np.ndarray, edges: list[int], first: int, last: int) -> np.ndarray:
-        """The states at the points of steps ``first`` to ``last - 1``, one row each."""
-        lo, hi = edges[first], edges[last]
-        counts = np.diff(edges[first:last + 1])
-        h = np.repeat(self.h[first:last], counts)
-        powers = np.empty((self.order + 1, hi - lo))
-        x = powers[0]
-        np.subtract(t[lo:hi], np.repeat(self.t_old[first:last], counts), out=x)
-        x /= h
-        for k in range(1, len(powers)):
-            np.multiply(powers[k - 1], x, out=powers[k])
-        # Each step's run of points is a contiguous run of rows.
-        states = np.empty((hi - lo, self.y_old.shape[1]))
-        for k in range(first, last):
-            a, b = edges[k] - lo, edges[k + 1] - lo
-            if a < b:
-                states[a:b] = self.Q[k].dot(powers[:, a:b]).T
-        states *= h[:, None]
-        states += np.repeat(self.y_old[first:last], counts, axis=0)
-        return states
-
-
-def _dense_states(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
-    """``sol(t)`` for an RK45 dense output and ascending ``t``, bit for bit
-    and in scipy's layout: the evaluator's one-block case."""
-    [(_, states)] = _DenseSteps(sol).blocks(t, len(t))
-    return states.T
-
-
 def _resample_grid(traj: Trajectory, count: int) -> np.ndarray:
     """``count`` geometrically spaced times over the trajectory, from a
     thousandth of its first kept step (at least ``1e-12`` of its end)."""
     t_end = float(traj.times[-1])
     t_start = max(t_end * 1e-12, float(traj.times[1]) * 1e-3 if len(traj.times) > 1 else 1e-12)
     return np.geomspace(t_start, t_end, count)
-
-
-def _dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The resampling grid, the points and the arc lengths there, in one block."""
-    grid = _resample_grid(traj, count)
-    [(_, states)] = traj.dense._stacked.blocks(grid, count)
-    return grid, states[:, :-1], states[:, -1]
 
 
 def _evaluate_rows(
@@ -698,7 +675,7 @@ def dqds_identity_error(
             return E.value(points), E.gradient(points)
     grid = _resample_grid(traj, count)
     q, g, s = np.empty(count), np.empty(count), np.empty(count)
-    for lo, states in traj.dense._stacked.blocks(grid, _DENSE_BLOCK_POINTS):
+    for lo, states in traj.dense.blocks(grid, _DENSE_BLOCK_POINTS):
         hi = lo + len(states)
         s[lo:hi] = states[:, -1]
         _evaluate_rows(evaluate, states[:, :-1], q[lo:hi], g[lo:hi])
@@ -736,7 +713,7 @@ def speed_identity_error(traj: Trajectory) -> float | None:
         return None
     grid = _resample_grid(traj, _SPEED_SAMPLES)
     lengths = np.empty(len(grid) - 1)
-    for lo, states in traj.dense._stacked.blocks(grid, _DENSE_BLOCK_POINTS):
+    for lo, states in traj.dense.blocks(grid, _DENSE_BLOCK_POINTS):
         points = states[:, :-1]
         if lo:
             # The segment from the previous block's last point.

@@ -13,7 +13,7 @@ import numpy as np
 
 from lojalab.blowup import exponent_upper_bound
 from lojalab.estimate import VALUE_DISCARD
-from lojalab.flow import Trajectory, _resample_grid
+from lojalab.flow import DenseSolution, Trajectory, _resample_grid
 from lojalab.poly import Function, Polynomial, Substitution, _MonomialKernel
 from lojalab.sampling import sphere_directions
 
@@ -241,11 +241,30 @@ def subspace_embedding(row: Sequence[float], free: Sequence[int], dim: int) -> l
     return out
 
 
+def ode_solution(dense: DenseSolution):
+    """scipy's ``OdeSolution`` over the steps of the step loop's record.
+
+    Each step is scipy's ``RkDenseOutput`` from ``t[k]`` and ``y[:, k]`` with
+    ``Q[k]``, and its length is the recorded ``h[k]``: the interpolant would
+    recompute it as ``(t_old + h) - t_old``, which need not round back to
+    ``h``.
+    """
+    from scipy.integrate import OdeSolution
+    from scipy.integrate._ivp.rk import RkDenseOutput
+
+    interpolants = []
+    for k, (h, Q) in enumerate(zip(dense.h, dense.Q)):
+        step = RkDenseOutput(dense.t[k], dense.t[k] + h, dense.y[:, k], Q)
+        step.h = h
+        interpolants.append(step)
+    return OdeSolution(dense.t, interpolants)
+
+
 def dense_resample(traj: Trajectory, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The identity checks' resampling of a trajectory in one piece: their
-    grid of ``count`` times and scipy's ``sol(grid)`` there."""
+    grid of ``count`` times and scipy's ``OdeSolution`` there."""
     grid = _resample_grid(traj, count)
-    states = traj.dense.sol(grid)
+    states = ode_solution(traj.dense)(grid)
     return grid, states[:-1].T, states[-1]
 
 

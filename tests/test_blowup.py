@@ -392,7 +392,7 @@ def test_pull_back_and_bound_cusp_leaves():
     intervals = {b.chart_id: b.interval for b in bound.per_leaf}
     assert intervals["root/1/2/2"] == (Fraction(1, 2), Fraction(7, 8))
     assert all(b.constant_factor > 0 for b in bound.per_leaf)
-    assert bound.origin_local
+    assert bound.to_json()["origin_local"] is True
 
 
 def _sampled_spectral_sup(composite, points):

@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, report files, determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -337,6 +338,25 @@ def test_import_loads_no_scipy(module):
     assert result.stdout.strip() == "[]"
 
 
+def test_package_imports_no_private_scipy_module():
+    # A name that starts with "_" is not scipy's public API and may change
+    # in any release; the tests may still use one as a reference.
+    private = []
+    for path in sorted(Path(lojalab.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] == "scipy" and any(part.startswith("_") for part in parts):
+                    private.append(f"{path.name}: {name}")
+    assert private == []
+
+
 def test_flow_requires_matching_point(tmp_path, capsys):
     assert _run(["flow", "x^2 + y^2", "--point", "0.5"], tmp_path) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -420,6 +440,33 @@ def test_estimate_builtin_at_a_given_point(tmp_path):
     assert _run(["estimate", "haraux", "--point", "0,0"], tmp_path) == 0
     assert _report(tmp_path)["theta_hat"] == default["theta_hat"]
     assert _run(["estimate", "haraux", "--point", "0.5,0.5"], tmp_path) == 1
+
+
+@pytest.mark.parametrize(
+    "text, point, exponent",
+    [
+        # The exponent at 1 is 3/4; the origin's bound reads [1/2, 1/2].
+        ("x^2*(x - 1)^4", "1", 0.75),
+        # The exponent at (1, 0) is 5/6; the origin's bound reads [1/2, 3/4].
+        ("(x - 1)^2*y^4", "1,0", 5 / 6),
+    ],
+)
+def test_estimate_off_the_origin_skips_the_resolution_comparison(tmp_path, text, point, exponent):
+    # The resolution bound is the exponent's at the origin: compared with an
+    # estimate at another point, it failed the first run and passed the
+    # second, whose true exponent lies above it.
+    assert _run(["estimate", text, "--point", point, "--r-min", "1e-3"], tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["resolution_consistency"] is None
+    assert "origin" in report["resolution_consistency_note"]
+    assert report["band"][0] <= exponent <= report["band"][1]
+
+
+def test_estimate_at_the_origin_given_explicitly_is_compared(tmp_path):
+    assert _run(["estimate", "x^2 - y^3", "--point", "0,0"], tmp_path) == 0
+    report = _report(tmp_path)
+    assert report["resolution_consistency"]["consistent"] is True
+    assert "resolution_consistency_note" not in report
 
 
 def test_verify_haraux_passes_as_counterexample(tmp_path):

@@ -20,8 +20,6 @@ from lojalab.flow import (
     CoordinateSubspace,
     CriticalSet,
     FlowError,
-    _dense_resample,
-    _dense_states,
     dqds_identity_error,
     energy_monotonicity_violation,
     integrate_flow,
@@ -33,7 +31,9 @@ from lojalab.blowup import exponent_upper_bound
 from lojalab.poly import Function, PolynomialLimitError, parse
 
 from oracles import (
+    dense_resample,
     dqds_identity_reference,
+    ode_solution,
     rk4_fixed_step,
     speed_identity_reference,
     squared_gradient_gamma,
@@ -187,7 +187,8 @@ def test_trajectory_digests_hold_without_avx512():
 
 def _exit_path_digest(traj):
     # SHA-1 of everything a trajectory records, with the memory layout of
-    # each array, and of the dense output at every step time.
+    # each array, and of scipy's dense output over its steps at every step
+    # time.
     sha = hashlib.sha1()
     for array in (traj.times, traj.points, traj.energies, traj.grad_norms, traj.arc_lengths):
         sha.update(np.ascontiguousarray(array).tobytes())
@@ -196,7 +197,7 @@ def _exit_path_digest(traj):
         sha.update(traj.limit_point.tobytes())
     sha.update(repr((traj.stop_reason, traj.converged, traj.snap_distance)).encode())
     if traj.dense is not None:
-        sol = traj.dense.sol
+        sol = ode_solution(traj.dense)
         sha.update(sol.ts.tobytes())
         sha.update(np.ascontiguousarray(sol(sol.ts)).tobytes())
     return sha.hexdigest()
@@ -283,11 +284,11 @@ def test_step_loop_matches_solve_ivp_bit_for_bit(text, x0, options):
     assert np.array_equal(dense.y, reference.y)
     assert dense.y.strides == reference.y.strides
     assert dense.nfev == reference.nfev
-    assert len(dense.sol.interpolants) == len(reference.sol.interpolants)
-    for ours, theirs in zip(dense.sol.interpolants, reference.sol.interpolants):
-        assert (ours.t_old, ours.t) == (theirs.t_old, theirs.t)
-        assert np.array_equal(ours.Q, theirs.Q)
-        assert np.array_equal(ours.y_old, theirs.y_old)
+    assert len(dense.Q) == len(dense.h) == len(reference.sol.interpolants)
+    for k, theirs in enumerate(reference.sol.interpolants):
+        assert (dense.t[k], dense.h[k]) == (theirs.t_old, theirs.h)
+        assert np.array_equal(dense.Q[k], theirs.Q)
+        assert np.array_equal(dense.y[:, k], theirs.y_old)
 
 
 def test_start_gradient_evaluated_once():
@@ -387,42 +388,42 @@ def test_identity_errors_pinned_digest(text, x0, digest):
 )
 def test_dense_resample_matches_scipy_bit_for_bit(text, x0, tol):
     traj = integrate_flow(parse(text), x0, tol=tol)
-    sol = traj.dense.sol
-    # The stopping event cuts the last step short in sol.ts, not in its
-    # interpolant.
-    assert sol.interpolants[-1].t > sol.ts[-1]
+    dense = traj.dense
+    sol = ode_solution(dense)
+    # The stopping event cuts the last step short in t, not in its length.
+    assert dense.t[-2] + dense.h[-1] > dense.t[-1]
     for count in (4000, 50_000):
-        grid, points, arcs = _dense_resample(traj, count)
-        reference = sol(grid)
-        assert np.array_equal(points, reference[:-1].T)
-        assert np.array_equal(arcs, reference[-1])
+        grid, points, arcs = dense_resample(traj, count)
+        [(_, states)] = dense.blocks(grid, count)
+        assert np.array_equal(states[:, :-1], points)
+        assert np.array_equal(states[:, -1], arcs)
     # Every step time, t_end itself and a point before the start, which
     # scipy evaluates on the first step.
-    grid = np.concatenate([[sol.ts[0] - 1e-3], sol.ts, np.geomspace(1e-6, sol.ts[-1], 997)])
+    grid = np.concatenate([[dense.t[0] - 1e-3], dense.t, np.geomspace(1e-6, dense.t[-1], 997)])
     grid.sort()
-    states = _dense_states(sol, grid)
+    [(_, states)] = dense.blocks(grid, len(grid))
     reference = sol(grid)
-    assert np.array_equal(states, reference)
-    assert states.strides == reference.strides
+    assert np.array_equal(states.T, reference)
+    assert states.T.strides == reference.strides
 
 
 def test_dense_states_match_scipy_on_one_step_and_edge_grids():
-    # One step, and a grid with duplicate times, points before ts[0], on
-    # every step end and past ts[-1]; each goes to the step OdeSolution picks.
-    short = integrate_flow(parse("x^2"), [0.5], tol=1e-10, t_max=1e-7).dense.sol
-    assert len(short.interpolants) == 1
-    full = integrate_flow(parse("x^2 + y^4"), [0.2, 0.2], tol=1e-5).dense.sol
-    for sol in (short, full):
-        t_end = sol.ts[-1]
+    # One step, and a grid with duplicate times, points before t[0], on
+    # every step end and past t[-1]; each goes to the step OdeSolution picks.
+    short = integrate_flow(parse("x^2"), [0.5], tol=1e-10, t_max=1e-7).dense
+    assert len(short.Q) == 1
+    full = integrate_flow(parse("x^2 + y^4"), [0.2, 0.2], tol=1e-5).dense
+    for dense in (short, full):
+        t_end = dense.t[-1]
         grid = np.concatenate([
-            [-1.0, 0.0, 0.0], sol.ts, sol.ts[1:], np.geomspace(t_end * 1e-9, t_end, 301),
-            [t_end * (1 + 1e-9), sol.interpolants[-1].t, 2 * t_end, 2 * t_end],
+            [-1.0, 0.0, 0.0], dense.t, dense.t[1:], np.geomspace(t_end * 1e-9, t_end, 301),
+            [t_end * (1 + 1e-9), dense.t[-2] + dense.h[-1], 2 * t_end, 2 * t_end],
         ])
         grid.sort()
-        states = _dense_states(sol, grid)
-        reference = sol(grid)
-        assert np.array_equal(states, reference)
-        assert states.strides == reference.strides
+        [(_, states)] = dense.blocks(grid, len(grid))
+        reference = ode_solution(dense)(grid)
+        assert np.array_equal(states.T, reference)
+        assert states.T.strides == reference.strides
 
 
 @pytest.mark.parametrize(
@@ -433,7 +434,7 @@ def test_dense_states_match_scipy_on_one_step_and_edge_grids():
 def test_speed_identity_matches_norm_polyline_bit_for_bit(text, x0, tol):
     # The row-wise polyline is np.linalg.norm's, in d = 1, 2 and 3.
     traj = integrate_flow(parse(text), x0, tol=tol)
-    _, points, arcs = _dense_resample(traj, flow._SPEED_SAMPLES)
+    _, points, arcs = dense_resample(traj, flow._SPEED_SAMPLES)
     lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
     assert np.array_equal(flow._segment_lengths(points), lengths)
     expected = abs(float(lengths.sum()) / float(arcs[-1] - arcs[0]) - 1.0)
@@ -471,8 +472,9 @@ def test_batch_gradient_integrates_to_the_compiled_bits(text, x0, options):
     assert np.array_equal(ours.t, theirs.t)
     assert np.array_equal(ours.y, theirs.y)
     assert ours.nfev == theirs.nfev
-    for a, b in zip(ours.sol.interpolants, theirs.sol.interpolants, strict=True):
-        assert np.array_equal(a.Q, b.Q)
+    assert np.array_equal(ours.h, theirs.h)
+    for a, b in zip(ours.Q, theirs.Q, strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("count", [-1, 0, 1, 2, flow._MAX_POINTS + 1, 10**9])
@@ -486,7 +488,7 @@ def test_dqds_identity_rejects_counts_outside_the_range(monkeypatch, count):
         raise AssertionError("resampled")
 
     monkeypatch.setattr(flow, "_resample_grid", no_resample)
-    monkeypatch.setattr(flow._DenseSteps, "blocks", no_resample)
+    monkeypatch.setattr(flow.DenseSolution, "blocks", no_resample)
     with pytest.raises(FlowError, match=rf"must lie in \[3, 1000000\], got {count}$"):
         dqds_identity_error(traj, p, count=count)
 
@@ -506,7 +508,7 @@ def test_identity_errors_are_none_when_nothing_is_measured(monkeypatch):
     assert speed_identity_error(traj) < 1e-6
     # A resampled range that carries no arc length has no speed to compare.
     monkeypatch.setattr(
-        flow._DenseSteps,
+        flow.DenseSolution,
         "blocks",
         lambda self, t, size: iter([(0, np.tile([0.0, 0.25], (len(t), 1)))]),
     )
@@ -526,7 +528,7 @@ def test_identity_errors_are_none_on_an_at_rest_trajectory():
 
 
 def _assert_identity_errors_match_the_whole_grid(traj, p):
-    # The blocked checks against scipy's sol(grid) on the whole grid at once.
+    # The blocked checks against scipy's OdeSolution on the whole grid at once.
     assert dqds_identity_error(traj, p, count=4000) == dqds_identity_reference(traj, p, 4000)
     assert dqds_identity_error(traj, p) == dqds_identity_reference(traj, p, 20_000)
     assert speed_identity_error(traj) == speed_identity_reference(traj, flow._SPEED_SAMPLES)
@@ -535,21 +537,22 @@ def _assert_identity_errors_match_the_whole_grid(traj, p):
 def _step_edges(traj, count):
     # Where each inner step end falls in the resampling grid of ``count``.
     grid = flow._resample_grid(traj, count)
-    sol = traj.dense.sol
-    return grid, np.searchsorted(grid, sol.ts[1:len(sol.interpolants)], side="right")
+    dense = traj.dense
+    return grid, np.searchsorted(grid, dense.t[1:len(dense.Q)], side="right")
 
 
 def _check_blocks(traj, grid, edges, size):
     # The blocks tile the grid in runs of whole steps, at most ``size``
-    # points unless one step's run is longer, and hold sol(grid).
+    # points unless one step's run is longer, and hold scipy's OdeSolution
+    # there.
     starts = {0, *edges.tolist(), len(grid)}
-    blocks = list(traj.dense._stacked.blocks(grid, size))
+    blocks = list(traj.dense.blocks(grid, size))
     assert [lo for lo, _ in blocks] == sorted({lo for lo, _ in blocks})
     for (lo, states), (hi, _) in zip(blocks, blocks[1:] + [(len(grid), None)]):
         assert lo in starts and hi in starts and len(states) == hi - lo
         assert len(states) <= size or np.count_nonzero((edges > lo) & (edges < hi)) == 0
     stacked = np.concatenate([states for _, states in blocks])
-    assert np.array_equal(stacked, traj.dense.sol(grid).T)
+    assert np.array_equal(stacked, ode_solution(traj.dense)(grid).T)
     return blocks
 
 
@@ -585,7 +588,7 @@ def test_identity_errors_match_the_whole_grid_on_one_step_and_on_a_thinned_recor
     # One step, where every grid point is on it; and a trajectory of more
     # steps than the record keeps, whose grid starts from the kept samples.
     short = integrate_flow(parse("x^2"), [0.5], tol=1e-10, t_max=1e-7)
-    assert len(short.dense.sol.interpolants) == 1
+    assert len(short.dense.Q) == 1
     _assert_identity_errors_match_the_whole_grid(short, parse("x^2"))
     p = parse("x^2 + y^4")
     thinned = integrate_flow(p, [0.2, 0.2], tol=3e-7)
