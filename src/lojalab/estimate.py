@@ -15,12 +15,14 @@ without them, double-precision underflow would cap the observable ratio
 strictly below the 0.98 threshold.
 
 The sphere points are evaluated one block of whole radii at a time, about
-``_BLOCK_ROWS`` rows per call, and reduced one radius at a time.  The
-polynomial kernel gives a point the same bits in any batch, so a block gives
-the bits of one evaluation per radius; a polynomial's value and partials
-come from one kernel call, which raises each point to its powers once.
-Blocks, rather than one batch of the whole grid, keep the transient arrays
-small.
+``_BLOCK_ROWS`` rows per call.  The polynomial kernel gives a point the same
+bits in any batch, so a block gives the bits of one evaluation per radius; a
+polynomial's value and partials come from one kernel call, which raises each
+point to its powers once.  Each block is then reduced in array passes, one
+row per radius: one keep mask, one argmax and one row sum.  A radius that
+keeps only some of its samples takes the mean of those alone, so every
+figure has the bits of reducing one radius at a time.  Blocks, rather than
+one batch of the whole grid, keep the transient arrays small.
 """
 
 from __future__ import annotations
@@ -79,6 +81,56 @@ class ExponentEstimate:
             writer.writerow(["radius", "min_ratio"])
             for r, ratio in zip(self.radii, self.per_radius_ratio):
                 writer.writerow([repr(float(r)), "" if ratio is None else repr(float(ratio))])
+
+
+def _reduce_block(
+    log_vals: np.ndarray, log_grads: np.ndarray
+) -> tuple[list[int], list[float | None], list[tuple[float, float] | None], list[float]]:
+    """Reduce a block of radii, one radius per row of ``log|E|`` and
+    ``log||grad E||``.
+
+    A sample is kept where both logs are finite and ``|E| < VALUE_CEILING``.
+    Returns, per row, the kept count; the largest kept ratio
+    ``log||grad E|| / log|E|`` and its envelope pair ``(log|E|,
+    log||grad E||)``, ``None`` where nothing is kept; and the mean kept
+    ``log|E|``, NaN where nothing is kept.
+
+    Each figure has the bits of the same reduction over the row's kept
+    samples alone.  Dropped ratios read ``-inf``, so ``argmax`` finds the
+    first largest kept ratio.  A fully kept row's sum along the contiguous
+    axis is the pairwise sum a 1-D ``mean`` takes; a partly kept row takes
+    that ``mean`` of its kept samples.
+    """
+    n = log_vals.shape[1]
+    keep = (
+        np.isfinite(log_vals)
+        & np.isfinite(log_grads)
+        & (log_vals < math.log(VALUE_CEILING))
+    )
+    counts = keep.sum(axis=1).tolist()
+    with np.errstate(all="ignore"):
+        ratios = np.where(keep, log_grads / log_vals, -np.inf)
+        means = (log_vals.sum(axis=1) / n).tolist()
+    rows = np.arange(len(keep))
+    best = ratios.argmax(axis=1)
+    # A kept ratio that overflows to -inf ties the fill: take the first kept.
+    best = np.where(keep[rows, best], best, keep.argmax(axis=1))
+    best_ratios = ratios[rows, best].tolist()
+    best_vals = log_vals[rows, best].tolist()
+    best_grads = log_grads[rows, best].tolist()
+    per_radius: list[float | None] = []
+    envelope: list[tuple[float, float] | None] = []
+    for i, count in enumerate(counts):
+        if not count:
+            per_radius.append(None)
+            envelope.append(None)
+            means[i] = math.nan
+            continue
+        per_radius.append(best_ratios[i])
+        envelope.append((best_vals[i], best_grads[i]))
+        if count < n:
+            means[i] = float(log_vals[i][keep[i]].mean())
+    return counts, per_radius, envelope, means
 
 
 def estimate_theta(
@@ -154,27 +206,13 @@ def estimate_theta(
         block_radii = radius_grid[first:first + block]
         points = (x_star + block_radii[:, None, None] * directions).reshape(-1, dimension)
         block_log_vals, block_log_grads = log_pairs(points)
-        for start in range(0, len(points), n):
-            log_vals = block_log_vals[start:start + n]
-            log_grads = block_log_grads[start:start + n]
-            keep = (
-                np.isfinite(log_vals)
-                & np.isfinite(log_grads)
-                & (log_vals < math.log(VALUE_CEILING))
-            )
-            kept_counts.append(int(keep.sum()))
-            if not np.any(keep):
-                per_radius.append(None)
-                envelope.append(None)
-                mean_log_values.append(math.nan)
-                continue
-            ratios = log_grads[keep] / log_vals[keep]
-            best = int(np.argmax(ratios))
-            per_radius.append(float(ratios[best]))
-            envelope.append(
-                (float(log_vals[keep][best]), float(log_grads[keep][best]))
-            )
-            mean_log_values.append(float(log_vals[keep].mean()))
+        counts, ratios, pairs, means = _reduce_block(
+            block_log_vals.reshape(-1, n), block_log_grads.reshape(-1, n)
+        )
+        kept_counts += counts
+        per_radius += ratios
+        envelope += pairs
+        mean_log_values += means
 
     with_data = [
         (float(r), ratio)

@@ -682,15 +682,16 @@ def dqds_identity_error(
     h0 = s[1:-1] - s[:-2]
     h1 = s[2:] - s[1:-1]
     ok = (h0 > 0) & (h1 > 0)
+    h0, h1 = h0[ok], h1[ok]
+    h0_sq, h1_sq = h0**2, h1**2
     # Exact-for-parabolas non-uniform central difference.
     deriv = (
-        h0[ok] ** 2 * q[2:][ok]
-        + (h1[ok] ** 2 - h0[ok] ** 2) * q[1:-1][ok]
-        - h1[ok] ** 2 * q[:-2][ok]
-    ) / (h0[ok] * h1[ok] * (h0[ok] + h1[ok]))
-    target = -g[1:-1][ok]
+        h0_sq * q[2:][ok] + (h1_sq - h0_sq) * q[1:-1][ok] - h1_sq * q[:-2][ok]
+    ) / (h0 * h1 * (h0 + h1))
+    g_mid = g[1:-1][ok]
+    target = -g_mid
     floor = _GRAD_FLOOR_FACTOR * max(1e-300, float(g.min()))
-    mask = g[1:-1][ok] > floor
+    mask = g_mid > floor
     if not np.any(mask):
         return None
     rel = np.abs(deriv[mask] - target[mask]) / np.abs(target[mask])

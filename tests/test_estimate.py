@@ -12,6 +12,7 @@ from lojalab.estimate import (
     VALUE_CEILING,
     VALUE_DISCARD,
     EstimateError,
+    _reduce_block,
     builtin_function,
     compare_with_resolution_bound,
     estimate_theta,
@@ -377,3 +378,126 @@ def test_default_estimate_peak_memory_stays_under_one_megabyte(text):
     p = parse(text)
     peak = _peak_bytes(lambda: estimate_theta(p, (0.0,) * len(p.variables)))
     assert peak < 1_000_000, peak
+
+
+def _reduce_rows_reference(log_vals, log_grads):
+    """The estimator's reductions one radius at a time, on each row alone:
+    the loop that blocks are now reduced without."""
+    counts, per_radius, envelope, means = [], [], [], []
+    for row_vals, row_grads in zip(log_vals, log_grads):
+        keep = (
+            np.isfinite(row_vals)
+            & np.isfinite(row_grads)
+            & (row_vals < math.log(VALUE_CEILING))
+        )
+        counts.append(int(keep.sum()))
+        if not np.any(keep):
+            per_radius.append(None)
+            envelope.append(None)
+            means.append(math.nan)
+            continue
+        with np.errstate(over="ignore"):
+            ratios = row_grads[keep] / row_vals[keep]
+        best = int(np.argmax(ratios))
+        per_radius.append(float(ratios[best]))
+        envelope.append((float(row_vals[keep][best]), float(row_grads[keep][best])))
+        means.append(float(row_vals[keep].mean()))
+    return counts, per_radius, envelope, means
+
+
+LOG_CEILING = math.log(VALUE_CEILING)
+ABOVE_CEILING = math.nextafter(LOG_CEILING, math.inf)
+INF, NAN = math.inf, math.nan
+
+
+def _hand_block():
+    """Rows of 12 samples, each a case the keep mask, the argmax or the
+    mean must get right; kept values around them are random."""
+    rng = np.random.default_rng(7)
+    log_vals = -rng.uniform(1.0, 60.0, (10, 12))
+    log_grads = -rng.uniform(0.0, 40.0, (10, 12))
+    # 0: every sample kept.
+    # 1: some kept; |E| = 0, NaN logs, |E| at and above the ceiling.
+    log_vals[1, [0, 2, 4, 6, 7, 9]] = [-INF, NAN, LOG_CEILING, ABOVE_CEILING, 0.0, 3.0]
+    log_grads[1, [1, 3, 5]] = [NAN, INF, -INF]
+    # 2: none kept.
+    log_vals[2] = [-INF, NAN, LOG_CEILING, ABOVE_CEILING, 0.0, INF] * 2
+    # 3: the largest ratio, 2.0, three times, after a dropped sample; the
+    # first of them wins, with its own envelope pair.
+    log_vals[3, :5] = [-INF, -2.0, -4.0, -1.0, -8.0]
+    log_grads[3, :5] = [5.0, -4.0, -8.0, -2.0, -16.0]
+    log_grads[3, 5:] = 1.0  # negative ratios
+    # 4 and 5: ratios -0.0 and +0.0 tie as the largest; the first wins.
+    log_vals[4:6, :2] = -1.0
+    log_grads[4, :2] = [0.0, -0.0]
+    log_grads[5, :2] = [-0.0, 0.0]
+    log_grads[4:6, 2:] = 1.0
+    # 6: the only kept ratio overflows to -inf after a dropped sample.
+    log_vals[6] = -INF
+    log_vals[6, 3] = -0.75
+    log_grads[6, 3] = 1.7e308
+    # 7: kept ratios that overflow to +inf and -inf.
+    log_vals[7, 4:6] = -0.75
+    log_grads[7, 4:6] = [-1.7e308, 1.7e308]
+    # 8: one kept sample, the last.
+    log_vals[8, :-1] = NAN
+    # 9: every sample kept but one |E| = 0, in the middle.
+    log_vals[9, 6] = -INF
+    return log_vals, log_grads
+
+
+def _random_block(rows, columns, dropped, seed):
+    """Random logs with a share ``dropped`` of samples outside the keep mask."""
+    rng = np.random.default_rng(seed)
+    log_vals = -rng.uniform(1.0, 60.0, (rows, columns))
+    log_grads = -rng.uniform(0.0, 40.0, (rows, columns))
+    drop = rng.random((rows, columns)) < dropped
+    log_vals[drop] = rng.choice([-INF, NAN, LOG_CEILING, 0.0], drop.sum())
+    return log_vals, log_grads
+
+
+REDUCE_BLOCKS = {
+    "hand": _hand_block(),
+    **{f"hand-row-{i}": tuple(a[i:i + 1] for a in _hand_block()) for i in range(10)},
+    "1x3000-all-kept": _random_block(1, 3000, 0.0, 1),
+    "1x3000-some-kept": _random_block(1, 3000, 0.3, 2),
+    "3x3000-mixed": _random_block(3, 3000, 0.05, 3),
+    "5x400-mixed": _random_block(5, 400, 0.1, 4),
+    "1024x2-mixed": _random_block(1024, 2, 0.3, 5),
+    "256x8-mixed": _random_block(256, 8, 0.2, 6),
+    "2x3000-none-kept": _random_block(2, 3000, 1.0, 7),
+}
+
+
+@pytest.mark.parametrize("key", REDUCE_BLOCKS)
+def test_block_reduction_matches_per_row_reference_bit_for_bit(key):
+    log_vals, log_grads = REDUCE_BLOCKS[key]
+    ours = _reduce_block(log_vals, log_grads)
+    assert _bits(ours) == _bits(_reduce_rows_reference(log_vals, log_grads))
+    assert all(type(count) is int for count in ours[0])
+
+
+def test_hand_block_reduces_to_the_expected_figures():
+    counts, per_radius, envelope, means = _reduce_block(*_hand_block())
+    assert counts == [12, 3, 0, 11, 12, 12, 1, 12, 1, 11]
+    assert per_radius[2] is envelope[2] is None and math.isnan(means[2])
+    assert (per_radius[3], envelope[3]) == (2.0, (-2.0, -4.0))
+    assert math.copysign(1.0, per_radius[4]) == -1.0
+    assert math.copysign(1.0, per_radius[5]) == 1.0
+    assert (per_radius[6], envelope[6]) == (-INF, (-0.75, 1.7e308))
+    assert per_radius[7] == INF
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fully_kept_row_sums_are_the_pairwise_sums_of_one_row(seed):
+    # The mean of a fully kept radius is its row sum over the block divided
+    # by n: the bits of a 1-D mean only if the row sum is the same pairwise
+    # sum.  Shapes include n < 8, where the sum is a plain loop, and rows
+    # past numpy's 128-element pairwise block.
+    rng = np.random.default_rng(seed)
+    columns = int(rng.choice([2, 7, 8, 9, 100, 129, 400, 1000, 3000]))
+    rows = min(int(rng.integers(1, 1025)), 4096 // columns + 1)
+    shape = (rows, columns)
+    log_vals = -rng.uniform(1.0, 60.0, shape) * 10.0 ** rng.uniform(0, 6, shape)
+    means = _reduce_block(log_vals, np.zeros_like(log_vals))[3]
+    assert _bits(means) == _bits([float(row.mean()) for row in log_vals])

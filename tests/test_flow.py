@@ -596,6 +596,25 @@ def test_identity_errors_match_the_whole_grid_on_one_step_and_on_a_thinned_recor
     _assert_identity_errors_match_the_whole_grid(thinned, p)
 
 
+def test_event_on_the_previous_step_end_drops_that_step(monkeypatch):
+    # The event gap at a step's start is the previous step's end gap, which
+    # would have fired there, so only an event root that rounds to the
+    # step's start reaches this branch: brentq returning its left bracket
+    # forces it.  The step loop imports brentq on each call.
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "brentq", lambda f, a, b, **options: a)
+    p = parse("x^2 + y^2")
+    traj = integrate_flow(p, [0.3, -0.2], tol=1e-5)
+    dense = traj.dense
+    assert traj.stop_reason == "gradient-below-tol"
+    assert len(dense.Q) == len(dense.h) == len(dense.t) - 1
+    assert np.all(np.diff(dense.t) > 0)
+    assert dense.steps == len(dense.t)  # the dropped step still counts
+    assert isinstance(speed_identity_error(traj), float)
+    assert isinstance(dqds_identity_error(traj, p), float)
+
+
 @pytest.mark.parametrize("text, x0", [(text, x0) for text, x0, _, _ in TRAJECTORY_PINS])
 def test_speed_identity_memory_stays_within_blocks(text, x0):
     # Whole-grid temporaries of the 50,000-point resampling peaked at 5.2 to
