@@ -9,11 +9,15 @@ charts,
 applied to the *total* transform (the full pullback, exceptional factors
 included).  Both charts are monomial maps, so a pullback only relabels
 exponents: chart 1 sends ``x^i y^j`` to ``u^i v^(i+j)`` and chart 2 sends it
-to ``a^(i+j) b^j``.  A branch of the chart tree terminates once the pullback
-has simple normal crossings at the chart origin; that certificate is local
-to the chart origin, so exponent bounds extracted from a leaf are reported
-as origin-local, and the finitely many other exceptional-divisor points
-where the residual vanishes are handled by exact translation.  Only rational
+to ``a^(i+j) b^j``.  The same rule composes the chart maps: every image of a
+root coordinate is a monomial ``u^p v^q`` with coefficient 1, so a node
+stores its chart map as the two integer exponent pairs ``(p, q)``, and the
+``composite_map`` strings are built from them for the report.  A branch of
+the chart tree terminates once the pullback has simple normal crossings at
+the chart origin; that certificate is local to the chart origin, so
+exponent bounds extracted from a leaf are reported as origin-local, and the
+finitely many other exceptional-divisor points where the residual vanishes
+are handled by exact translation.  Only rational
 points are translated, and a bound is read only where the translate is snc:
 the irrational residual roots and the non-snc translated points are counted
 and reported as unanalyzed.
@@ -28,23 +32,35 @@ from typing import Iterable
 
 from .poly import Polynomial
 from .reports import rational_str
-from .snc import MonomialFactorization, detect_snc
+from .snc import MonomialFactorization, detect_snc, snc_bound
 from . import univar
 
 DEFAULT_MAX_DEPTH = 8
+
+# The exponent pairs (p, q) of the images u^p v^q of the two root coordinates.
+ChartMap = tuple[tuple[int, int], tuple[int, int]]
 
 
 class BlowupError(ValueError):
     pass
 
 
-def _fresh_names(path_digits: str, chart: int, taken: Iterable[str]) -> tuple[str, str]:
+def _fresh_names(path_digits: str, chart: int, input_names: tuple[str, ...]) -> tuple[str, str]:
+    """Chart variable names from the chart path, which no other node shares,
+    prefixed with underscores until they avoid the input's names."""
     stem = ("u", "v") if chart == 1 else ("a", "b")
     names = (f"{stem[0]}{path_digits}", f"{stem[1]}{path_digits}")
-    taken = set(taken)
-    while names[0] in taken or names[1] in taken:
+    while names[0] in input_names or names[1] in input_names:
         names = ("_" + names[0], "_" + names[1])
     return names
+
+
+def _chart_exponents(exponents: Iterable[tuple[int, int]], chart: int) -> list[tuple[int, int]]:
+    """The exponents of ``x^i y^j`` pulled back: ``(i, i + j)`` in chart 1,
+    ``(i + j, j)`` in chart 2."""
+    if chart == 1:
+        return [(i, i + j) for i, j in exponents]
+    return [(i + j, j) for i, j in exponents]
 
 
 def _pull_back(p: Polynomial, child_vars: tuple[str, str], chart: int) -> Polynomial:
@@ -52,11 +68,21 @@ def _pull_back(p: Polynomial, child_vars: tuple[str, str], chart: int) -> Polyno
 
     The exponent map is injective, so the coefficients carry over unchanged.
     """
-    if chart == 1:
-        terms = {(i, i + j): c for (i, j), c in p.terms.items()}
-    else:
-        terms = {(i + j, j): c for (i, j), c in p.terms.items()}
-    return Polynomial._trusted(child_vars, terms)
+    return Polynomial._trusted(
+        child_vars, dict(zip(_chart_exponents(p.terms, chart), p.terms.values()))
+    )
+
+
+def _factorization_json(factorization: MonomialFactorization) -> dict:
+    """The ``monomial``, ``residual``, ``N`` and ``theta_bound`` keys of a
+    point's report."""
+    bound = snc_bound(factorization)
+    return {
+        "monomial": list(factorization.exponents),
+        "residual": str(factorization.residual),
+        "N": sum(factorization.exponents),
+        "theta_bound": rational_str(bound) if bound else None,
+    }
 
 
 @dataclass
@@ -64,26 +90,42 @@ class BlowupNode:
     """One chart of one blow-up in the tree.
 
     ``total_transform`` is the exact pullback of the root polynomial through
-    the composed chart maps; ``composite`` gives the images of the two root
-    coordinates as monomials in this chart's variables.  An axis is
-    exceptional when the composite map sends it to the origin.
-    ``exceptional_multiplicities`` records, per chart variable, the vanishing
-    order of the pullback along that axis when the axis is exceptional
-    (zero for strict-transform axes).
+    the composed chart maps and ``factorization`` its monomial factorization.
+    ``chart_map`` sends the two root coordinates to ``u^p v^q`` in this
+    chart's variables ``(u, v)``; it holds the two pairs ``(p, q)``.  An axis
+    is exceptional when the chart map sends it to the origin, that is when
+    both images carry its variable.
     """
 
     chart_id: str
     depth: int
-    variables: tuple[str, str]
     total_transform: Polynomial
-    composite: tuple[Polynomial, Polynomial]
-    exceptional_axes: tuple[bool, bool]
-    exceptional_multiplicities: tuple[int, int]
     factorization: MonomialFactorization
-    snc: bool
+    chart_map: ChartMap
     parent: str | None = None
     children: tuple[str, str] | None = None
     depth_capped: bool = False
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.total_transform.variables
+
+    @property
+    def snc(self) -> bool:
+        return self.factorization.snc_at_origin
+
+    @property
+    def exceptional_axes(self) -> tuple[bool, bool]:
+        (a, b), (c, d) = self.chart_map
+        return a > 0 and c > 0, b > 0 and d > 0
+
+    @property
+    def composite(self) -> tuple[Polynomial, Polynomial]:
+        """The chart map's two images as polynomials in this chart's variables."""
+        first, second = (
+            Polynomial._trusted(self.variables, {image: Fraction(1)}) for image in self.chart_map
+        )
+        return first, second
 
     @property
     def is_leaf(self) -> bool:
@@ -95,31 +137,17 @@ class BlowupNode:
 
     def theta_bound(self) -> Fraction | None:
         """Origin-local exponent bound 1 - 1/N, when the chart origin is snc."""
-        return _snc_bound(self.factorization)
+        return snc_bound(self.factorization)
 
     def to_json(self) -> dict:
-        bound = self.theta_bound()
         return {
             "chart_path": self.chart_id,
-            "composite_map": [str(self.composite[0]), str(self.composite[1])],
-            "monomial": list(self.factorization.exponents),
-            "residual": str(self.factorization.residual),
-            "N": self.monomial_total_degree,
-            "theta_bound": rational_str(bound) if bound else None,
+            "composite_map": [str(image) for image in self.composite],
+            **_factorization_json(self.factorization),
             "origin_local": True,
             "snc": self.snc,
             "depth_capped": self.depth_capped,
         }
-
-
-def _snc_bound(factorization: MonomialFactorization) -> Fraction | None:
-    """The exponent bound 1 - 1/N at an snc point, with N the monomial degree."""
-    n = sum(factorization.exponents)
-    if not factorization.snc_at_origin or n < 2:
-        # An exponent bound needs a critical origin; N < 2 means the
-        # pullback is a unit or a simple zero here.
-        return None
-    return Fraction(n - 1, n)
 
 
 def combine_point_bounds(
@@ -191,66 +219,25 @@ class ResolutionResult:
         }
 
 
-def _make_node(
-    chart_id: str,
-    depth: int,
-    total: Polynomial,
-    composite: tuple[Polynomial, Polynomial],
-    parent: str | None,
-) -> BlowupNode:
-    factorization = detect_snc(total)
-    exceptional_axes = tuple(
-        all(e[j] > 0 for image in composite for e in image.terms) for j in (0, 1)
-    )
-    mults = tuple(
-        exp if flag else 0
-        for exp, flag in zip(factorization.exponents, exceptional_axes)
-    )
-    return BlowupNode(
-        chart_id=chart_id,
-        depth=depth,
-        variables=total.variables,  # type: ignore[arg-type]
-        total_transform=total,
-        composite=composite,
-        exceptional_axes=exceptional_axes,  # type: ignore[arg-type]
-        exceptional_multiplicities=mults,  # type: ignore[arg-type]
-        factorization=factorization,
-        snc=factorization.snc_at_origin,
-        parent=parent,
-    )
-
-
-def _expand(node: BlowupNode, taken: set[str]) -> tuple[BlowupNode, BlowupNode]:
+def _expand(node: BlowupNode, input_names: tuple[str, ...]) -> tuple[BlowupNode, BlowupNode]:
     digits = node.chart_id.replace("root", "").replace("/", "")
     children = []
     for chart in (1, 2):
-        child_digits = digits + str(chart)
-        child_vars = _fresh_names(child_digits, chart, taken)
-        taken.update(child_vars)
+        child_vars = _fresh_names(digits + str(chart), chart, input_names)
+        total = _pull_back(node.total_transform, child_vars, chart)
+        first, second = _chart_exponents(node.chart_map, chart)
         children.append(
-            _make_node(
+            BlowupNode(
                 chart_id=f"{node.chart_id}/{chart}",
                 depth=node.depth + 1,
-                total=_pull_back(node.total_transform, child_vars, chart),
-                composite=tuple(_pull_back(c, child_vars, chart) for c in node.composite),
+                total_transform=total,
+                factorization=detect_snc(total),
+                chart_map=(first, second),
                 parent=node.chart_id,
             )
         )
     node.children = (children[0].chart_id, children[1].chart_id)
     return children[0], children[1]
-
-
-def _root_node(p: Polynomial) -> BlowupNode:
-    return _make_node(
-        chart_id="root",
-        depth=0,
-        total=p,
-        composite=(
-            Polynomial.variable(p.variables[0], p.variables),
-            Polynomial.variable(p.variables[1], p.variables),
-        ),
-        parent=None,
-    )
 
 
 def resolve(
@@ -277,9 +264,8 @@ def resolve(
     if max_depth < 0:
         raise BlowupError(f"max_depth must be non-negative, got {max_depth}")
 
-    root = _root_node(p)
+    root = BlowupNode("root", 0, p, detect_snc(p), ((1, 0), (0, 1)))
     nodes: dict[str, BlowupNode] = {root.chart_id: root}
-    taken = set(p.variables)
     frontier = [root]
     max_seen = 0
     while frontier:
@@ -288,7 +274,7 @@ def resolve(
             max_seen = max(max_seen, node.depth)
             should_expand = expand_snc or not node.snc
             if should_expand and node.depth < max_depth:
-                child1, child2 = _expand(node, taken)
+                child1, child2 = _expand(node, p.variables)
                 nodes[child1.chart_id] = child1
                 nodes[child2.chart_id] = child2
                 next_frontier.extend([child1, child2])
@@ -328,21 +314,18 @@ class TranslatedPointReport:
     along_variable: str
     point_value: Fraction
     translated: Polynomial
-    exponents: tuple[int, int]
-    residual: Polynomial
-    total_degree: int
-    theta_bound: Fraction | None
-    snc: bool
+    factorization: MonomialFactorization
+
+    @property
+    def theta_bound(self) -> Fraction | None:
+        return snc_bound(self.factorization)
 
     def to_json(self) -> dict:
         return {
             "chart_path": self.chart_id,
             "axis": self.axis_variable,
             "point": {self.along_variable: rational_str(self.point_value)},
-            "monomial": list(self.exponents),
-            "residual": str(self.residual),
-            "N": self.total_degree,
-            "theta_bound": rational_str(self.theta_bound) if self.theta_bound else None,
+            **_factorization_json(self.factorization),
         }
 
 
@@ -387,43 +370,34 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
     of unanalyzed points: irrational residual roots and non-snc translates.
     """
     variables = node.variables
-    exceptional = node.exceptional_multiplicities
     residual = node.factorization.residual
-    total = node.total_transform
-    chart_id = node.chart_id
     reports: list[TranslatedPointReport] = []
     unanalyzed = 0
-    for i, mult in enumerate(exceptional):
-        if mult <= 0:
+    for i, exceptional in enumerate(node.exceptional_axes):
+        # An exceptional axis maps to the origin, where the root polynomial
+        # vanishes, so the total transform carries a positive power of it.
+        if not exceptional:
             continue
-        axis_var = variables[i]
-        along_var = variables[1 - i]
         # The residual restricted to the axis: the terms free of its variable.
         on_axis = Polynomial._trusted(
             variables, {e: c for e, c in residual.terms.items() if e[i] == 0}
         )
-        coeffs = univar.coeffs_from_poly(on_axis)
-        roots, irrational = univar.rational_roots(coeffs)
+        roots, irrational = univar.rational_roots(univar.coeffs_from_poly(on_axis))
         unanalyzed += irrational
-        for t, _mult in roots:
+        for t in roots:
             # Exceptional axes lie below the root: no chart variable is "gamma".
-            translated = _recenter(total, 1 - i, t, "gamma")
-            factorization = detect_snc(translated)
+            translated = _recenter(node.total_transform, 1 - i, t, "gamma")
             reports.append(
                 TranslatedPointReport(
-                    chart_id=chart_id,
-                    axis_variable=axis_var,
-                    along_variable=along_var,
+                    chart_id=node.chart_id,
+                    axis_variable=variables[i],
+                    along_variable=variables[1 - i],
                     point_value=t,
                     translated=translated,
-                    exponents=factorization.exponents,  # type: ignore[arg-type]
-                    residual=factorization.residual,
-                    total_degree=sum(factorization.exponents),
-                    theta_bound=_snc_bound(factorization),
-                    snc=factorization.snc_at_origin,
+                    factorization=detect_snc(translated),
                 )
             )
-    return reports, unanalyzed + sum(not r.snc for r in reports)
+    return reports, unanalyzed + sum(not r.factorization.snc_at_origin for r in reports)
 
 
 # ----------------------------------------------------------------------
@@ -466,20 +440,19 @@ class PullbackBound:
         }
 
 
-def _jacobian_sup(composite: tuple[Polynomial, Polynomial]) -> float:
+def _jacobian_sup(chart_map: ChartMap) -> float:
     """Certified bound on the chart map's Jacobian spectral norm on the unit disk.
 
-    A composite coordinate ``c*u^a*v^b`` has entries ``k*c*u^p*v^q``, ``k`` an
-    exponent, and there ``sup (u^p v^q)^2 = p^p q^q / (p+q)^(p+q)`` (0^0 = 1).
+    An image ``u^a*v^b`` has entries ``k*u^p*v^q``, ``k`` an exponent, and
+    there ``sup (u^p v^q)^2 = p^p q^q / (p+q)^(p+q)`` (0^0 = 1).
     Spectral <= Frobenius <= sqrt(sum of the squared entry sups), an exact
     rational; the result is the least float whose square reaches it.
     """
     total = Fraction(0)
-    for image in composite:
-        (((a, b), c),) = image.terms.items()
+    for a, b in chart_map:
         for k, p, q in ((a, a - 1, b), (b, a, b - 1)):
             if k:
-                total += k * k * c * c * Fraction(p**p * q**q, (p + q) ** (p + q))
+                total += k * k * Fraction(p**p * q**q, (p + q) ** (p + q))
     # The rounded square root is within one ulp of the true one.
     bound = math.sqrt(total)
     while Fraction(bound) ** 2 < total:
@@ -501,7 +474,7 @@ def exponent_upper_bound(p: Polynomial) -> tuple[Fraction, str] | None:
         return None
     mf = detect_snc(p)
     if mf.snc_at_origin:
-        bound = _snc_bound(mf)
+        bound = snc_bound(mf)
         return None if bound is None else (bound, "snc")
     if len(p.variables) != 2:
         return None
@@ -524,7 +497,7 @@ def pull_back_and_bound(result: ResolutionResult) -> PullbackBound:
         bound = leaf.theta_bound()
         if bound is None:
             continue
-        sup = _jacobian_sup(leaf.composite)
+        sup = _jacobian_sup(leaf.chart_map)
         per_leaf.append(
             LeafBound(
                 chart_id=leaf.chart_id,

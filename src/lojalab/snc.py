@@ -102,6 +102,16 @@ def detect_snc(p: Polynomial) -> MonomialFactorization:
     )
 
 
+def snc_bound(mf: MonomialFactorization) -> Fraction | None:
+    """The exponent bound ``1 - 1/N`` at an snc point, ``N`` the monomial
+    degree; ``None`` when the origin is not snc or not critical (``N < 2``:
+    a unit or a simple zero)."""
+    n = sum(mf.exponents)
+    if not mf.snc_at_origin or n < 2:
+        return None
+    return Fraction(n - 1, n)
+
+
 def exponent_from_snc(mf: MonomialFactorization) -> ExponentReport:
     """Exponent ``1 - 1/N`` and the optimal-case classification.
 
@@ -110,19 +120,18 @@ def exponent_from_snc(mf: MonomialFactorization) -> ExponentReport:
     """
     if not mf.snc_at_origin:
         raise SncError("residual vanishes at the origin; resolve first")
+    theta = snc_bound(mf)
+    if theta is None:
+        if not any(mf.exponents):
+            raise SncError("no monomial factor: the origin is not a zero")
+        raise SncError("single exponent 1: origin is not a critical point")
     active = [n for n in mf.exponents if n >= 1]
     c = len(active)
-    if c == 0:
-        raise SncError("no monomial factor: the origin is not a zero")
     n_max = max(active)
-    if c == 1 and n_max == 1:
-        raise SncError("single exponent 1: origin is not a critical point")
-    total = sum(active)
-    theta = Fraction(total - 1, total)
     optimal = (c == 2 and sorted(active) == [1, 1]) or (c == 1 and n_max == 2)
     return ExponentReport(
         theta=theta,
-        total_degree=total,
+        total_degree=sum(active),
         active_count=c,
         max_active_exponent=n_max,
         optimal=optimal,

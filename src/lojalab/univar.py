@@ -43,23 +43,6 @@ def _trim(c: Coeffs) -> Coeffs:
     return c
 
 
-def evaluate(c: Coeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
-
-
-def _deflate(c: Coeffs, root: Fraction) -> Coeffs:
-    """Synthetic division by (x - root); assumes root is exact."""
-    out = [Fraction(0)] * (len(c) - 1)
-    carry = Fraction(0)
-    for i in range(len(c) - 1, 0, -1):
-        carry = c[i] + carry * root
-        out[i - 1] = carry
-    return out
-
-
 def _derivative(c: list[int]) -> list[int]:
     return _trim([c[i] * i for i in range(1, len(c))])
 
@@ -149,9 +132,9 @@ def _sturm(c: Coeffs) -> tuple[list[list[int]], int]:
     return chain, _variations(chain, -1, 0) - _variations(chain, 1, 0)
 
 
-def rational_roots(c: Coeffs) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots of ``c`` with multiplicities, exactly, and the
-    number of its distinct real roots that are irrational.
+def rational_roots(c: Coeffs) -> tuple[list[Fraction], int]:
+    """The distinct rational roots of ``c``, exactly, and the number of its
+    distinct real roots that are irrational.
 
     With ``s`` the squarefree part in coprime integers and ``L`` the size of
     its leading coefficient, the Sturm chain splits the Cauchy interval until
@@ -162,9 +145,8 @@ def rational_roots(c: Coeffs) -> tuple[list[tuple[Fraction, int]], int]:
     leaves the root within ``1/(4L^2)`` of the midpoint and every other
     fraction with denominator at most ``L`` farther off: the midpoint's
     ``limit_denominator(L)`` is the one candidate, and an exact sign test
-    decides it.  Multiplicities come from deflating ``c``.  The roots are
-    ordered as the rational root test lists its candidates ``+-p/q``: by
-    ``p``, then ``q``, then the sign.
+    decides it.  The roots are ordered as the rational root test lists its
+    candidates ``+-p/q``: by ``p``, then ``q``, then the sign.
     """
     chain, count = _sturm(c)
     if not count:
@@ -198,14 +180,8 @@ def rational_roots(c: Coeffs) -> tuple[list[tuple[Fraction, int]], int]:
             n, m = root.numerator, root.denominator
             if lo * m < n << k <= hi * m and not _sign_at(s, n, m):
                 found.append(root)
-    roots = []
-    for root in sorted(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0)):
-        mult = 0
-        while evaluate(c, root) == 0:
-            c = _deflate(c, root)
-            mult += 1
-        roots.append((root, mult))
-    return roots, count - len(roots)
+    found.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return found, count - len(found)
 
 
 def forms_share_real_zero(a: Coeffs, b: Coeffs) -> bool:

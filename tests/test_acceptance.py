@@ -104,7 +104,7 @@ def test_criterion_translated_chart():
         reports, unanalyzed = translated_chart_analysis(leaf)
         assert unanalyzed == 0 and len(reports) == 1
         assert reports[0].point_value == 1
-        assert reports[0].total_degree == 7
+        assert sum(reports[0].factorization.exponents) == 7
         assert reports[0].theta_bound == Fraction(6, 7)
 
 

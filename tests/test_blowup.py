@@ -201,11 +201,30 @@ def test_expanded_tower_composite_map():
     assert node.composite[1].rename(rename) == parse("alpha^2*beta")
 
 
-def test_exceptional_multiplicities_match_content_on_snc_nodes():
-    result = resolve(CUSP, max_depth=3, expand_snc=True)
-    for node in result.tree.nodes.values():
-        if node.depth >= 1 and node.snc:
-            assert node.exceptional_multiplicities == node.factorization.exponents
+def test_chart_maps_are_unimodular():
+    # Each chart multiplies the exponent matrix by one of [[1, 1], [0, 1]]
+    # and [[1, 0], [1, 1]], so its determinant stays 1.
+    tree = resolve(CUSP, max_depth=3, expand_snc=True).tree
+    assert tree.node("root/1/2/2").chart_map == ((3, 1), (2, 1))
+    for node in tree.nodes.values():
+        (a, b), (c, d) = node.chart_map
+        assert a * d - b * c == 1, node.chart_id
+
+
+def test_exceptional_axes_carry_the_monomial():
+    # An exceptional axis maps to the origin, where the root polynomial
+    # vanishes, so the total transform carries a positive power of its
+    # variable; below the root, an snc chart's monomial is all exceptional.
+    trees = [resolve(CUSP, max_depth=3, expand_snc=True).tree]
+    trees += [_resolved(text).tree for text in PINNED_CORPUS]
+    for tree in trees:
+        for node in tree.nodes.values():
+            axes = zip(node.exceptional_axes, node.factorization.exponents)
+            for exceptional, exponent in axes:
+                if exceptional:
+                    assert exponent > 0, (str(tree.root_polynomial), node.chart_id)
+                elif node.depth >= 1 and node.snc:
+                    assert exponent == 0, (str(tree.root_polynomial), node.chart_id)
 
 
 # ----------------------------------------------------------------------
@@ -315,12 +334,11 @@ def test_translated_point_on_golden_leaf():
     assert len(reports) == 1
     rep = reports[0]
     assert rep.point_value == 1
-    assert rep.exponents == (6, 1)
-    assert rep.total_degree == 7
+    assert rep.factorization.exponents == (6, 1)
     assert rep.theta_bound == Fraction(6, 7)
     # Residual (1 - gamma)^2, nonzero at the recentred origin.
-    assert rep.residual.constant_term() == 1
-    assert rep.residual == parse("(1 - gamma)*(1 - gamma)", variables=["a122", "gamma"])
+    assert rep.factorization.residual.constant_term() == 1
+    assert rep.factorization.residual == parse("(1 - gamma)*(1 - gamma)", variables=["a122", "gamma"])
 
 
 def test_translated_polynomials_match_substitution():
