@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .poly import Polynomial
-from .reports import rational_str
+from .reports import interval_json, rational_str
 from .snc import MonomialFactorization, detect_snc, snc_bound
 from . import univar
 
@@ -135,6 +135,7 @@ class BlowupNode:
     def monomial_total_degree(self) -> int:
         return sum(self.factorization.exponents)
 
+    @property
     def theta_bound(self) -> Fraction | None:
         """Origin-local exponent bound 1 - 1/N, when the chart origin is snc."""
         return snc_bound(self.factorization)
@@ -204,12 +205,7 @@ class ResolutionResult:
         return {
             "root": str(self.tree.root_polynomial),
             "leaves": [n.to_json() for n in self.tree.leaves()],
-            "theta_interval": [
-                rational_str(self.theta_interval[0]),
-                rational_str(self.theta_interval[1]),
-            ]
-            if self.theta_interval
-            else None,
+            "theta_interval": interval_json(self.theta_interval),
             "origin_local": True,
             "depth": self.tree.depth,
             "depth_capped": self.depth_capped,
@@ -290,7 +286,7 @@ def resolve(
             points, missing = translated_chart_analysis(node)
             translated.extend(points)
             unanalyzed += missing
-    bounds = [n.theta_bound() for n in leaves] + [t.theta_bound for t in translated]
+    bounds = [n.theta_bound for n in leaves] + [t.theta_bound for t in translated]
     return ResolutionResult(
         tree=tree,
         theta_interval=combine_point_bounds(bounds),
@@ -378,11 +374,12 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
         # vanishes, so the total transform carries a positive power of it.
         if not exceptional:
             continue
-        # The residual restricted to the axis: the terms free of its variable.
-        on_axis = Polynomial._trusted(
-            variables, {e: c for e, c in residual.terms.items() if e[i] == 0}
-        )
-        roots, irrational = univar.rational_roots(univar.coeffs_from_poly(on_axis))
+        # The residual restricted to the axis: its terms free of the axis
+        # variable, as ascending coefficients in the other one.  Some term is
+        # free of it, since a residual has no monomial content.
+        on_axis = {e[1 - i]: c for e, c in residual.terms.items() if e[i] == 0}
+        coeffs = [on_axis.get(k, Fraction(0)) for k in range(max(on_axis) + 1)]
+        roots, irrational = univar.rational_roots(coeffs)
         unanalyzed += irrational
         for t in roots:
             # Exceptional axes lie below the root: no chart variable is "gamma".
@@ -407,17 +404,20 @@ def translated_chart_analysis(node: BlowupNode) -> tuple[list[TranslatedPointRep
 
 @dataclass
 class LeafBound:
+    """A chart origin's bound ``theta in [1/2, bound]`` and the sup of its
+    chart map's Jacobian; the transported constant is ``C / jacobian_sup``."""
+
     chart_id: str
-    interval: tuple[Fraction, Fraction]
+    bound: Fraction
     jacobian_sup: float
-    constant_factor: float  # 1 / jacobian_sup; transported constant is C times this
 
     def to_json(self) -> dict:
         return {
             "chart_path": self.chart_id,
-            "theta_interval": [rational_str(self.interval[0]), rational_str(self.interval[1])],
+            "theta_interval": interval_json((Fraction(1, 2), self.bound)),
             "jacobian_sup": self.jacobian_sup,
-            "constant_factor": self.constant_factor,
+            # The exponent matrix is unimodular, so some entry and sup are > 0.
+            "constant_factor": 1.0 / self.jacobian_sup,
             "origin_local": True,
         }
 
@@ -430,12 +430,7 @@ class PullbackBound:
     def to_json(self) -> dict:
         return {
             "per_leaf": [b.to_json() for b in self.per_leaf],
-            "theta_interval": [
-                rational_str(self.interval[0]),
-                rational_str(self.interval[1]),
-            ]
-            if self.interval
-            else None,
+            "theta_interval": interval_json(self.interval),
             "origin_local": True,
         }
 
@@ -492,21 +487,11 @@ def pull_back_and_bound(result: ResolutionResult) -> PullbackBound:
     ``BlowupError`` when no leaf gives a bound: every leaf is depth-capped,
     or no snc leaf has ``N >= 2``, as when the origin is not critical.
     """
-    per_leaf: list[LeafBound] = []
-    for leaf in result.snc_leaves():
-        bound = leaf.theta_bound()
-        if bound is None:
-            continue
-        sup = _jacobian_sup(leaf.chart_map)
-        per_leaf.append(
-            LeafBound(
-                chart_id=leaf.chart_id,
-                interval=(Fraction(1, 2), bound),
-                jacobian_sup=sup,
-                # The exponent matrix is unimodular, so some entry and sup are > 0.
-                constant_factor=1.0 / sup,
-            )
-        )
+    per_leaf = [
+        LeafBound(leaf.chart_id, leaf.theta_bound, _jacobian_sup(leaf.chart_map))
+        for leaf in result.snc_leaves()
+        if leaf.theta_bound is not None
+    ]
     if not per_leaf:
         if not result.snc_leaves():
             raise BlowupError("all leaves are depth-capped; no bounds available")

@@ -29,6 +29,11 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
+def interval_json(interval: tuple[Fraction, Fraction] | None) -> list[str] | None:
+    """An exponent interval as its two exact strings, or ``None``."""
+    return [rational_str(end) for end in interval] if interval else None
+
+
 def dump_report(payload: dict, path: str | None = None) -> str:
     body = dict(payload)
     body.setdefault("schema", SCHEMA)

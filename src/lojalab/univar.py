@@ -15,26 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import Polynomial
-
 Coeffs = list[Fraction]
-
-
-def coeffs_from_poly(p: Polynomial) -> Coeffs:
-    """Ascending coefficients of a polynomial in at most one variable."""
-    effective = p.effective_variables()
-    if len(effective) > 1:
-        raise ValueError(f"polynomial is not univariate: variables {effective}")
-    if p.is_zero:
-        return []
-    if not effective:
-        return [p.constant_term()]
-    idx = p.variables.index(effective[0])
-    degree = max(e[idx] for e in p.terms)
-    out = [Fraction(0)] * (degree + 1)
-    for e, c in p.terms.items():
-        out[e[idx]] += c
-    return _trim(out)
 
 
 def _trim(c: Coeffs) -> Coeffs:

@@ -94,7 +94,7 @@ def test_criterion_cusp_golden_reproduction():
             "1 - beta", variables=["alpha", "beta"]
         )
         assert leaf.monomial_total_degree == 8
-        assert leaf.theta_bound() == Fraction(7, 8)
+        assert leaf.theta_bound == Fraction(7, 8)
 
 
 def test_criterion_translated_chart():

@@ -123,7 +123,7 @@ def test_resolve_already_snc_is_depth_zero():
     assert result.tree.depth == 0
     assert len(result.tree.leaves()) == 1
     leaf = result.tree.leaves()[0]
-    assert leaf.snc and leaf.theta_bound() == Fraction(1, 2)
+    assert leaf.snc and leaf.theta_bound == Fraction(1, 2)
     assert result.theta_interval == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -137,7 +137,7 @@ def test_resolve_cusp_produces_golden_leaf():
     assert len(golden) == 1
     leaf = golden[0]
     assert leaf.monomial_total_degree == 8
-    assert leaf.theta_bound() == Fraction(7, 8)
+    assert leaf.theta_bound == Fraction(7, 8)
     assert leaf.factorization.residual.rename(RENAMES["root/1/2/2"]) == parse(
         "1 - beta", variables=["alpha", "beta"]
     )
@@ -407,9 +407,10 @@ def test_pull_back_and_bound_cross_is_tight():
 def test_pull_back_and_bound_cusp_leaves():
     result = resolve(CUSP, max_depth=3)
     bound = pull_back_and_bound(result)
-    intervals = {b.chart_id: b.interval for b in bound.per_leaf}
-    assert intervals["root/1/2/2"] == (Fraction(1, 2), Fraction(7, 8))
-    assert all(b.constant_factor > 0 for b in bound.per_leaf)
+    leaves = {b.chart_id: b for b in bound.per_leaf}
+    assert leaves["root/1/2/2"].bound == Fraction(7, 8)
+    assert leaves["root/1/2/2"].to_json()["theta_interval"] == ["1/2", "7/8"]
+    assert all(b.to_json()["constant_factor"] > 0 for b in bound.per_leaf)
     assert bound.to_json()["origin_local"] is True
 
 
@@ -441,7 +442,7 @@ def test_jacobian_bound_closed_forms(text, chart_id, square):
     # The least float whose square is at least the exact rational.
     assert Fraction(bound.jacobian_sup) ** 2 >= square
     assert Fraction(math.nextafter(bound.jacobian_sup, 0.0)) ** 2 < square
-    assert bound.constant_factor == 1.0 / bound.jacobian_sup
+    assert bound.to_json()["constant_factor"] == 1.0 / bound.jacobian_sup
 
 
 def test_jacobian_bound_is_above_the_sampled_spectral_norm():

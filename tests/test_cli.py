@@ -508,6 +508,24 @@ def test_demo_cusp_golden(tmp_path):
     assert report["translated_chart"]["total_degree_7"] is True
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        "a122^6*b122^2 - a122^6*b122^4",
+        # The right transform in the traditional letters, not the chart's.
+        "alpha^6*beta^2 - alpha^6*beta^3",
+    ],
+)
+def test_demo_cusp_fails_on_a_wrong_expected_transform(tmp_path, monkeypatch, wrong):
+    monkeypatch.setitem(lojalab.cli.DEMO_EXPECTED, "root/1/2/2", wrong)
+    assert _run(["demo-cusp"], tmp_path) == 2
+    report = _report(tmp_path)
+    assert report["pass"] is False
+    matches = report["transform_matches"]
+    assert matches["root/1/2/2"] is False
+    assert all(v for k, v in matches.items() if k != "root/1/2/2")
+
+
 def test_reports_are_deterministic(tmp_path):
     argv = ["analyze", "x^6*y^2", "--seed", "3", "--output-path", str(tmp_path)]
     assert main(argv) == 0

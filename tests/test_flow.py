@@ -377,6 +377,21 @@ def test_identity_errors_pinned_digest(text, x0, digest):
 
 
 @pytest.mark.parametrize(
+    "text, x0",
+    [("x^2 + y^4", [0.2, 0.2]), ("x^2*y^2", [0.3, 0.2]), ("x^2", [0.5])],
+)
+@pytest.mark.parametrize("count", [4000, 20_000])
+def test_dqds_identity_error_function_route_matches_polynomial(text, x0, count):
+    # A Function is evaluated through its value and gradient, a Polynomial
+    # through its fused kernel; both give the same floats, bit for bit.
+    p = parse(text)
+    traj = integrate_flow(p, x0, tol=1e-5)
+    by_polynomial = dqds_identity_error(traj, p, count)
+    assert by_polynomial is not None
+    assert dqds_identity_error(traj, Function.of(p), count) == by_polynomial
+
+
+@pytest.mark.parametrize(
     "text, x0, tol",
     [
         ("x^2", [0.5], 1e-10),

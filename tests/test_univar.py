@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from lojalab.poly import parse
 from lojalab.univar import (
-    coeffs_from_poly,
     forms_share_real_zero,
     rational_roots,
 )
 
 
 def _coeffs(text: str):
-    return coeffs_from_poly(parse(text))
+    """Ascending coefficients of a polynomial in ``z``, read off its terms."""
+    terms = {e[0]: c for e, c in parse(text, variables=["z"]).terms.items()}
+    return [terms.get(k, Fraction(0)) for k in range(max(terms, default=-1) + 1)]
 
 
 def _count_distinct_real_roots(c):
@@ -51,12 +52,7 @@ def test_count_distinct_real_roots():
 def test_constant_and_zero_edge_cases():
     assert rational_roots(_coeffs("5")) == ([], 0)
     assert _count_distinct_real_roots(_coeffs("5")) == 0
-    assert coeffs_from_poly(parse("0")) == []
-
-
-def test_multivariate_rejected():
-    with pytest.raises(ValueError):
-        coeffs_from_poly(parse("x*y"))
+    assert rational_roots([]) == ([], 0)
 
 
 def test_rational_roots_of_a_coefficient_with_many_divisors():
