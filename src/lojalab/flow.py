@@ -3,12 +3,13 @@
 The flow ``dx/dt = -grad E`` is integrated with an adaptive embedded
 Runge-Kutta 4(5) pair with arc length carried as an extra state variable, so
 the trajectory record has exact (to integrator tolerance) cumulative length.
-The step loop is loja-lab's own Dormand-Prince driver on scipy's RK45
-coefficients, and it records each step's interpolant itself; given the same
-right-hand side, its trajectories and dense output are bit for bit those of
-``scipy.integrate.solve_ivp(method="RK45")`` with the same events.  The
-right-hand side is the one-point gradient ``Function.gradient_at`` and its
-norm summed left to right.
+The step loop is loja-lab's own, on the Dormand-Prince tableau, as literals
+equal to scipy's RK45 arrays, and it records each step's interpolant itself;
+given the same right-hand side, its trajectories and dense output are bit
+for bit those of ``scipy.integrate.solve_ivp(method="RK45")`` with the same
+events.  scipy is the tests' oracle for that, not a dependency of the
+package.  The right-hand side is the one-point gradient
+``Function.gradient_at`` and its norm summed left to right.
 Under a verified gradient inequality with exponent ``theta`` and constant
 ``C``, the whole trajectory length is bounded by ``E(x0)^(1-theta) /
 ((1-theta) * C)``; that bound and the induced distance inequalities
@@ -241,11 +242,40 @@ def _interpolate(s: float, t_old: float, h: float, y_old: np.ndarray, Q: np.ndar
     return h * Q.dot(p) + y_old
 
 
+# The Dormand-Prince 5(4) tableau (Dormand and Prince, 1980) and the dense
+# output coefficients P of Shampine (Math. Comp. 46, 1986), written as the same
+# literal fractions as scipy/integrate/_ivp/rk.py, so each array equals
+# scipy's RK45 array bit for bit.
+_RK_STAGES = 6
+_RK_ERROR_ORDER = 4
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
 # Dormand-Prince 5(4) step control, as scipy's RK45 sets it.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _EPS = float(np.finfo(float).eps)
+# Iterations of Brent's method before an event root fails, scipy's default.
+_BRENTQ_MAXITER = 100
 
 
 def _norm(vector: Sequence[float]) -> float:
@@ -258,6 +288,78 @@ def _norm(vector: Sequence[float]) -> float:
     for v in vector:
         total = total + v * v
     return math.sqrt(total)
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` between ``a`` and ``b`` by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` on Python floats, so the
+    root has the bits of ``scipy.optimize.brentq(f, a, b, xtol=xtol,
+    rtol=rtol)``.  An end where ``f`` is zero is returned as it is; ends
+    whose values have the same sign bit raise ``ValueError``, and so does a
+    NaN value, as scipy's wrapper does.  Each step interpolates,
+    extrapolates or bisects, and the search stops within ``delta = (xtol +
+    rtol*|x|)/2``.  ``RuntimeError`` after ``_BRENTQ_MAXITER`` iterations.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's quotient is infinite or NaN, and the test below bisects.
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
 
 
 def _snap(limit: np.ndarray, crit_set: CriticalSet | None) -> tuple[np.ndarray, float | None]:
@@ -409,10 +511,11 @@ def _dormand_prince(
 
     The arithmetic is scipy 1.17's ``solve_ivp(method="RK45",
     dense_output=True, events=...)`` operation for operation, on the
-    tableau ``scipy.integrate.RK45`` holds: the initial step of Hairer,
-    Norsett and Wanner II.4; the stages, the step, the error estimate and
-    each step's interpolant coefficients ``Q``; the step-size rule; and
-    event roots from ``brentq`` on the step's interpolant.  Trajectories,
+    Dormand-Prince tableau, as literals equal to scipy's RK45 arrays: the
+    initial step of Hairer, Norsett and Wanner II.4; the stages, the step,
+    the error estimate and each step's interpolant coefficients ``Q``; the
+    step-size rule; and event roots from ``_brentq``, scipy's ``brentq``
+    ported, on the step's interpolant.  Trajectories,
     interpolants and right-hand-side counts are therefore bit for bit those
     of ``solve_ivp`` on the same right-hand side.
 
@@ -438,17 +541,11 @@ def _dormand_prince(
     root wins and the gradient event wins a tie.  A step size that
     collapses below ten ulps of ``t`` raises ``FlowError``.
     """
-    # Imported on first use: scipy.integrate adds about 50 MB of resident
-    # memory and 0.3 s to start-up, and only the flow needs it.
-    from scipy.integrate import RK45
-    from scipy.optimize import brentq
-
-    A, B, C, E, P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
-    error_exponent = -1 / (RK45.error_estimator_order + 1)
-    K = np.empty((RK45.n_stages + 1, y0.size))
+    error_exponent = -1 / (_RK_ERROR_ORDER + 1)
+    K = np.empty((_RK_STAGES + 1, y0.size))
     K[0] = f0
     # Stage s combines rows K[:s]; the views are scipy's, made once.
-    stage_plan = [(K[:s].T, A[s, :s], C[s], K[s]) for s in range(1, RK45.n_stages)]
+    stage_plan = [(K[:s].T, _RK_A[s, :s], _RK_C[s], K[s]) for s in range(1, _RK_STAGES)]
     KT, KT_step, f_new = K.T, K[:-1].T, K[-1]
     root_n = y0.size ** 0.5
     rtol = max(rtol, 100 * _EPS)
@@ -468,7 +565,7 @@ def _dormand_prince(
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_RK_ERROR_ORDER + 1))
     h_abs = min(100 * h0, h1, t_bound)
 
     # The accepted state, as floats and as the array scipy keeps.
@@ -497,10 +594,10 @@ def _dormand_prince(
             for KT_s, a, c, out in stage_plan:
                 dy = KT_s.dot(a).tolist()
                 rhs(t + c * h, [v + dv * h for v, dv in zip(y, dy)], out)
-            dy = KT_step.dot(B).tolist()
+            dy = KT_step.dot(_RK_B).tolist()
             y_new = [v + h * dv for v, dv in zip(y, dy)]
             norm_new = rhs(t + h, y_new, f_new)
-            error = KT.dot(E).tolist()
+            error = KT.dot(_RK_E).tolist()
             error_norm = rms(np.array([
                 e * h / (atol + max(abs(v), abs(w)) * rtol)
                 for e, v, w in zip(error, y, y_new)
@@ -518,7 +615,7 @@ def _dormand_prince(
             step_rejected = True
             rejected += 1
         steps += 1
-        Q = KT.dot(P)
+        Q = KT.dot(_RK_P)
         hs.append(h)
         Qs.append(Q)
         t_old, y_old = t, y_array
@@ -535,7 +632,7 @@ def _dormand_prince(
         if hits:
             t_event = math.inf
             for reason, event_gap in hits:
-                root = brentq(
+                root = _brentq(
                     lambda s: event_gap(_interpolate(s, t_old, h, y_old, Q)),
                     t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
                 )

@@ -322,39 +322,74 @@ def test_flow_reports_step_counts(tmp_path):
     assert (tmp_path / "report.json").read_bytes() == first
 
 
+def _run_python(code):
+    src = str(Path(lojalab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+
+
 @pytest.mark.parametrize("module", ["lojalab", "lojalab.cli"])
 def test_import_loads_no_scipy(module):
-    # scipy costs about 50 MB and 0.3 s at start-up; only the flow's step
-    # loop imports it, on first use.
     code = (
         f"import sys, {module}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(lojalab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert _run_python(code).stdout.strip() == "[]"
 
 
-def test_package_imports_no_private_scipy_module():
-    # A name that starts with "_" is not scipy's public API and may change
-    # in any release; the tests may still use one as a reference.
-    private = []
+def test_package_imports_no_scipy():
+    # scipy is a test-time oracle only; the package must run without it.
+    found = []
     for path in sorted(Path(lojalab.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module]
             else:
                 continue
-            for name in names:
-                parts = name.split(".")
-                if parts[0] == "scipy" and any(part.startswith("_") for part in parts):
-                    private.append(f"{path.name}: {name}")
-    assert private == []
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_flow_runs_with_scipy_refused(tmp_path):
+    # Every flow entry point in a process where importing scipy fails: both
+    # stopping events, the identity checks, the length bound and the CLI.
+    code = f"""
+import sys
+from fractions import Fraction
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"refused: {{name}}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from lojalab import cli
+from lojalab.flow import (
+    dqds_identity_error, integrate_flow, speed_identity_error, verify_length_bound,
+)
+from lojalab.poly import parse
+
+p = parse("x^2 + y^2")
+traj = integrate_flow(p, [0.3, 0.4], tol=1e-6)
+assert traj.stop_reason == "gradient-below-tol", traj.stop_reason
+left = integrate_flow(parse("0 - x^2"), [0.1], tol=1e-12, t_max=100.0, sigma=0.5)
+assert left.stop_reason == "left-domain", left.stop_reason
+assert dqds_identity_error(traj, p) < 1e-6
+assert speed_identity_error(traj) < 1e-6
+assert verify_length_bound(traj, Fraction(1, 2), 2.0).passed
+argv = ["flow", "x^2 + y^2", "--point", "0.3,0.4", "--tol", "1e-6", "--crit", "origin"]
+assert cli.main(argv + ["--output-path", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _run_python(code).stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
 
 
 def test_flow_requires_matching_point(tmp_path, capsys):

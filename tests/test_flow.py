@@ -1,5 +1,6 @@
 """Gradient-flow integration, trajectory identities, distance inequalities."""
 
+import functools
 import hashlib
 import json
 import math
@@ -289,6 +290,117 @@ def test_step_loop_matches_solve_ivp_bit_for_bit(text, x0, options):
         assert (dense.t[k], dense.h[k]) == (theirs.t_old, theirs.h)
         assert np.array_equal(dense.Q[k], theirs.Q)
         assert np.array_equal(dense.y[:, k], theirs.y_old)
+
+
+def test_tableau_equals_scipy_rk45():
+    from scipy.integrate import RK45
+
+    for name in "ABCEP":
+        ours, theirs = getattr(flow, f"_RK_{name}"), getattr(RK45, name)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert np.array_equal(ours, theirs), name
+    assert flow._RK_STAGES == RK45.n_stages
+    assert flow._RK_ERROR_ORDER == RK45.error_estimator_order
+
+
+_ROOT_TOL = 4 * flow._EPS
+
+
+def _bracketed_function(rng):
+    # A function with one sign change at r, from one of five families:
+    # smooth, saturating (where secant steps overshoot and bisect), steep
+    # (odd roots), wiggly, and discontinuous at r.
+    r = float(rng.uniform(-3, 3))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        c = rng.uniform(-2, 2, 3).tolist()
+        f = lambda x: (x - r) * (1 + c[0] ** 2 + (c[1] * x) ** 2 + (c[2] * (x - r)) ** 2)
+    elif kind == 1:
+        k = float(rng.uniform(0.1, 100))
+        f = lambda x: math.tanh(k * (x - r))
+    elif kind == 2:
+        k = int(rng.integers(2, 8))
+        f = lambda x: math.copysign(abs(x - r) ** (1 / k), x - r)
+    elif kind == 3:
+        w = float(rng.uniform(1, 60))
+        f = lambda x: math.expm1(x - r) + 1e-3 * math.sin(w * (x - r))
+    else:
+        f = lambda x: 1.0 if x > r else -2.0
+    a, b = r - float(rng.uniform(1e-3, 5)), r + float(rng.uniform(1e-3, 5))
+    return (f, a, b) if rng.random() < 0.5 else (f, b, a)
+
+
+def _outcome(solve, f, a, b):
+    # Each point f is evaluated at, and the root, as float.hex; or the
+    # exception's type and message in place of the root.
+    points = []
+
+    def traced(x):
+        points.append(x.hex())
+        return f(x)
+
+    try:
+        result = solve(traced, a, b, xtol=_ROOT_TOL, rtol=_ROOT_TOL).hex()
+    except (ValueError, RuntimeError) as exc:
+        result = type(exc), str(exc).split(" at x=")[0]
+    return points, result
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(20240613)
+    for _ in range(2000):
+        f, a, b = _bracketed_function(rng)
+        ours = _outcome(flow._brentq, f, a, b)
+        assert isinstance(ours[1], str), ours
+        assert ours == _outcome(brentq, f, a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        pytest.param(lambda x: x - 1.0, 1.0, 3.0, id="root-at-a"),
+        pytest.param(lambda x: x - 1.0, -2.0, 1.0, id="root-at-b"),
+        pytest.param(lambda x: x, -0.0, 1.0, id="minus-zero-at-a"),
+        pytest.param(lambda x: x, -1.0, -0.0, id="minus-zero-at-b"),
+        pytest.param(lambda x: -x, -3.0, 1.0, id="interior-zero"),
+        pytest.param(lambda x: x * x - 2.0, 2.0, 0.0, id="reversed-bracket"),
+        pytest.param(lambda x: x * x - 2.0, 0.0, math.inf, id="infinite-end"),
+        # Extrapolation whose divisor underflows to zero, where C bisects.
+        pytest.param(lambda x: 1e-160 * math.expm1(x - 0.3), -2.0, 3.0, id="zero-divisor"),
+        # Half the bracket equals delta on the first step, which is not yet
+        # converged.
+        pytest.param(lambda x: x - 1.0 - 2.0**-51, 1.0, 1.0 + 2.0**-49, id="half-width-at-delta"),
+        # A bracket a few tolerances wide where twice a trial step lies
+        # between 3|sbis| - delta and 3|sbis|: a step to refuse.
+        pytest.param(
+            lambda x, r=1.5849931697984885: x - r - 3.4854379569077665e13 * (x - r) ** 2,
+            1.5849931697984574, 1.5849931697985076, id="short-step-bound",
+        ),
+        # The ValueError paths.
+        pytest.param(lambda x: x * x + 1.0, -1.0, 1.0, id="same-sign"),
+        pytest.param(lambda x: x - 0.5 if x > 0 else math.nan, 0.0, 1.0, id="nan-at-a"),
+        pytest.param(lambda x: x - 0.5 if x < 1 else math.nan, 0.0, 1.0, id="nan-at-b"),
+        pytest.param(
+            lambda x: x - 0.5 if abs(x - 0.5) > 0.1 else math.nan, 0.0, 1.0, id="nan-inside"
+        ),
+    ],
+)
+def test_brentq_edge_cases_match_scipy(f, a, b):
+    from scipy.optimize import brentq
+
+    assert _outcome(flow._brentq, f, a, b) == _outcome(brentq, f, a, b)
+
+
+def test_brentq_exhausted_cap_matches_scipy(monkeypatch):
+    from scipy.optimize import brentq
+
+    monkeypatch.setattr(flow, "_BRENTQ_MAXITER", 2)
+    f = lambda x: x**3 - 0.1
+    ours = _outcome(flow._brentq, f, 0.0, 1.0)
+    assert ours[1][0] is RuntimeError
+    assert ours == _outcome(functools.partial(brentq, maxiter=2), f, 0.0, 1.0)
 
 
 def test_start_gradient_evaluated_once():
@@ -614,11 +726,9 @@ def test_identity_errors_match_the_whole_grid_on_one_step_and_on_a_thinned_recor
 def test_event_on_the_previous_step_end_drops_that_step(monkeypatch):
     # The event gap at a step's start is the previous step's end gap, which
     # would have fired there, so only an event root that rounds to the
-    # step's start reaches this branch: brentq returning its left bracket
-    # forces it.  The step loop imports brentq on each call.
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "brentq", lambda f, a, b, **options: a)
+    # step's start reaches this branch: a root finder returning its left
+    # bracket forces it.  The step loop looks _brentq up on each call.
+    monkeypatch.setattr(flow, "_brentq", lambda f, a, b, **options: a)
     p = parse("x^2 + y^2")
     traj = integrate_flow(p, [0.3, -0.2], tol=1e-5)
     dense = traj.dense
